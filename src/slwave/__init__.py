@@ -36,7 +36,7 @@ from .operator import (ModelCoefficients, RecoveryResult, apply_model,
                        smooth_from_samples)
 from .sturm import (EigenSystem, KernelBasis, OdeSolution, Potential,
                     check_lower_bound, dirichlet_eigensystem, kernel_basis,
-                    modal_coefficients, modal_tail, potential, solve_ivp,
+                    modal_coefficients, potential, solve_ivp,
                     wave_propagator_apply)
 from .verify import (CHECK_NAMES, CheckResult, VerificationReport, Workspace,
                      run_all)

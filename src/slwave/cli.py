@@ -305,9 +305,14 @@ def run_model(cfg: RunConfig) -> list:
     return files
 
 
-def _coefficients_from_csv(path: str, l: float) -> ModelCoefficients:
+def _coefficients_from_csv(path: str, l: float, grid_n: int) -> ModelCoefficients:
     """Rebuild sampled coefficients from a model table; the analytic P^'
-    is unavailable, so downstream recovery must use the observer path."""
+    is unavailable, so downstream recovery must use the observer path.
+
+    The pole of the model sits at l/2 of the configured problem, so a table
+    whose row spacing (smallest gap between rows) is not l / grid_n was
+    written for another problem and is rejected.
+    """
     text = Path(path).read_text().strip().splitlines()
     if not text or not text[0].startswith("x,"):
         raise ConfigurationError(f"{path} is not a model coefficient table")
@@ -315,7 +320,12 @@ def _coefficients_from_csv(path: str, l: float) -> ModelCoefficients:
     if data.ndim != 2 or data.shape[1] != 17:
         raise ConfigurationError(f"{path} has the wrong column count")
     xs = data[:, 0]
-    h = float(xs[1] - xs[0]) if xs.size > 1 else l / 4.0
+    h = l / grid_n
+    spacing = float(np.min(np.diff(xs))) if xs.size > 1 else h
+    if abs(spacing - h) > 1e-9 * h:
+        raise ConfigurationError(
+            f"{path} has row spacing {spacing!r}, but the config asks for "
+            f"l / grid_n = {h!r}; the table was written for another l or grid_n")
     m = int(round(0.5 * l / h))
     half_x = np.arange(m + 1, dtype=float) * h
     js = np.rint(xs / h).astype(int)
@@ -337,7 +347,7 @@ def _coefficients_from_csv(path: str, l: float) -> ModelCoefficients:
 def run_recover(cfg: RunConfig) -> list:
     """Potential branches from model coefficients; reflection note attached."""
     if cfg.coefficients_path is not None:
-        mc = _coefficients_from_csv(cfg.coefficients_path, cfg.l)
+        mc = _coefficients_from_csv(cfg.coefficients_path, cfg.l, cfg.grid_n)
         rr = recover_potential(mc, sampled_derivatives=True)
         compare = None
     else:

@@ -4,10 +4,16 @@ the wave propagator on [0, l].
 The second-order equation -u'' + q u = lam u is integrated as a first-order
 system with a fixed-step fourth-order Runge-Kutta scheme on the grid nodes,
 with q at the half steps taken from the closed form when available and from
-cubic interpolation otherwise.  Eigenvalues come from shooting: oscillation
-counting brackets each root of u_lam(l), an Illinois secant/bisection hybrid
-refines it.  Matrix eigensolvers are deliberately not used here; they serve
-as independent oracles in the tests.
+cubic interpolation otherwise.  One RK4 step is exactly a 2x2 matrix,
+(u, v)_{j+1} = M_j(lam) (u, v)_j, whose entries are polynomials in h and
+q - lam.  Cauchy solutions (solve_ivp, kernel_basis) run the staged RK4 loop
+for a single lam.  The eigensolver instead assembles the step matrices for
+many lam at once: end values come from a log-depth pairwise product, node
+histories from a two-level blocked scan (blocks of about sqrt(n) steps).
+Eigenvalues come from shooting: oscillation counting brackets each root of
+u_lam(l), an Illinois secant, clamped inside the bracket, refines it.  Matrix
+eigensolvers are deliberately not used here; they serve as independent
+oracles in the tests.
 """
 
 from __future__ import annotations
@@ -19,16 +25,18 @@ import numpy as np
 
 from .analytic import ClosedForm, parse_expression
 from .errors import AdmissibilityError, ConfigurationError, NumericalError
-from .grid import Grid, GridFunction, interp_cubic, quad
+from .grid import Grid, GridFunction, _simpson_weights, interp_cubic
 
 __all__ = [
     "Potential", "OdeSolution", "KernelBasis", "EigenSystem",
     "potential", "solve_ivp", "kernel_basis", "dirichlet_eigensystem",
     "check_lower_bound", "wave_propagator_apply", "modal_coefficients",
-    "modal_tail",
 ]
 
 _BLOWUP = 1e120
+# step-matrix cells (steps x lam columns) per batch of the transfer-matrix
+# products: bounds their working set at about 4 MB whatever the mode count
+_BATCH_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -57,9 +65,6 @@ class Potential:
         qm.setflags(write=False)
         object.__setattr__(self, "mid", qm)
 
-    def at_nodes_reversed(self) -> np.ndarray:
-        return self.values[::-1]
-
 
 def potential(grid: Grid, q: Union[str, float, ClosedForm, np.ndarray]) -> Potential:
     """Build a potential from an expression string, a constant, a closed
@@ -84,22 +89,28 @@ class OdeSolution:
     du: GridFunction
 
 
-def _rk4_sweep(qn, qm, h, lam, v0, s0, keep_history=False):
-    """Integrate u'' = (q - lam) u left to right for a vector of lam.
+def _check_end_state(u, v):
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))) or np.max(np.abs(u)) > _BLOWUP:
+        raise NumericalError("Cauchy integration blew up; refine the grid or check q and lam")
 
-    qn: q at nodes (n+1,), qm: q at half steps (n,).  Returns (u, v) end
-    states, or full histories (n+1, K) when keep_history.
+
+def _rk4_sweep(qn, qm, h, lam, v0, s0):
+    """Staged RK4 loop for u'' = (q - lam) u, left to right, for a vector
+    of lam: node histories (U, V), each (n+1, K).
+
+    qn: q at nodes (n+1,), qm: q at half steps (n,).  Cauchy solutions use
+    it with one lam; it is also the reference for the transfer-matrix
+    products, which run the same scheme in another operation order.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     K = lam.shape[0]
     n = qn.shape[0] - 1
     u = np.full(K, float(v0))
     v = np.full(K, float(s0))
-    if keep_history:
-        U = np.empty((n + 1, K))
-        V = np.empty((n + 1, K))
-        U[0] = u
-        V[0] = v
+    U = np.empty((n + 1, K))
+    V = np.empty((n + 1, K))
+    U[0] = u
+    V[0] = v
     h6 = h / 6.0
     for j in range(n):
         cj = qn[j] - lam
@@ -117,14 +128,130 @@ def _rk4_sweep(qn, qm, h, lam, v0, s0, keep_history=False):
         dv4 = c1 * u4
         u = u + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4)
         v = v + h6 * (dv1 + 2.0 * (dv2 + dv3) + dv4)
-        if keep_history:
-            U[j + 1] = u
-            V[j + 1] = v
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))) or np.max(np.abs(u)) > _BLOWUP:
-        raise NumericalError("Cauchy integration blew up; refine the grid or check q and lam")
-    if keep_history:
-        return U, V
+        U[j + 1] = u
+        V[j + 1] = v
+    _check_end_state(u, v)
+    return U, V
+
+
+def _step_matrices(qn, qm, h, lam, rows):
+    """RK4 one-step matrices M_j(lam) as one array E of shape (4, rows, K)
+    holding (m11, m12, m21, m22); steps past n are identities.
+
+    With c = q - lam at x_j, x_j + h/2 and x_{j+1} (cj, cm, c1), the four
+    stages of the scheme expand exactly to
+      m11 = 1 + h^2 (cj + 2 cm)/6 + h^4 cm cj/24,   m12 = h + h^3 cm/6,
+      m21 = h (cj + 4 cm + c1)/6 + h^3 cm (cj + c1)/12,
+      m22 = 1 + h^2 (2 cm + c1)/6 + h^4 c1 cm/24.
+    Each entry is assembled as alpha_j + lam (beta_j + gamma lam), with the
+    node coefficients computed once, in three passes over (n, K).
+    """
+    n = qm.shape[0]
+    qj, q1 = qn[:-1], qn[1:]
+    h2, h3, h4 = h * h, h ** 3, h ** 4
+    coefficients = (
+        (1.0 + h2 * (qj + 2.0 * qm) / 6.0 + h4 * (qm * qj) / 24.0,
+         -0.5 * h2 - h4 * (qm + qj) / 24.0, h4 / 24.0),
+        (h + h3 * qm / 6.0, -h3 / 6.0, 0.0),
+        (h * (qj + 4.0 * qm + q1) / 6.0 + h3 * qm * (qj + q1) / 12.0,
+         -h - h3 * (qj + q1 + 2.0 * qm) / 12.0, h3 / 6.0),
+        (1.0 + h2 * (2.0 * qm + q1) / 6.0 + h4 * (q1 * qm) / 24.0,
+         -0.5 * h2 - h4 * (q1 + qm) / 24.0, h4 / 24.0),
+    )
+    E = np.empty((4, rows, lam.shape[0]))
+    for e, (alpha, beta, gamma) in zip(E, coefficients):
+        m = e[:n]
+        np.add(np.reshape(beta, (-1, 1)), gamma * lam, out=m)
+        m *= lam
+        m += alpha[:, None]
+    E[:, n:] = np.array([1.0, 0.0, 0.0, 1.0])[:, None, None]
+    return E
+
+
+def _mul2(R, L):
+    """Stacked 2x2 products R L on entry arrays of shape (4, ...)."""
+    P = np.empty(R.shape)
+    t = np.empty(R.shape[1:])
+    for i, (r, l) in enumerate(((0, 0), (0, 1), (2, 0), (2, 1))):
+        np.multiply(R[r], L[l], out=P[i])
+        np.multiply(R[r + 1], L[l + 2], out=t)
+        P[i] += t
+    return P
+
+
+def _pairwise_product(E):
+    """Ordered product M_{m-1} ... M_1 M_0 of the matrices stacked on axis 1
+    of E (4, m, ...), in ceil(log2 m) pairwise levels.  On a level of odd
+    length the last matrix is folded into the product of the last pair."""
+    while E.shape[1] > 1:
+        m = E.shape[1]
+        P = _mul2(E[:, 1::2], E[:, 0:m - 1:2])
+        if m % 2:
+            P[:, -1] = _mul2(E[:, -1], P[:, -1])
+        E = P
+    return E[:, 0]
+
+
+def _batches(n, K):
+    step = max(1, _BATCH_CELLS // n)
+    return [slice(s, s + step) for s in range(0, K, step)]
+
+
+def _tm_end_values(qn, qm, h, lam):
+    """End state (u, v)(l) of u(0) = 0, u'(0) = 1 for a vector of lam: the
+    second column of the pairwise product of the step matrices."""
+    n = qm.shape[0]
+    u = np.empty(lam.shape[0])
+    v = np.empty(lam.shape[0])
+    for cols in _batches(n, lam.shape[0]):
+        P = _pairwise_product(_step_matrices(qn, qm, h, lam[cols], n))
+        u[cols], v[cols] = P[1], P[3]
+    _check_end_state(u, v)
     return u, v
+
+
+def _tm_history_batch(qn, qm, h, lam):
+    """Node histories (U, V), each (n+1, K), of u(0) = 0, u'(0) = 1 by a
+    two-level blocked scan.
+
+    The n steps are split into B blocks of b ~ sqrt(n) steps, the last one
+    padded with identities.  Pairwise products give each block's matrix, a
+    sequential pass over the blocks gives their start states, and b - 1
+    steps advance all blocks at once: about B + b Python steps, not n.
+    """
+    n = qm.shape[0]
+    K = lam.shape[0]
+    b = max(1, int(np.sqrt(n)))
+    B = n // b + 1                     # B * b > n: node n lies in the last block
+    E = _step_matrices(qn, qm, h, lam, B * b).reshape(4, B, b, K)
+    T = _pairwise_product(E.swapaxes(1, 2))
+    U = np.empty((B, b, K))
+    V = np.empty((B, b, K))
+    u = np.zeros(K)
+    v = np.ones(K)
+    for k in range(B):
+        U[k, 0] = u
+        V[k, 0] = v
+        u, v = T[0, k] * u + T[1, k] * v, T[2, k] * u + T[3, k] * v
+    for i in range(b - 1):
+        u, v = U[:, i], V[:, i]
+        U[:, i + 1] = E[0, :, i] * u + E[1, :, i] * v
+        V[:, i + 1] = E[2, :, i] * u + E[3, :, i] * v
+    U = U.reshape(B * b, K)[:n + 1]
+    V = V.reshape(B * b, K)[:n + 1]
+    _check_end_state(U[-1], V[-1])
+    return U, V
+
+
+def _tm_history(qn, qm, h, lam):
+    """Node histories (U, V), each (n+1, K), of u(0) = 0, u'(0) = 1 for a
+    vector of lam."""
+    n = qm.shape[0]
+    U = np.empty((n + 1, lam.shape[0]))
+    V = np.empty_like(U)
+    for cols in _batches(n, lam.shape[0]):
+        U[:, cols], V[:, cols] = _tm_history_batch(qn, qm, h, lam[cols])
+    return U, V
 
 
 def solve_ivp(q: Potential, lam: float, side: str = "left",
@@ -136,11 +263,10 @@ def solve_ivp(q: Potential, lam: float, side: str = "left",
     """
     g = q.grid
     if side == "left":
-        U, V = _rk4_sweep(q.values, q.mid, g.h, [lam], value, slope, keep_history=True)
+        U, V = _rk4_sweep(q.values, q.mid, g.h, [lam], value, slope)
         uu, vv = U[:, 0], V[:, 0]
     elif side == "right":
-        U, V = _rk4_sweep(q.values[::-1], q.mid[::-1], g.h, [lam], value, -slope,
-                          keep_history=True)
+        U, V = _rk4_sweep(q.values[::-1], q.mid[::-1], g.h, [lam], value, -slope)
         uu, vv = U[::-1, 0], -V[::-1, 0]
     else:
         raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
@@ -227,12 +353,16 @@ def _sign_change_counts(U: np.ndarray) -> np.ndarray:
 
 
 def dirichlet_eigensystem(q: Potential, count: int, rel_tol: float = 1e-10) -> EigenSystem:
-    """First `count` Dirichlet eigenpairs by shooting.
+    """First `count` Dirichlet eigenpairs by shooting on RK4 transfer matrices.
 
     Comparison bounds (k pi / l)^2 + [min q, max q] seed the brackets;
-    oscillation counting isolates one root of u_lam(l) per bracket; an
-    Illinois-type secant with bisection safeguards refines each root to
-    relative tolerance rel_tol.
+    oscillation counting on blocked-scan histories isolates one root of
+    u_lam(l) per bracket, and the same histories give u_lam(l) at its ends.
+    An Illinois secant on pairwise-product end values refines each root to
+    relative tolerance rel_tol; the secant point is clamped half a tolerance
+    inside the bracket (Dekker), so a converging side still closes the
+    bracket, and only unconverged brackets are swept.  The eigenfunctions
+    are the blocked-scan histories at the bracket midpoints.
     """
     if count < 1:
         raise ConfigurationError("eigenvalue count must be >= 1")
@@ -253,65 +383,56 @@ def dirichlet_eigensystem(q: Potential, count: int, rel_tol: float = 1e-10) -> E
     b = base + qhi + pad
 
     def counts(lams):
-        U, _ = _rk4_sweep(qn, qm, h, lams, 0.0, 1.0, keep_history=True)
-        return _sign_change_counts(U)
+        """Oscillation counts and end values u_lam(l) from blocked-scan histories."""
+        U = [_tm_history_batch(qn, qm, h, lams[cols])[0]
+             for cols in _batches(g.n, lams.shape[0])]
+        return (np.concatenate([_sign_change_counts(u) for u in U]),
+                np.concatenate([u[-1] for u in U]))
 
     target_lo = np.arange(0, count)
     target_hi = np.arange(1, count + 1)
-    ca, cb = counts(a), counts(b)
+    (ca, fa), (cb, fb) = counts(a), counts(b)
     if np.any(ca > target_lo) or np.any(cb < target_hi):
         raise NumericalError("comparison brackets failed oscillation sanity check")
     for _ in range(120):
-        bad = (ca != target_lo) | (cb != target_hi)
-        if not np.any(bad):
+        bad = np.flatnonzero((ca != target_lo) | (cb != target_hi))
+        if bad.size == 0:
             break
-        mid = 0.5 * (a + b)
-        cm = counts(mid)
-        move_hi = bad & (cm >= target_hi)
-        move_lo = bad & ~move_hi
-        b = np.where(move_hi, mid, b)
-        cb = np.where(move_hi, cm, cb)
-        a = np.where(move_lo, mid, a)
-        ca = np.where(move_lo, cm, ca)
+        mid = 0.5 * (a[bad] + b[bad])
+        cm, fm = counts(mid)
+        hi = cm >= target_hi[bad]
+        b[bad[hi]], cb[bad[hi]], fb[bad[hi]] = mid[hi], cm[hi], fm[hi]
+        a[bad[~hi]], ca[bad[~hi]], fa[bad[~hi]] = mid[~hi], cm[~hi], fm[~hi]
     else:
         raise NumericalError("oscillation counting failed to isolate eigenvalue brackets")
 
-    def end_values(lams):
-        u, _ = _rk4_sweep(qn, qm, h, lams, 0.0, 1.0)
-        return u
-
-    fa, fb = end_values(a), end_values(b)
     if np.any(fa * fb > 0.0):
         raise NumericalError("isolated bracket lost the sign change of u_lam(l)")
-    for it in range(300):
-        width = b - a
+    # an end value that is exactly zero is a root: collapse its bracket
+    a, b = np.where(fb == 0.0, b, a), np.where(fa == 0.0, a, b)
+    # Illinois: b is the latest iterate, a the retained end of the bracket
+    for _ in range(300):
         tol = rel_tol * np.maximum(1.0, np.abs(a + b) * 0.5)
-        if np.all(width <= tol):
+        act = np.flatnonzero(np.abs(b - a) > tol)
+        if act.size == 0:
             break
-        c = b - fb * width / (fb - fa)
-        # safeguard: fall back to bisection when the secant point degenerates
-        lo = a + 1e-3 * width
-        hi = b - 1e-3 * width
-        c = np.where((c > lo) & (c < hi), c, 0.5 * (a + b))
-        fc = end_values(c)
-        right = fb * fc < 0.0
-        a = np.where(right, b, a)
-        fa = np.where(right, fb, 0.5 * fa)  # Illinois cut against stagnation
-        b = c
-        fb = fc
-        swap = a > b
-        a, b = np.where(swap, b, a), np.where(swap, a, b)
-        fa, fb = np.where(swap, fb, fa), np.where(swap, fa, fb)
+        a0, b0, fa0, fb0 = a[act], b[act], fa[act], fb[act]
+        half = 0.5 * tol[act]
+        c = b0 - fb0 * (b0 - a0) / (fb0 - fa0)
+        # Dekker-style safeguard: keep the secant point half a tolerance
+        # inside the bracket, so a step that lands on an end still shrinks it
+        c = np.clip(c, np.minimum(a0, b0) + half, np.maximum(a0, b0) - half)
+        fc = _tm_end_values(qn, qm, h, c)[0]
+        right = fb0 * fc < 0.0
+        a[act] = np.where(fc == 0.0, c, np.where(right, b0, a0))
+        fa[act] = np.where(right, fb0, 0.5 * fa0)  # Illinois cut against stagnation
+        b[act], fb[act] = c, fc
     else:
         raise NumericalError(f"eigenvalue refinement did not reach rel_tol={rel_tol}")
 
     lam = 0.5 * (a + b)
-    U, V = _rk4_sweep(qn, qm, h, lam, 0.0, 1.0, keep_history=True)
-    w = np.full(g.size, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w *= h / 3.0
-    nrm = np.sqrt(w @ (U * U))
+    U, V = _tm_history(qn, qm, h, lam)
+    nrm = np.sqrt(_simpson_weights(g.n, h) @ (U * U))
     phi = (U / nrm).T.copy()
     dphi = (V / nrm).T.copy()
     return EigenSystem(q, lam, phi, dphi)
@@ -335,19 +456,7 @@ def modal_coefficients(es: EigenSystem, g: GridFunction) -> np.ndarray:
     grid = es.grid
     if g.grid.n != grid.n or g.grid.l != grid.l:
         raise ConfigurationError("grid mismatch between eigensystem and data")
-    w = np.full(grid.size, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w *= grid.h / 3.0
-    return es.phi @ (w * g.values)
-
-
-def modal_tail(es: EigenSystem, g: GridFunction) -> float:
-    """Bessel remainder ||g||^2 - sum |(g, phi_n)|^2 of the truncated
-    expansion, clipped at zero."""
-    c = modal_coefficients(es, g)
-    total = quad(GridFunction(g.grid, g.values * np.conj(g.values))).real
-    return float(max(0.0, total - np.sum(np.abs(c) ** 2)))
+    return es.phi @ (_simpson_weights(grid.n, grid.h) * g.values)
 
 
 def _sine_kernel(lam: np.ndarray, t: float) -> np.ndarray:

@@ -293,6 +293,34 @@ def test_recover_from_model_table(tmp_path, capsys):
     assert float(np.max(np.minimum(direct, flipped))) <= 1e-4
 
 
+@pytest.mark.parametrize("problem, numerics", [("l = 1.2", "grid_n = 600"),
+                                               ("l = 1.0", "grid_n = 1200")])
+def test_recover_rejects_table_of_another_grid(tmp_path, capsys, problem, numerics):
+    """A table written at l = 1, n = 600 puts the pole of the model at 0.5;
+    recovering it under another l or grid_n would place it wrongly."""
+    out = tmp_path / "chain"
+    base = ini(tmp_path / "m.ini", """
+        [problem]
+        potential = 2 + cos(3)
+
+        [numerics]
+        grid_n = 600
+    """)
+    assert main(["model", "--config", base, "--out", str(out)]) == 0
+    follow = ini(tmp_path / "r.ini", f"""
+        [problem]
+        potential = 2 + cos(3)
+        coefficients = {out / 'model.csv'}
+        {problem}
+
+        [numerics]
+        {numerics}
+    """)
+    assert main(["recover", "--config", follow, "--out", str(out)]) == 2
+    assert "row spacing" in capsys.readouterr().err
+    assert not (out / "recovery.csv").exists()
+
+
 def test_verify_clean_run(tmp_path, capsys):
     out = tmp_path / "v"
     assert main(["verify", "--out", str(out)]) == 0

@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 
 from slwave.analytic import Const, parse_expression
 from slwave.errors import AdmissibilityError, ConfigurationError
+from slwave import sturm
 from slwave.grid import GridFunction, build_grid, inner
 from slwave.sturm import (check_lower_bound, dirichlet_eigensystem,
                           kernel_basis, modal_coefficients, potential,
@@ -148,6 +149,47 @@ def test_eigen_residual_and_orthonormality(es_zero, q_zero):
             gj = GridFunction(g, phi[j].astype(complex))
             gram[i, j] = inner(gi, gj).real
     assert np.max(np.abs(gram - np.eye(10))) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2000, 402])
+@pytest.mark.parametrize("K", [1, 300])
+def test_transfer_matrices_match_staged_loop(n, K):
+    """Pairwise end values and blocked-scan histories run the RK4 scheme of
+    the staged loop in another operation order.  n = 2000 and n = 402 give
+    odd pairwise levels and a ragged last block."""
+    g = build_grid(1.0, n)
+    q = potential(g, parse_expression("2 + cos(3)"))
+    lam = np.linspace(0.0, (n / 6.67 * np.pi) ** 2, K)
+    U0, V0 = sturm._rk4_sweep(q.values, q.mid, g.h, lam, 0.0, 1.0)
+    U1, V1 = sturm._tm_history(q.values, q.mid, g.h, lam)
+    u1, v1 = sturm._tm_end_values(q.values, q.mid, g.h, lam)
+    su = np.max(np.abs(U0), axis=0)
+    sv = np.max(np.abs(V0), axis=0)
+    assert U1.shape == U0.shape
+    assert np.all(np.abs(U1 - U0) <= 1e-12 * su)
+    assert np.all(np.abs(V1 - V0) <= 1e-12 * sv)
+    assert np.all(np.abs(u1 - U0[-1]) <= 1e-12 * su)
+    assert np.all(np.abs(v1 - V0[-1]) <= 1e-12 * sv)
+
+
+def test_refinement_brackets_each_root_in_few_passes(q_cosine, monkeypatch):
+    """The clamped Illinois secant closes every bracket: u_lam(l) changes
+    sign across lam_k (1 +- rel_tol), within a dozen end-value passes."""
+    passes = []
+    end_values = sturm._tm_end_values
+
+    def counted(*args):
+        passes.append(args[3].size)
+        return end_values(*args)
+
+    monkeypatch.setattr(sturm, "_tm_end_values", counted)
+    rel_tol = 1e-10
+    es = dirichlet_eigensystem(q_cosine, 300, rel_tol=rel_tol)
+    assert len(passes) <= 12
+    g = q_cosine.grid
+    lo, _ = end_values(q_cosine.values, q_cosine.mid, g.h, es.lam * (1 - rel_tol))
+    hi, _ = end_values(q_cosine.values, q_cosine.mid, g.h, es.lam * (1 + rel_tol))
+    assert np.all(lo * hi < 0.0)
 
 
 def test_grid_too_coarse_for_modes():

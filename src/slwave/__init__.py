@@ -28,8 +28,7 @@ from .model import (FormLimitReport, GaugeData, HatField, KernelElement,
                     ModelInnerReport, SmoothFunction, boundary_form,
                     default_gauge, form_limit_check, hat_consistency_residual,
                     hat_value, model_inner, model_inner_report,
-                    parseval_residual, smooth_from_closed_form,
-                    smooth_from_eigenmode)
+                    parseval_residual, smooth_from_closed_form)
 from .operator import (ModelCoefficients, RecoveryResult, apply_model,
                        assemble_coefficients, graph_sample,
                        intertwine_residual, recover_potential,

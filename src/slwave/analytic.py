@@ -5,13 +5,19 @@ vocabulary, and boundary control signals f(t) that must be differentiated
 analytically up to fourth order.  The vocabulary is deliberately closed
 (const, cos, sin, poly, bump, ramp, sums and scalar multiples); this is not
 a general expression parser.
+
+Every form also integrates exactly against the wave kernel: the sine
+moments int_0^t sin(mu (t - s)) f^(k)(s) ds have a closed form on each
+polynomial piece and trigonometric term (Filon-type integration, Iserles
+and Norsett 2005), evaluated for a whole vector of frequencies mu at once.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -19,7 +25,7 @@ from numpy.polynomial import polynomial as P
 from .errors import ConfigurationError
 
 __all__ = ["ClosedForm", "Const", "Poly", "Trig", "PiecewisePoly",
-           "bump", "ramp", "parse_expression"]
+           "bump", "ramp", "parse_expression", "sine_moments"]
 
 
 class ClosedForm:
@@ -36,6 +42,15 @@ class ClosedForm:
 
     def differentiate(self, k: int = 1) -> "ClosedForm":
         return _Derivative(self, k)
+
+    def sine_moments(self, mu, t: float, k: int = 0) -> np.ndarray:
+        """Exact int_0^t sin(mu_n (t - s)) f^(k)(s) ds for every mu_n >= 0."""
+        return sine_moments([self], mu, t, k)[0]
+
+    def _moment_terms(self, t: float, k: int, scale: float) -> list:
+        """scale * f^(k) on [0, t] as _PolyPiece and _TrigTerm terms."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no closed-form sine moments")
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
@@ -64,6 +79,9 @@ class Const(ClosedForm):
         t = np.asarray(t, dtype=float)
         return np.full_like(t, self.c) if k == 0 else np.zeros_like(t)
 
+    def _moment_terms(self, t, k, scale):
+        return _piece(scale * self.c if k == 0 else 0.0, 0.0, t, t, 0.0, 1.0, (1.0,))
+
 
 @dataclass(frozen=True)
 class Poly(ClosedForm):
@@ -78,6 +96,9 @@ class Poly(ClosedForm):
             c = P.polyder(c, k) if k < c.size else np.zeros(1)
         return P.polyval(t, c)
 
+    def _moment_terms(self, t, k, scale):
+        return _piece(scale, 0.0, t, t, 0.0, 1.0, _derivative_coeffs(self.coeffs, k))
+
 
 @dataclass(frozen=True)
 class Trig(ClosedForm):
@@ -91,12 +112,17 @@ class Trig(ClosedForm):
         if self.kind not in ("cos", "sin"):
             raise ConfigurationError(f"unknown trig kind {self.kind!r}")
 
+    def _phase(self, k: int) -> float:
+        # d^k cos(ft) = f^k cos(ft + k pi/2); sin(ft) = cos(ft - pi/2)
+        shift = k * np.pi / 2.0
+        return shift if self.kind == "cos" else shift - np.pi / 2.0
+
     def deriv(self, t, k: int = 1):
         t = np.asarray(t, dtype=float)
-        shift = k * np.pi / 2.0
-        phase = self.freq * t + (shift if self.kind == "cos" else shift - np.pi / 2.0)
-        # d^k cos(ft) = f^k cos(ft + k pi/2); sin(ft) = cos(ft - pi/2)
-        return self.amp * self.freq**k * np.cos(phase)
+        return self.amp * self.freq**k * np.cos(self.freq * t + self._phase(k))
+
+    def _moment_terms(self, t, k, scale):
+        return [_TrigTerm(scale * self.amp * self.freq**k, self.freq, self._phase(k))]
 
 
 @dataclass(frozen=True)
@@ -125,6 +151,15 @@ class PiecewisePoly(ClosedForm):
         else:
             out = np.where((u < 0.0) | (u > 1.0), 0.0, inside)
         return out
+
+    def _moment_terms(self, t, k, scale):
+        w = self.t1 - self.t0
+        terms = _piece(scale / w**k, self.t0, self.t1, t, self.t0, w,
+                       _derivative_coeffs(self.coeffs, k))
+        if k == 0:
+            terms += _piece(scale * self.left, 0.0, self.t0, t, 0.0, 1.0, (1.0,))
+            terms += _piece(scale * self.right, self.t1, t, t, 0.0, 1.0, (1.0,))
+        return terms
 
 
 def bump(center: float, width: float, amplitude: float = 1.0, smoothness: int = 3) -> PiecewisePoly:
@@ -156,6 +191,9 @@ class _Scaled(ClosedForm):
     def deriv(self, t, k: int = 1):
         return self.c * self.f.deriv(t, k)
 
+    def _moment_terms(self, t, k, scale):
+        return self.f._moment_terms(t, k, scale * self.c)
+
 
 @dataclass(frozen=True)
 class _Sum(ClosedForm):
@@ -167,6 +205,9 @@ class _Sum(ClosedForm):
             out = out + p.deriv(t, k)
         return out
 
+    def _moment_terms(self, t, k, scale):
+        return [term for p in self.parts for term in p._moment_terms(t, k, scale)]
+
 
 @dataclass(frozen=True)
 class _Derivative(ClosedForm):
@@ -175,6 +216,144 @@ class _Derivative(ClosedForm):
 
     def deriv(self, t, k: int = 1):
         return self.f.deriv(t, k + self.shift)
+
+    def _moment_terms(self, t, k, scale):
+        return self.f._moment_terms(t, k + self.shift, scale)
+
+
+class _PolyPiece(NamedTuple):
+    """weight * p((s - origin) / width) on [lo, hi], p with ascending coeffs."""
+
+    weight: float
+    lo: float
+    hi: float
+    origin: float
+    width: float
+    coeffs: tuple
+
+
+class _TrigTerm(NamedTuple):
+    """weight * cos(freq * s + phase) on [0, t]."""
+
+    weight: float
+    freq: float
+    phase: float
+
+
+def _derivative_coeffs(coeffs, k: int) -> tuple:
+    """Ascending coefficients of the k-th derivative of a polynomial."""
+    if k >= len(coeffs):
+        return (0.0,)
+    return tuple(float(c) * math.perm(j, k) for j, c in enumerate(coeffs) if j >= k)
+
+
+def _piece(weight, lo, hi, t, origin, width, coeffs) -> list:
+    """The piece clipped to [0, t]; nothing when it is empty or zero."""
+    lo, hi = max(lo, 0.0), min(hi, t)
+    if hi <= lo or weight == 0.0 or not any(coeffs):
+        return []
+    return [_PolyPiece(float(weight), lo, hi, origin, width, coeffs)]
+
+
+def _power_moments(x: np.ndarray, deg: int) -> np.ndarray:
+    """H[j] with int_{-1}^{1} exp(-i x y) y^j dy = (-i)^j H[j], j = 0..deg,
+    for x >= 0: H_j = 2 int_0^1 y^j cos(x y) dy for even j, sin for odd j.
+
+    Integration by parts gives H_j = (j H_{j-1} + beta_j) / x with
+    beta_j = 2 sin(x) (-1)^(j/2) for even j and -2 cos(x) (-1)^((j-1)/2) for
+    odd j.  Run upward from H_0 = 2 sin(x)/x it is stable while j <= x; for
+    j > x it is run downward (Miller) from an index where H is set to zero,
+    which damps that start error by prod_{m=j+1}^{top} x/m < e^-40.  Each j
+    takes the stable direction.
+    """
+    sx, cx = np.sin(x), np.cos(x)
+
+    def beta(j, s, c):
+        sign = -1.0 if (j // 2) % 2 else 1.0
+        return 2.0 * sign * (s if j % 2 == 0 else -c)
+
+    H = np.empty((deg + 1,) + x.shape)
+    inv = 1.0 / np.maximum(x, 1.0)   # upward values are kept only where j <= x
+    H[0] = np.where(x < 1e-8, 2.0, 2.0 * sx / np.maximum(x, 1e-8))
+    for j in range(1, deg + 1):
+        H[j] = (j * H[j - 1] + beta(j, sx, cx)) * inv
+    low = x < deg
+    if np.any(low):
+        xl, sl, cl = x[low], sx[low], cx[low]
+        top, damp, xmax = deg, 0.0, float(np.max(xl))
+        while damp > -40.0 and xmax > 0.0:
+            top += 1
+            damp += math.log(xmax / top)
+        h = np.zeros(xl.shape)
+        down = np.empty((deg + 1,) + xl.shape)
+        for j in range(top + 1, 0, -1):
+            h = (xl * h - beta(j, sl, cl)) / j      # H_{j-1}
+            if j <= deg + 1:
+                down[j - 1] = h
+        js = np.arange(deg + 1)[:, None]
+        H[:, low] = np.where(js > xl, down, H[:, low])
+    return H
+
+
+def _poly_moments(pieces: Sequence[_PolyPiece], mu: np.ndarray, t: float) -> np.ndarray:
+    """Sine moments of polynomial pieces, (len(pieces), len(mu)).
+
+    On [mid - half, mid + half] the piece is sum_j e_j y^j in
+    y = (s - mid)/half (Taylor coefficients at the centre, which keeps a
+    symmetric bump's coefficients small), so with phi = mu (t - mid) its
+    moment is half * Im(exp(i phi) sum_j e_j (-i)^j H_j(mu half)).
+    """
+    deg = max(len(p.coeffs) for p in pieces) - 1
+    C = np.zeros((len(pieces), deg + 1))
+    for row, p in zip(C, pieces):
+        row[:len(p.coeffs)] = p.coeffs
+    weight, lo, hi, origin, width = (np.array([getattr(p, name) for p in pieces])
+                                     for name in _PolyPiece._fields[:5])
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    uc, r = (mid - origin) / width, half / width
+    j = np.arange(deg + 1)
+    binom = np.array([[math.comb(a, b) for b in j] for a in j], dtype=float)
+    powers = uc[:, None, None] ** np.maximum(j[:, None] - j[None, :], 0)
+    E = np.einsum("pa,ab,pab->pb", C, binom, powers)
+    # (-i)^j = (-1)^(j//2) times 1 (even j) or -i (odd j)
+    E *= (weight * half)[:, None] * r[:, None] ** j * np.where((j // 2) % 2, -1.0, 1.0)
+    H = _power_moments(half[:, None] * mu[None, :], deg)
+    even = np.einsum("pj,jpn->pn", E[:, 0::2], H[0::2])
+    odd = np.einsum("pj,jpn->pn", E[:, 1::2], H[1::2])
+    phi = mu[None, :] * (t - mid)[:, None]
+    return np.sin(phi) * even - np.cos(phi) * odd
+
+
+def _trig_moments(terms: Sequence[_TrigTerm], mu: np.ndarray, t: float) -> np.ndarray:
+    """int_0^t sin(mu (t - s)) cos(f s + phase) ds by product to sum, each
+    half in the form t sin(alpha + beta t/2) sinc(beta t/2): no special
+    case at the resonance f = mu."""
+    w, f, ph = (np.array(col)[:, None] for col in zip(*terms))
+    return 0.5 * t * w * (np.sin(0.5 * (mu + f) * t + ph) * np.sinc((f - mu) * t / (2.0 * np.pi))
+                          + np.sin(0.5 * (mu - f) * t - ph) * np.sinc((f + mu) * t / (2.0 * np.pi)))
+
+
+def sine_moments(forms: Sequence[ClosedForm], mu, t: float, k: int = 0) -> np.ndarray:
+    """Exact sine moments S[i, n] = int_0^t sin(mu_n (t - s)) f_i^(k)(s) ds
+    for frequencies mu_n >= 0.
+
+    The pieces of all forms are evaluated together in one array pass;
+    returns an array of shape (len(forms), len(mu)).
+    """
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    t = float(t)
+    if t < 0.0:
+        raise ConfigurationError("time must be nonnegative")
+    out = np.zeros((len(forms), mu.size))
+    polys, trigs = [], []
+    for i, f in enumerate(forms):
+        for term in f._moment_terms(t, k, 1.0):
+            (trigs if isinstance(term, _TrigTerm) else polys).append((i, term))
+    for found, evaluate in ((polys, _poly_moments), (trigs, _trig_moments)):
+        if found:
+            owner, terms = zip(*found)
+            np.add.at(out, np.array(owner), evaluate(terms, mu, t))
+    return out
 
 
 _ATOM = re.compile(r"^(const|cos|sin|poly|bump|ramp)\s*\(([^()]*)\)$")

@@ -35,7 +35,7 @@ from .control import (ControlSignal, control_to_kernel, fdtd_oracle,
 from .errors import (ConfigurationError, ContractError, NumericalError,
                      SlwaveError, VerificationFailure)
 from .grid import GridFunction, build_grid, quad, write_csv
-from .model import default_gauge
+from .model import GUARD_CELLS, default_gauge
 from .operator import ModelCoefficients, assemble_coefficients, recover_potential
 from .sturm import check_lower_bound, dirichlet_eigensystem, kernel_basis, potential
 from .verify import Workspace, run_all
@@ -254,9 +254,8 @@ def run_simulate(cfg: RunConfig) -> list:
     payload = {"times": list(times), "support": support, "fdtd_l2": None}
     if cfg.run_fdtd:
         horizon = max(times)
-        oracle = fdtd_oracle(c, q, horizon=horizon, cfl=cfg.cfl,
-                             store_every=1 << 30)
-        diff = snaps[int(np.argmax(times))].values - oracle.values[-1]
+        oracle = fdtd_oracle(c, q, horizon=horizon, cfl=cfg.cfl)
+        diff = snaps[int(np.argmax(times))].values - oracle.values
         l2 = float(np.sqrt(quad(GridFunction(grid, np.abs(diff) ** 2 + 0j)).real))
         payload["fdtd_l2"] = l2
         payload["fdtd_tol"] = cfg.tol("fdtd", 1e-3)
@@ -310,8 +309,9 @@ def _coefficients_from_csv(path: str, l: float, grid_n: int) -> ModelCoefficient
     is unavailable, so downstream recovery must use the observer path.
 
     The pole of the model sits at l/2 of the configured problem, so a table
-    whose row spacing (smallest gap between rows) is not l / grid_n was
-    written for another problem and is rejected.
+    was written for another problem, and is rejected, when its row spacing
+    (smallest gap between rows) is not l / grid_n or its last row is not
+    the last node before the guard band at l/2.
     """
     text = Path(path).read_text().strip().splitlines()
     if not text or not text[0].startswith("x,"):
@@ -329,8 +329,12 @@ def _coefficients_from_csv(path: str, l: float, grid_n: int) -> ModelCoefficient
     m = int(round(0.5 * l / h))
     half_x = np.arange(m + 1, dtype=float) * h
     js = np.rint(xs / h).astype(int)
-    if np.any(js < 0) or np.any(js > m):
-        raise ConfigurationError(f"{path} rows fall outside [0, l/2]")
+    if np.any(js < 0) or js.max() != m - GUARD_CELLS:
+        raise ConfigurationError(
+            f"{path} rows end at x = {xs.max()!r}, but with row spacing "
+            f"l / grid_n = {h!r} a model table for l = {l!r} ends at the guard "
+            f"band, x = {(m - GUARD_CELLS) * h!r}; the table was written for "
+            "another l or grid_n")
     admissible = np.zeros(m + 1, dtype=bool)
     admissible[js] = True
     Phat = np.zeros((m + 1, 2, 2), dtype=complex)

@@ -7,22 +7,26 @@ time-dependent kernel element h(t) = a(t) phi0 + b(t) phil with
 a(t) = -fl(t)/phi0(l) and b(t) = -f0(t)/phil(0); evaluated at the ends this
 gives h(t)(0) = -f0(t) and h(t)(l) = -fl(t).  The controlled wave is
 u^h(t) = -h(t) + int_0^t L^{-1/2} sin((t-s) L^{1/2}) h''(s) ds, realized on
-the first computed modes.
+the first computed modes.  The s-integral is exact: every control is a
+closed form, so each mode's Duhamel term is a sine moment of a'' and b''
+(analytic.sine_moments), and the modal coefficients of phi0 and phil come
+from Green's identity instead of a quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .analytic import ClosedForm, bump
+from .analytic import ClosedForm, bump, sine_moments
 from .errors import ConfigurationError, ContractError, NumericalError
-from .grid import Grid, GridFunction, quad
-from .sturm import EigenSystem, KernelBasis, Potential, modal_coefficients
+from .grid import Grid, GridFunction, _simpson_weights, quad
+from .sturm import (EigenSystem, KernelBasis, Potential, check_lower_bound,
+                    modal_coefficients)
 
 __all__ = [
     "ControlSignal", "KernelControl", "WaveField", "SourceTerm",
@@ -34,18 +38,14 @@ __all__ = [
 _JET_TOL = 1e-9
 
 
-def _check_admissible(f: ClosedForm, name: str, dead_time: float = 0.0):
-    """Vanishing 2-jet at t=0, and identically zero on [0, dead_time]."""
+def _check_admissible(f: ClosedForm, name: str):
+    """Vanishing 2-jet at t=0."""
     t0 = np.zeros(1)
     jet = [float(np.max(np.abs(f.deriv(t0, k)))) for k in range(3)]
     if max(jet) > _JET_TOL:
         raise ContractError(
             f"control {name} must vanish with its first two derivatives at t=0, "
             f"got 2-jet {jet}")
-    if dead_time > 0.0:
-        ts = np.linspace(0.0, dead_time, 33)
-        if float(np.max(np.abs(f(ts)))) > _JET_TOL:
-            raise ContractError(f"control {name} is not zero on the dead interval [0, {dead_time}]")
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,10 @@ class ControlSignal:
 
     f0: ClosedForm
     fl: ClosedForm
-    dead_time: float = 0.0
 
     def __post_init__(self):
-        _check_admissible(self.f0, "f0", self.dead_time)
-        _check_admissible(self.fl, "fl", self.dead_time)
+        _check_admissible(self.f0, "f0")
+        _check_admissible(self.fl, "fl")
 
     def differentiate(self, k: int = 1) -> "ControlSignal":
         """Signal pair differentiated k times (used for graph sampling);
@@ -118,54 +117,36 @@ def control_to_kernel(c: ControlSignal, kb: KernelBasis) -> KernelControl:
     return KernelControl(a, b, kb)
 
 
-def _squad_points(t: float, lam_max: float) -> tuple:
-    """Simpson grid in s for the Duhamel integral: step bounded by
-    min(1/(10 sqrt(lam_max)), t/64), even subinterval count."""
-    ds_cap = t / 64.0
-    if lam_max > 0.0:
-        ds_cap = min(ds_cap, 1.0 / (10.0 * math.sqrt(lam_max)))
-    m = int(math.ceil(t / ds_cap))
-    m += m % 2
-    s = np.linspace(0.0, t, m + 1)
-    w = np.full(m + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w *= (t / m) / 3.0
-    return s, w
+def _kernel_modal_coefficients(es: EigenSystem, kb: KernelBasis) -> tuple:
+    """(phi0, phi_n) and (phil, phi_n) for all computed modes by Green's
+    identity: lam_n (phi0, phi_n) = -phi0(l) phi_n'(l) and
+    lam_n (phil, phi_n) = phil(0) phi_n'(0)."""
+    return (-kb.phi0_at_l * es.dphi[:, -1] / es.lam,
+            kb.phil_at_0 * es.dphi[:, 0] / es.lam)
 
 
 def _batched_smooth_wave(controls: Sequence[KernelControl], t: float,
                          es: EigenSystem) -> np.ndarray:
     """Wave snapshots u^h(t) for several kernel controls sharing one
-    eigensystem; returns (len(controls), n+1)."""
-    kb = controls[0].kb
-    g = es.grid
+    eigensystem; returns real values of shape (len(controls), n+1)."""
     if t < 0.0:
         raise ConfigurationError("time must be nonnegative")
-    out = np.zeros((len(controls), g.size), dtype=complex)
-    if t > 0.0:
-        s, w = _squad_points(t, float(np.max(es.lam)))
-        mu_t = np.sqrt(es.lam.astype(complex))
-        # K[n, j] = sin((t - s_j) sqrt(lam_n)) / sqrt(lam_n)
-        tau = t - s
-        Kmat = np.sin(np.outer(mu_t, tau)) / mu_t[:, None]
-        c0 = modal_coefficients(es, kb.phi0.u)
-        cl = modal_coefficients(es, kb.phil.u)
-        A2 = np.stack([np.asarray(kc.a.deriv(s, 2), dtype=complex) for kc in controls])
-        B2 = np.stack([np.asarray(kc.b.deriv(s, 2), dtype=complex) for kc in controls])
-        Ia = (w * A2) @ Kmat.T            # (batch, modes)
-        Ib = (w * B2) @ Kmat.T
-        coeff = Ia * c0 + Ib * cl
-        out += coeff @ es.phi.astype(complex)
-    for i, kc in enumerate(controls):
-        out[i] -= kc.at(t).values
-    return out
+    check_lower_bound(es)
+    kb = controls[0].kb
+    mu = np.sqrt(es.lam)
+    c0, cl = _kernel_modal_coefficients(es, kb)
+    m = sine_moments([kc.a for kc in controls] + [kc.b for kc in controls], mu, t, 2)
+    coeff = (m[:len(controls)] * c0 + m[len(controls):] * cl) / mu
+    at = np.array([[float(kc.a.deriv(t, 0)), float(kc.b.deriv(t, 0))] for kc in controls])
+    kernel = np.stack([kb.phi0.u.values.real, kb.phil.u.values.real])
+    return coeff @ es.phi - at @ kernel
 
 
 def smooth_wave(h: KernelControl, t: float, es: EigenSystem) -> GridFunction:
     """Controlled wave u^h(t) = -h(t) + Duhamel term over the computed
-    modes; the s-integral uses composite Simpson on the step rule of
-    _squad_points."""
+    modes.  The Duhamel term is exact per mode: the sine moments of a''
+    and b'' (analytic.sine_moments) times the modal coefficients of the
+    kernel basis.  Needs lambda_1 > 0 (AdmissibilityError otherwise)."""
     vals = _batched_smooth_wave([h], t, es)[0]
     return GridFunction(es.grid, vals)
 
@@ -182,47 +163,36 @@ def source_wave(g: Union[SourceTerm, Sequence[SourceTerm], Callable],
                 t: float, es: EigenSystem, ds: float = None) -> GridFunction:
     """Source wave v^g(t) = int_0^t L^{-1/2} sin((t-s)L^{1/2}) g(s) ds.
 
-    Separable terms use the modal fast path.  A callable s -> GridFunction
-    is sampled on the quadrature grid; pass ds to coarsen it when the
-    source is expensive.
+    Separable terms integrate exactly through the sine moments of their
+    signals.  A callable s -> GridFunction is sampled on a Simpson grid in
+    s with step at most min(t/64, 1/(10 sqrt(lam_max))); pass ds to set
+    the step instead when the source is expensive.
     """
-    grid = es.grid
     if t < 0.0:
         raise ConfigurationError("time must be nonnegative")
+    check_lower_bound(es)
     if t == 0.0:
-        return GridFunction(grid, np.zeros(grid.size, dtype=complex))
-    s, w = _squad_points(t, float(np.max(es.lam)))
-    if ds is not None:
-        m = max(8, int(math.ceil(t / ds)))
-        m += m % 2
-        s = np.linspace(0.0, t, m + 1)
-        w = np.full(m + 1, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        w *= (t / m) / 3.0
-    mu = np.sqrt(es.lam.astype(complex))
-    Kmat = np.sin(np.outer(mu, t - s)) / mu[:, None]
+        return GridFunction(es.grid, np.zeros(es.grid.size))
+    mu = np.sqrt(es.lam)
     if isinstance(g, SourceTerm):
         g = [g]
     if isinstance(g, Sequence):
-        coeff = np.zeros(es.count, dtype=complex)
-        for term in g:
-            cn = modal_coefficients(es, term.profile)
-            sig = np.asarray(term.signal(s), dtype=complex)
-            coeff += cn * (Kmat @ (w * sig))
-        return GridFunction(grid, coeff @ es.phi.astype(complex))
+        m = sine_moments([term.signal for term in g], mu, t, 0)
+        cn = np.stack([modal_coefficients(es, term.profile) for term in g])
+        coeff = np.sum(cn * m, axis=0) / mu
+        return GridFunction(es.grid, coeff @ es.phi)
     if not callable(g):
         raise ContractError("source must be a SourceTerm, a sequence of them, or callable")
-    wq = np.full(grid.size, 2.0)
-    wq[1::2] = 4.0
-    wq[0] = wq[-1] = 1.0
-    wq *= grid.h / 3.0
+    if ds is None:
+        ds = min(t / 64.0, 1.0 / (10.0 * float(mu[-1])))
+    m = max(8, int(math.ceil(t / ds)))
+    m += m % 2
+    s = np.linspace(0.0, t, m + 1)
+    w = _simpson_weights(m, t / m)
     coeff = np.zeros(es.count, dtype=complex)
-    for j, sj in enumerate(s):
-        gj = g(float(sj))
-        cj = es.phi @ (wq * gj.values)
-        coeff += w[j] * Kmat[:, j] * cj
-    return GridFunction(grid, coeff @ es.phi.astype(complex))
+    for sj, wj in zip(s, w):
+        coeff += wj * np.sin(mu * (t - sj)) * modal_coefficients(es, g(float(sj)))
+    return GridFunction(es.grid, (coeff / mu) @ es.phi)
 
 
 @dataclass(frozen=True)
@@ -246,15 +216,12 @@ class WaveField:
     def snapshot(self, i: int) -> GridFunction:
         return GridFunction(self.grid, self.values[i].astype(complex))
 
-    def nearest(self, t: float) -> GridFunction:
-        i = int(np.argmin(np.abs(self.times - t)))
-        return self.snapshot(i)
-
 
 def fdtd_oracle(c: ControlSignal, q: Potential, horizon: float,
-                cfl: float = 0.5, store_every: int = 1) -> WaveField:
+                cfl: float = 0.5) -> GridFunction:
     """Explicit leapfrog oracle for u_tt = u_xx - q u with endpoint data
-    written directly into the boundary nodes and zero initial data.
+    written directly into the boundary nodes and zero initial data;
+    returns the field at the horizon.
 
     The first step is the Taylor start consistent with zero Cauchy data
     (interior stays zero, boundaries take the signal values).  Blow-up
@@ -275,15 +242,10 @@ def fdtd_oracle(c: ControlSignal, q: Potential, horizon: float,
     flv = np.asarray(c.fl(tgrid), dtype=float)
     scale = 1e6 * (1.0 + max(np.max(np.abs(f0v)), np.max(np.abs(flv))))
 
-    stored_t = [0.0]
-    stored_v = [np.zeros(g.size)]
     z_prev = np.zeros(g.size)
     z = np.zeros(g.size)
     z[0] = f0v[1]
     z[-1] = flv[1]
-    if 1 % store_every == 0 or steps == 1:
-        stored_t.append(tgrid[1])
-        stored_v.append(z.copy())
     for m in range(2, steps + 1):
         z_next = np.empty(g.size)
         z_next[1:-1] = (2.0 * z[1:-1] - z_prev[1:-1]
@@ -295,12 +257,9 @@ def fdtd_oracle(c: ControlSignal, q: Potential, horizon: float,
         if m % 100 == 0 and np.max(np.abs(z)) > scale:
             raise NumericalError(
                 f"leapfrog instability detected at t={tgrid[m]:.6g} (cfl={cfl})")
-        if m % store_every == 0 or m == steps:
-            stored_t.append(tgrid[m])
-            stored_v.append(z.copy())
     if np.max(np.abs(z)) > scale or not np.all(np.isfinite(z)):
         raise NumericalError(f"leapfrog instability detected at the horizon (cfl={cfl})")
-    return WaveField(g, np.asarray(stored_t), np.asarray(stored_v))
+    return GridFunction(g, z)
 
 
 @dataclass(frozen=True)
@@ -391,7 +350,7 @@ def reachable_span_estimate(t: float, es: EigenSystem, kb: KernelBasis,
             amp = float(rng.uniform(0.5, 1.5)) * (1.0 if rng.uniform() < 0.5 else -1.0)
             sig[end] = bump(center, wsup, amp)
         controls.append(control_to_kernel(ControlSignal(sig["f0"], sig["fl"]), kb))
-    fields = _batched_smooth_wave(controls, t, es).real
+    fields = _batched_smooth_wave(controls, t, es)
     xq = g.l * (np.arange(1, coarse_m + 1)) / (coarse_m + 1.0)
     W = _cubic_interp_matrix(g, xq)
     A = fields @ W.T

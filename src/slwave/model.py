@@ -29,18 +29,20 @@ from .errors import (AdmissibilityError, ConfigurationError, ContractError,
                      InternalError)
 from .geometry import atom_snapshot, Atom, set_mass
 from .grid import Grid, GridFunction, inner, interp_cubic, simpson_sum
-from .sturm import EigenSystem, KernelBasis, Potential
+from .sturm import KernelBasis, Potential
 
 __all__ = [
     "KernelElement", "GaugeData", "SmoothFunction", "HatField",
     "FormLimitReport", "ModelInnerReport", "default_gauge", "boundary_form",
     "form_limit_check", "hat_value", "hat_consistency_residual",
     "model_inner", "model_inner_report", "parseval_residual",
-    "smooth_from_closed_form", "smooth_from_eigenmode",
+    "smooth_from_closed_form",
 ]
 
 _LD = np.longdouble
 _CLD = np.clongdouble
+# half-grid cells before l/2 left out of the model: T degenerates there
+GUARD_CELLS = 3
 
 
 @dataclass(frozen=True)
@@ -89,14 +91,6 @@ def smooth_from_closed_form(grid: Grid, f: ClosedForm) -> SmoothFunction:
                           np.asarray(f.deriv(grid.x, 2), dtype=complex))
 
 
-def smooth_from_eigenmode(es: EigenSystem, k: int) -> SmoothFunction:
-    """Eigenfunction as a smooth function; u'' = (q - lam) u is analytic."""
-    u = es.phi[k].astype(complex)
-    du = es.dphi[k].astype(complex)
-    d2u = (es.q.values - es.lam[k]) * u
-    return SmoothFunction(es.grid, u, du, d2u)
-
-
 @dataclass(frozen=True)
 class GaugeData:
     """Half-interval gauge fields in extended precision."""
@@ -136,7 +130,7 @@ def default_gauge(kb: KernelBasis,
                   e: Optional[tuple] = None,
                   e1: Optional[tuple] = None,
                   e2: Optional[tuple] = None,
-                  guard_cells: int = 3,
+                  guard_cells: int = GUARD_CELLS,
                   det_floor: float = 1e-8) -> GaugeData:
     """Assemble the gauge fields on the half grid.
 

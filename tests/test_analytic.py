@@ -1,9 +1,12 @@
-"""Closed-form vocabulary: evaluation, derivatives, parser errors."""
+"""Closed-form vocabulary: evaluation, derivatives, parser errors, and
+exact sine moments against QUADPACK."""
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as scipy_quad
 
-from slwave.analytic import (Const, Poly, Trig, bump, parse_expression, ramp)
+from slwave.analytic import (ClosedForm, Const, Poly, Trig, bump,
+                             parse_expression, ramp, sine_moments)
 from slwave.errors import ConfigurationError
 
 X = np.linspace(0.0, 1.0, 257)
@@ -85,3 +88,85 @@ def test_parse_expression_rejects_unknown():
 def test_bump_two_argument_form():
     f = parse_expression("bump(0.5, 0.2)")
     assert f.deriv(np.array([0.5]), 0)[0] == pytest.approx(1.0)
+
+
+# ------------------------------------------------------------ sine moments
+# oracle: QUADPACK's QAWO (weight='sin'/'cos') on each smooth piece, with
+# sin(mu (t - s)) = sin(mu t) cos(mu s) - cos(mu t) sin(mu s)
+
+MUS = (3.0, 17.5, 88.0, 301.0, 640.0, 950.0)
+
+
+def qawo_sine_moment(f, mu, t, k, knots=()):
+    pts = sorted({0.0, t, *(b for b in knots if 0.0 < b < t)})
+    g = lambda s: float(f.deriv(s, k))
+    total = 0.0
+    for a, b in zip(pts, pts[1:]):
+        c = scipy_quad(g, a, b, weight="cos", wvar=mu, limit=200)[0]
+        s = scipy_quad(g, a, b, weight="sin", wvar=mu, limit=200)[0]
+        total += np.sin(mu * t) * c - np.cos(mu * t) * s
+    return total
+
+
+def abs_integral(f, t, k, knots=()):
+    pts = sorted({0.0, t, *(b for b in knots if 0.0 < b < t)})
+    return sum(scipy_quad(lambda s: abs(float(f.deriv(s, k))), a, b, limit=200)[0]
+               for a, b in zip(pts, pts[1:]))
+
+
+@pytest.mark.parametrize("name, f, k, t, knots", [
+    ("bump before support", bump(0.3, 0.2, 1.0, 6), 2, 0.15, (0.2, 0.4)),
+    ("bump inside", bump(0.3, 0.2, 1.0, 6), 2, 0.27, (0.2, 0.4)),
+    ("bump after", bump(0.3, 0.2, 1.0, 6), 2, 0.55, (0.2, 0.4)),
+    ("bump'' before support", bump(0.3, 0.2, 1.0, 6), 4, 0.15, (0.2, 0.4)),
+    ("bump'' inside", bump(0.3, 0.2, 1.0, 6), 4, 0.33, (0.2, 0.4)),
+    ("bump'' after", bump(0.3, 0.2, 1.0, 6), 4, 0.55, (0.2, 0.4)),
+    ("ramp inside", ramp(0.1, 0.4), 0, 0.25, (0.1, 0.4)),
+    ("ramp plateau", ramp(0.1, 0.4), 0, 0.9, (0.1, 0.4)),
+    ("poly", Poly((0.5, -1.0, 0.0, 2.0, -0.75)), 2, 1.6, ()),
+    ("trig", parse_expression("0.5 + 2*sin(40) - cos(3)"), 1, 0.7, ()),
+])
+def test_sine_moments_match_qawo(name, f, k, t, knots):
+    got = f.sine_moments(np.array(MUS), t, k)
+    want = np.array([qawo_sine_moment(f, mu, t, k, knots) for mu in MUS])
+    scale = abs_integral(f, t, k, knots)
+    if scale == 0.0:
+        assert np.all(got == 0.0)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-10 * scale, name
+
+
+def test_sine_moments_cubic_closed_form():
+    """(t^3)'' = 6 s: int_0^t sin(mu (t - s)) 6 s ds = 6 (mu t - sin mu t) / mu^2."""
+    mu = np.array(MUS)
+    for t in (0.01, 0.4, 2.5):
+        want = 6.0 * (mu * t - np.sin(mu * t)) / mu ** 2
+        got = Poly((0.0, 0.0, 0.0, 1.0)).sine_moments(mu, t, 2)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_sine_moments_trig_resonance():
+    """freq = mu: int_0^t sin(mu (t - s)) sin(mu s) ds = (sin mu t - mu t cos mu t) / (2 mu)."""
+    for mu in (3.0, 88.0, 950.0):
+        t = 0.7
+        want = (np.sin(mu * t) - mu * t * np.cos(mu * t)) / (2.0 * mu)
+        got = Trig("sin", mu).sine_moments(np.array([mu]), t, 0)[0]
+        assert got == pytest.approx(want, abs=1e-13)
+        # the derivative form passes k through: (sin)'' = -mu^2 sin
+        d2 = Trig("sin", mu).differentiate(2).sine_moments(np.array([mu]), t, 0)[0]
+        assert d2 == pytest.approx(-mu ** 2 * want, abs=1e-13 * mu ** 2)
+
+
+def test_sine_moments_batch_matches_single_forms():
+    forms = [bump(0.3, 0.2, 1.0, 6), 2.0 * ramp(0.1, 0.4), Trig("cos", 5.0),
+             bump(0.5, 0.4, -0.7, 3) + Poly((0.0, 1.0))]
+    mu = np.array(MUS)
+    batch = sine_moments(forms, mu, 0.45, 0)
+    for row, f in zip(batch, forms):
+        single = f.sine_moments(mu, 0.45, 0)
+        assert np.max(np.abs(row - single)) <= 1e-14 * max(1.0, np.max(np.abs(single)))
+
+
+def test_sine_moments_need_closed_form():
+    with pytest.raises(NotImplementedError):
+        ClosedForm().sine_moments(np.array([1.0]), 0.5)

@@ -294,7 +294,8 @@ def test_recover_from_model_table(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("problem, numerics", [("l = 1.2", "grid_n = 600"),
-                                               ("l = 1.0", "grid_n = 1200")])
+                                               ("l = 1.0", "grid_n = 1200"),
+                                               ("l = 2.0", "grid_n = 1200")])
 def test_recover_rejects_table_of_another_grid(tmp_path, capsys, problem, numerics):
     """A table written at l = 1, n = 600 puts the pole of the model at 0.5;
     recovering it under another l or grid_n would place it wrongly."""

@@ -6,12 +6,14 @@ from scipy.integrate import quad as scipy_quad
 
 from slwave.analytic import Const, bump, parse_expression
 from slwave.control import (ControlSignal, KernelControl, SourceTerm,
-                            control_to_kernel, fdtd_oracle, gamma1, gamma2,
+                            _kernel_modal_coefficients, control_to_kernel,
+                            fdtd_oracle, gamma1, gamma2,
                             reachable_span_estimate, smooth_wave, source_wave,
                             support_report)
-from slwave.errors import ConfigurationError, ContractError
+from slwave.errors import AdmissibilityError, ConfigurationError, ContractError
 from slwave.grid import GridFunction, build_grid, quad
-from slwave.sturm import kernel_basis, potential
+from slwave.sturm import (dirichlet_eigensystem, kernel_basis,
+                          modal_coefficients, potential)
 
 # frozen quadrature oracle for gamma2(sin pi x), q=0:
 # projection of pi^2 sin(pi x) onto (x, x-1) in the L2(0,1) Gram sense
@@ -75,6 +77,28 @@ def test_dalembert_traveling_wave(es_zero, kb_zero, q_zero):
     assert np.max(np.abs(u.values - want)) <= 2e-3
 
 
+def test_kernel_coefficients_green_identity(es_zero, kb_zero, q_cosine):
+    """Green's identity coefficients of phi0 and phil agree with the Simpson
+    inner products (phi0, phi_n), (phil, phi_n) on the first ten modes."""
+    cases = [(es_zero, kb_zero),
+             (dirichlet_eigensystem(q_cosine, 10), kernel_basis(q_cosine))]
+    for es, kb in cases:
+        c0, cl = _kernel_modal_coefficients(es, kb)
+        for got, basis in ((c0, kb.phi0.u), (cl, kb.phil.u)):
+            want = modal_coefficients(es, basis).real[:10]
+            assert np.max(np.abs(got[:10] - want) / np.abs(want)) <= 1e-9
+
+
+def test_smooth_wave_needs_positive_spectrum():
+    """q = -20 on [0, 1] has lambda_1 = pi^2 - 20 < 0."""
+    q = potential(build_grid(1.0, 200), Const(-20.0))
+    es = dirichlet_eigensystem(q, 10)
+    kc = control_to_kernel(ControlSignal(bump(0.1, 0.1, 1.0, 6), Const(0.0)),
+                           kernel_basis(q))
+    with pytest.raises(AdmissibilityError):
+        smooth_wave(kc, 0.3, es)
+
+
 def test_smooth_wave_linearity(es_zero, kb_zero):
     c1 = ControlSignal(bump(0.2, 0.3, 1.0, 6), Const(0.0))
     c2 = ControlSignal(Const(0.0), bump(0.25, 0.3, 0.5, 6))
@@ -110,16 +134,16 @@ def test_boundary_trace_identities(es_zero, kb_zero, q_zero):
     u = smooth_wave(control_to_kernel(c, kb_zero), t, es_zero)
     f0_t = f0.deriv(np.array([t]), 0)[0]
     assert abs(u.values[0] - f0_t) <= 2e-3          # Gibbs-limited
-    oracle = fdtd_oracle(c, q_zero, horizon=t, store_every=1 << 30)
-    assert oracle.values[-1][0] == pytest.approx(f0_t, abs=1e-14)
+    oracle = fdtd_oracle(c, q_zero, horizon=t)
+    assert oracle.values[0] == pytest.approx(f0_t, abs=1e-14)
 
 
 def test_fdtd_cross_check_zero_potential(es_zero, kb_zero, q_zero):
     c = ControlSignal(bump(0.1, 0.1, 1.0, 6), Const(0.0))
     t = 0.4
     u = smooth_wave(control_to_kernel(c, kb_zero), t, es_zero)
-    wf = fdtd_oracle(c, q_zero, horizon=t, store_every=1 << 30)
-    diff = u.values - wf.values[-1]
+    oracle = fdtd_oracle(c, q_zero, horizon=t)
+    diff = u.values - oracle.values
     l2 = np.sqrt(quad(GridFunction(q_zero.grid, np.abs(diff) ** 2 + 0j)).real)
     assert l2 <= 1e-3
 
@@ -141,6 +165,18 @@ def test_source_wave_single_mode(es_zero, q_zero):
     v = source_wave(term, t, es_zero)
     amp = (np.sin(mu * t) - mu * t * np.cos(mu * t)) / (2 * es_zero.lam[0])
     assert np.max(np.abs(v.values - amp * phi1.values)) <= 1e-6
+
+
+def test_source_wave_callable_matches_separable(es_zero, q_zero):
+    """The sampled s-grid path of a callable source agrees with the exact
+    moments of the same separable source."""
+    g = q_zero.grid
+    prof = GridFunction(g, bump(0.5, 0.2, 1.0, 6).deriv(g.x, 0).astype(complex))
+    signal = parse_expression("bump(0.1, 0.16, 1.0, 6)")
+    t = 0.15
+    exact = source_wave(SourceTerm(prof, signal), t, es_zero)
+    sampled = source_wave(lambda s: float(signal(s)) * prof, t, es_zero)
+    assert np.max(np.abs(sampled.values - exact.values)) <= 1e-8 * np.max(np.abs(exact.values))
 
 
 def test_source_wave_finite_speed(es_zero, q_zero):

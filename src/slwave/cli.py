@@ -10,7 +10,8 @@ Config is INI-style with sections [problem], [numerics], [gauge],
 empty section still yields a runnable configuration.  Outputs are
 deterministic byte-for-byte for a fixed config and seed: floats print as
 %.17g in CSV and round-trip repr in JSON, keys are sorted, and no
-timestamps are embedded.
+timestamps are embedded.  Every CSV table, the wave field and the
+eigenfunctions included, goes through `grid.write_table`.
 
 Exit codes: 0 all good, 2 configuration problems, 3 numerical failures
 (inadmissible potential or gauge, instability), 4 verification failures.
@@ -34,9 +35,10 @@ from .control import (ControlSignal, control_to_kernel, fdtd_oracle,
                       WaveField)
 from .errors import (ConfigurationError, ContractError, NumericalError,
                      SlwaveError, VerificationFailure)
-from .grid import GridFunction, build_grid, quad, write_csv
+from .grid import GridFunction, build_grid, format_column, quad, write_table
 from .model import GUARD_CELLS, default_gauge
-from .operator import ModelCoefficients, assemble_coefficients, recover_potential
+from .operator import (ModelCoefficients, assemble_coefficients, recover_potential,
+                       unordered_branch_error)
 from .sturm import check_lower_bound, dirichlet_eigensystem, kernel_basis, potential
 from .verify import Workspace, run_all
 
@@ -164,24 +166,26 @@ def load_config(path: Optional[str], out_dir: str = ".", fmt: str = "csv",
     return cfg
 
 
-def _fmt_float(x: float) -> str:
-    return "%.17g" % float(x)
-
-
-def _write_table(cfg: RunConfig, name: str, header: list, rows) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+def _write_table(cfg: RunConfig, name: str, header: list, cols: list) -> Path:
+    """One table from equally long columns (float arrays; in CSV mode also
+    columns already formatted by `format_column`)."""
     if cfg.fmt == "json":
-        path = cfg.out_dir / f"{name}.json"
-        payload = {"columns": header,
-                   "rows": [[float(v) for v in row] for row in rows]}
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return path
+        rows = np.column_stack([np.asarray(c, dtype=float) for c in cols]).tolist()
+        return _write_json(cfg, name, {"columns": header, "rows": rows})
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / f"{name}.csv"
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_float(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    write_table(path, header, [cols])
     return path
+
+
+def _complex_table(names: str, mats) -> tuple:
+    """Header and re/im columns of 2x2 fields, entries row-major; the cast
+    to complex128 rounds each part as float() does."""
+    header = [f"{p}({nm}{a}{b})" for nm in names for a in "12" for b in "12"
+              for p in ("re", "im")]
+    data = np.concatenate([np.asarray(M, dtype=complex).view(float).reshape(-1, 8)
+                           for M in mats], axis=1)
+    return header, list(data.T)
 
 
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> Path:
@@ -208,20 +212,15 @@ def run_eigs(cfg: RunConfig) -> list:
     es = dirichlet_eigensystem(q, cfg.modes, rel_tol=cfg.shoot_tol)
     kappa = check_lower_bound(es)
     files = [_write_table(cfg, "eigenvalues", ["n", "lambda"],
-                          [(k + 1, es.lam[k]) for k in range(es.count)])]
+                          [np.arange(1.0, es.count + 1), es.lam])]
     files.append(_write_json(cfg, "eigs_summary",
                              {"kappa": kappa, "count": es.count,
                               "l": cfg.l, "grid_n": cfg.grid_n}))
+    xs = es.grid.x if cfg.fmt == "json" else format_column(es.grid.x)
     for k in range(es.count):
         f = es.eigenfunction(k)
-        if cfg.fmt == "json":
-            files.append(_write_table(cfg, f"eigenfunction_{k + 1:04d}",
-                                      ["x", "re", "im"],
-                                      zip(f.grid.x, f.values.real, f.values.imag)))
-        else:
-            path = cfg.out_dir / f"eigenfunction_{k + 1:04d}.csv"
-            write_csv(f, path)
-            files.append(path)
+        files.append(_write_table(cfg, f"eigenfunction_{k + 1:04d}", ["x", "re", "im"],
+                                  [xs, f.values.real, f.values.imag]))
     return files
 
 
@@ -240,9 +239,9 @@ def run_simulate(cfg: RunConfig) -> list:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.fmt == "json":
         wf_path = _write_table(cfg, "wavefield", ["t", "x", "re", "im"],
-                               [(ti, xv, val.real, val.imag)
-                                for ti, row in zip(wf.times, wf.values)
-                                for xv, val in zip(grid.x, row)])
+                               [np.repeat(wf.times, grid.size),
+                                np.tile(grid.x, wf.times.size),
+                                wf.values.real.ravel(), wf.values.imag.ravel()])
     else:
         wf_path = cfg.out_dir / "wavefield.csv"
         wavefield_write_csv(wf, wf_path)
@@ -274,33 +273,12 @@ def run_model(cfg: RunConfig) -> list:
     """Gauge table on the half grid plus model coefficients off the band."""
     _, gd = _gauge_of(cfg)
     mc = assemble_coefficients(gd)
-    gauge_header = ["x"]
-    for nm in ("T11", "T12", "T21", "T22", "G11", "G12", "G21", "G22"):
-        gauge_header += [f"re({nm})", f"im({nm})"]
-    gauge_header.append("rho")
-    rows = []
-    for j in range(gd.half + 1):
-        row = [float(gd.half_x[j])]
-        for M in (gd.T, gd.G):
-            for a in range(2):
-                for b in range(2):
-                    row += [float(M[j, a, b].real), float(M[j, a, b].imag)]
-        row.append(float(gd.rho[j]))
-        rows.append(row)
-    files = [_write_table(cfg, "gauge", gauge_header, rows)]
-
-    model_header = ["x"]
-    for nm in ("P11", "P12", "P21", "P22", "Q11", "Q12", "Q21", "Q22"):
-        model_header += [f"re({nm})", f"im({nm})"]
-    mrows = []
-    for j in np.flatnonzero(mc.admissible):
-        row = [float(mc.half_x[j])]
-        for M in (mc.Phat, mc.Qhat):
-            for a in range(2):
-                for b in range(2):
-                    row += [float(M[j, a, b].real), float(M[j, a, b].imag)]
-        mrows.append(row)
-    files.append(_write_table(cfg, "model", model_header, mrows))
+    header, cols = _complex_table("TG", (gd.T, gd.G))
+    files = [_write_table(cfg, "gauge", ["x", *header, "rho"],
+                          [gd.half_x, *cols, gd.rho])]
+    ok = mc.admissible
+    header, cols = _complex_table("PQ", (mc.Phat[ok], mc.Qhat[ok]))
+    files.append(_write_table(cfg, "model", ["x", *header], [mc.half_x[ok], *cols]))
     return files
 
 
@@ -316,7 +294,10 @@ def _coefficients_from_csv(path: str, l: float, grid_n: int) -> ModelCoefficient
     text = Path(path).read_text().strip().splitlines()
     if not text or not text[0].startswith("x,"):
         raise ConfigurationError(f"{path} is not a model coefficient table")
-    data = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
+    try:
+        data = np.array([line.split(",") for line in text[1:]], dtype=float)
+    except ValueError:
+        raise ConfigurationError(f"{path} has ragged or non-numeric rows") from None
     if data.ndim != 2 or data.shape[1] != 17:
         raise ConfigurationError(f"{path} has the wrong column count")
     xs = data[:, 0]
@@ -339,10 +320,9 @@ def _coefficients_from_csv(path: str, l: float, grid_n: int) -> ModelCoefficient
     admissible[js] = True
     Phat = np.zeros((m + 1, 2, 2), dtype=complex)
     Qhat = np.zeros_like(Phat)
-    for row, j in enumerate(js):
-        vals = data[row, 1:]
-        Phat[j] = (vals[0:8:2] + 1j * vals[1:8:2]).reshape(2, 2)
-        Qhat[j] = (vals[8:16:2] + 1j * vals[9:16:2]).reshape(2, 2)
+    vals = (data[:, 1::2] + 1j * data[:, 2::2]).reshape(-1, 2, 2, 2)
+    Phat[js] = vals[:, 0]
+    Qhat[js] = vals[:, 1]
     return ModelCoefficients(half_x, admissible, Phat, np.zeros_like(Phat),
                              Qhat, np.zeros((m + 1, 2)),
                              np.zeros(m + 1, dtype=complex), h, 0.0)
@@ -358,18 +338,12 @@ def run_recover(cfg: RunConfig) -> list:
         _, gd = _gauge_of(cfg)
         mc = assemble_coefficients(gd)
         rr = recover_potential(mc)
-        qf = parse_expression(cfg.potential_expr)
-        qx = qf.deriv(rr.x, 0)
-        qr = qf.deriv(cfg.l - rr.x, 0)
-        direct = np.maximum(np.abs(rr.q1 - qx), np.abs(rr.q2 - qr))
-        flipped = np.maximum(np.abs(rr.q1 - qr), np.abs(rr.q2 - qx))
-        compare = float(np.max(np.minimum(direct, flipped)))
+        compare = unordered_branch_error(rr, parse_expression(cfg.potential_expr),
+                                         cfg.l)
     files = [_write_table(cfg, "recovery", ["x", "q1", "q2", "collision"],
-                          [(rr.x[i], rr.q1[i], rr.q2[i], float(rr.collision[i]))
-                           for i in range(rr.x.size)])]
-    payload = {"branches": [[float(v) for v in rr.q1],
-                            [float(v) for v in rr.q2]],
-               "collision_flags": [bool(b) for b in rr.collision],
+                          [rr.x, rr.q1, rr.q2, rr.collision])]
+    payload = {"branches": [rr.q1.tolist(), rr.q2.tolist()],
+               "collision_flags": rr.collision.tolist(),
                "reflection_note": rr.note,
                "max_imaginary_part": rr.max_imag}
     if compare is not None:

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .analytic import ClosedForm, bump, sine_moments
 from .errors import ConfigurationError, ContractError, NumericalError
-from .grid import Grid, GridFunction, _simpson_weights, quad
+from .grid import (Grid, GridFunction, _simpson_weights, format_column, quad,
+                   write_table)
 from .sturm import (EigenSystem, KernelBasis, Potential, check_lower_bound,
                     modal_coefficients)
 
@@ -359,12 +359,9 @@ def reachable_span_estimate(t: float, es: EigenSystem, kb: KernelBasis,
 
 
 def wavefield_write_csv(wf: WaveField, path) -> None:
-    """Write a wave field as CSV rows t,x,re,im (full precision)."""
-    fmt = "%.17g"
-    path = Path(path)
-    with path.open("w", encoding="ascii", newline="\n") as fh:
-        fh.write("t,x,re,im\n")
-        for ti, row in zip(wf.times, wf.values):
-            for xv, val in zip(wf.grid.x, row):
-                cv = complex(val)
-                fh.write(f"{fmt % ti},{fmt % xv},{fmt % cv.real},{fmt % cv.imag}\n")
+    """Write a wave field as CSV rows t,x,re,im (full precision), one
+    block per snapshot."""
+    xs = format_column(wf.grid.x)
+    write_table(path, ["t", "x", "re", "im"],
+                ([[t] * len(xs), xs, row.real, row.imag]
+                 for t, row in zip(format_column(wf.times), wf.values)))

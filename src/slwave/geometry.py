@@ -67,9 +67,6 @@ class SymmetricSet:
         object.__setattr__(self, "intervals", ivs)
         object.__setattr__(self, "points", pts)
 
-    def is_empty(self) -> bool:
-        return not self.intervals and not self.points
-
 
 def symmetric_set(l: float, intervals: Sequence = (), points: Sequence = ()) -> SymmetricSet:
     """Validated constructor; intervals are sorted and must be disjoint."""

@@ -19,7 +19,7 @@ from .errors import ConfigurationError
 __all__ = [
     "Grid", "GridFunction", "build_grid", "sample", "quad", "inner",
     "central_diff", "diff_samples", "interp_cubic", "simpson_sum",
-    "write_csv", "read_csv",
+    "format_column", "write_table", "write_csv", "read_csv",
 ]
 
 
@@ -232,16 +232,46 @@ def interp_cubic(f: GridFunction, xq) -> np.ndarray:
     return out
 
 
-_FMT = "%.17g"
+_FMT = "%.17g".__mod__
+# cells formatted per chunk of a block: bounds the strings held at once
+_CHUNK_CELLS = 1 << 13
+
+
+def format_column(values) -> list:
+    """%.17g strings of a float column; each distinct value, keyed by its
+    bit pattern (so -0.0 stays "-0"), is formatted once."""
+    a = np.asarray(values, dtype=float)
+    keys, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    if keys.size == a.size:
+        return list(map(_FMT, a.tolist()))
+    strs = np.array(list(map(_FMT, keys.view(float).tolist())), dtype=object)
+    return strs[inverse].tolist()
+
+
+def write_table(path, header, blocks) -> None:
+    """Write a CSV table: the header line, then the rows of each block.
+
+    A block is a list of equally long columns, each a float array or a
+    list of strings already formatted by :func:`format_column`.  Blocks are
+    formatted column by column in chunks of bounded size, so a caller can
+    stream a large table one block at a time.
+    """
+    with Path(path).open("w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            n = len(block[0])
+            if any(len(c) != n for c in block):
+                raise ConfigurationError("table columns differ in length")
+            step = max(1, _CHUNK_CELLS // len(block))
+            for i in range(0, n, step):
+                cols = [c[i:i + step] if isinstance(c, list) else
+                        format_column(c[i:i + step]) for c in block]
+                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
 def write_csv(f: GridFunction, path) -> None:
     """Write a grid function as CSV with columns x,re,im at full precision."""
-    path = Path(path)
-    with path.open("w", encoding="ascii", newline="\n") as fh:
-        fh.write("x,re,im\n")
-        for xv, val in zip(f.grid.x, f.values):
-            fh.write(f"{_FMT % xv},{_FMT % val.real},{_FMT % val.imag}\n")
+    write_table(path, ["x", "re", "im"], [[f.grid.x, f.values.real, f.values.imag]])
 
 
 def read_csv(path) -> GridFunction:

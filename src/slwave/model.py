@@ -26,7 +26,7 @@ import numpy as np
 from . import mat2
 from .analytic import ClosedForm
 from .errors import (AdmissibilityError, ConfigurationError, ContractError,
-                     InternalError)
+                     InternalError, NumericalError)
 from .geometry import atom_snapshot, Atom, set_mass
 from .grid import Grid, GridFunction, inner, interp_cubic, simpson_sum
 from .sturm import KernelBasis, Potential
@@ -41,8 +41,19 @@ __all__ = [
 
 _LD = np.longdouble
 _CLD = np.clongdouble
+# mantissa bits of _LD; the gauge identities and the recovery near l/2 hold
+# their tolerances only with x86 80-bit extended precision (63 bits)
+_LD_NMANT = np.finfo(_LD).nmant
 # half-grid cells before l/2 left out of the model: T degenerates there
 GUARD_CELLS = 3
+
+
+def _require_extended_precision(what: str) -> None:
+    if _LD_NMANT < 63:
+        raise NumericalError(
+            f"{what} needs np.longdouble with at least 63 mantissa bits, but "
+            f"it has {_LD_NMANT} here; the model algebra would silently lose "
+            "the accuracy its checks are calibrated for")
 
 
 @dataclass(frozen=True)
@@ -140,6 +151,7 @@ def default_gauge(kb: KernelBasis,
     rejected.  The guard band is the last guard_cells half-grid cells
     before the midpoint, where T degenerates (its columns coincide at l/2).
     """
+    _require_extended_precision("default_gauge")
     g = kb.grid
     if g.n % 4 != 0:
         raise ConfigurationError(

@@ -28,13 +28,14 @@ from .control import ControlSignal, control_to_kernel, smooth_wave
 from .errors import (AdmissibilityError, ContractError, InternalError,
                      NumericalError)
 from .grid import GridFunction, diff_samples
-from .model import GaugeData, HatField, SmoothFunction, hat_value
+from .model import (GaugeData, HatField, SmoothFunction, _require_extended_precision,
+                    hat_value)
 from .sturm import EigenSystem, KernelBasis
 
 __all__ = [
     "ModelCoefficients", "RecoveryResult", "assemble_coefficients",
     "apply_model", "intertwine_residual", "graph_sample",
-    "smooth_from_samples", "recover_potential",
+    "smooth_from_samples", "recover_potential", "unordered_branch_error",
 ]
 
 _LD = np.longdouble
@@ -77,6 +78,7 @@ def assemble_coefficients(gd: GaugeData, q=None) -> ModelCoefficients:
     both as 2 T' T^{-1} and as -2 T (T^{-1})'; the two must agree to
     1e-10 or the gauge data is corrupt.
     """
+    _require_extended_precision("assemble_coefficients")
     m = gd.half
     idx = np.flatnonzero(gd.admissible)
     if idx.size == 0:
@@ -191,6 +193,7 @@ def recover_potential(mc: ModelCoefficients,
     by order-4 differencing of P^ along the admissible run, emulating an
     observer who only holds tabulated coefficients.
     """
+    _require_extended_precision("recover_potential")
     idx = np.flatnonzero(mc.admissible)
     if idx.size < 6:
         raise NumericalError("too few admissible nodes for recovery")
@@ -239,3 +242,13 @@ def recover_potential(mc: ModelCoefficients,
             "the reflection x -> l-x; collision nodes carry no stable labeling")
     return RecoveryResult(mc.half_x[idx].astype(float), a, b, collision,
                           max_imag, note)
+
+
+def unordered_branch_error(rr: RecoveryResult, qf, l: float) -> float:
+    """Sup error of the branches against the closed form qf, up to the
+    reflection x -> l-x: the smaller of the direct and swapped labelings."""
+    qx = qf.deriv(rr.x, 0)
+    qr = qf.deriv(l - rr.x, 0)
+    direct = np.maximum(np.abs(rr.q1 - qx), np.abs(rr.q2 - qr))
+    flipped = np.maximum(np.abs(rr.q1 - qr), np.abs(rr.q2 - qx))
+    return float(np.max(np.minimum(direct, flipped)))

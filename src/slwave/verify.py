@@ -33,7 +33,8 @@ from .grid import GridFunction, build_grid, quad, sample
 from .model import (default_gauge, form_limit_check, hat_value,
                     parseval_residual, smooth_from_closed_form)
 from .operator import (apply_model, assemble_coefficients, graph_sample,
-                       intertwine_residual, recover_potential)
+                       intertwine_residual, recover_potential,
+                       unordered_branch_error)
 from .sturm import dirichlet_eigensystem, kernel_basis, potential
 
 __all__ = ["CheckResult", "VerificationReport", "Workspace", "run_all",
@@ -326,14 +327,6 @@ def check_eikonal_metric(ws: Workspace) -> CheckResult:
                        {"axioms_exact": 1.0 if axioms else 0.0})
 
 
-def _unordered_branch_error(rr, qf, l: float) -> float:
-    qx = qf.deriv(rr.x, 0)
-    qr = qf.deriv(l - rr.x, 0)
-    direct = np.maximum(np.abs(rr.q1 - qx), np.abs(rr.q2 - qr))
-    flipped = np.maximum(np.abs(rr.q1 - qr), np.abs(rr.q2 - qx))
-    return float(np.max(np.minimum(direct, flipped)))
-
-
 def check_potential_recovery(ws: Workspace) -> CheckResult:
     """Eigenvalues of S reproduce {q(x), q(l-x)} on [3h, l/2-3h]."""
     mc = ws.coefficients("cosine")
@@ -348,8 +341,8 @@ def check_potential_recovery(ws: Workspace) -> CheckResult:
         return dataclasses.replace(rr, x=rr.x[keep], q1=rr.q1[keep],
                                    q2=rr.q2[keep], collision=rr.collision[keep])
 
-    err_a = _unordered_branch_error(_restrict(rr_a), qf, g.l)
-    err_o = _unordered_branch_error(_restrict(rr_o), qf, g.l)
+    err_a = unordered_branch_error(_restrict(rr_a), qf, g.l)
+    err_o = unordered_branch_error(_restrict(rr_o), qf, g.l)
     passed = err_a <= 1e-6 and err_o <= 1e-3
     return CheckResult("potential_recovery", err_a, 1e-6, "<=", passed,
                        "max unordered branch error; observer path vs 1e-3 in extras",
@@ -436,5 +429,7 @@ def run_all(ws: Optional[Workspace] = None, grid_n: int = 2000,
            "t_perturbation": ws.t_perturbation,
            "runtime": {"python": platform.python_version(),
                        "numpy": np.__version__,
-                       "platform": platform.platform()}}
+                       "platform": platform.platform(),
+                       "longdouble_eps": float(np.finfo(np.longdouble).eps),
+                       "longdouble_nmant": int(np.finfo(np.longdouble).nmant)}}
     return VerificationReport(tuple(results), env)

@@ -10,8 +10,13 @@ import textwrap
 import numpy as np
 import pytest
 
+from slwave import model
+from slwave.analytic import Const
 from slwave.cli import load_config, main
-from slwave.errors import ConfigurationError, VerificationFailure
+from slwave.errors import ConfigurationError, NumericalError, VerificationFailure
+from slwave.grid import build_grid
+from slwave.operator import assemble_coefficients, recover_potential
+from slwave.sturm import kernel_basis, potential
 from slwave.verify import CHECK_NAMES, CheckResult, VerificationReport
 
 LAMBDA1_COSINE = 11.922697949810356
@@ -322,6 +327,81 @@ def test_recover_rejects_table_of_another_grid(tmp_path, capsys, problem, numeri
     assert not (out / "recovery.csv").exists()
 
 
+def test_recover_rejects_ragged_table(tmp_path, capsys):
+    out = tmp_path / "chain"
+    base = ini(tmp_path / "m.ini", COSINE_SMALL)
+    assert main(["model", "--config", base, "--out", str(out)]) == 0
+    table = out / "model.csv"
+    lines = table.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0]
+    table.write_text("\n".join(lines) + "\n")
+    follow = ini(tmp_path / "r.ini", f"[problem]\ncoefficients = {table}\n"
+                 "[numerics]\ngrid_n = 400\n")
+    assert main(["recover", "--config", follow, "--out", str(out)]) == 2
+    assert "ragged or non-numeric" in capsys.readouterr().err
+
+
+def _oracle_csv(text: str) -> str:
+    """The table's own values reloaded and re-formatted one by one."""
+    lines = text.split("\n")
+    rows = [",".join("%.17g" % float(v) for v in ln.split(",")) for ln in lines[1:-1]]
+    return "\n".join([lines[0], *rows]) + "\n"
+
+
+def test_artefacts_are_canonical(tmp_path, capsys):
+    """Every artefact reads back to its own bytes: a CSV table under a
+    per-value %.17g oracle, a JSON file under json.dumps of what it loads.
+    The CSV and JSON tables hold the same floats, bit for bit."""
+    problem = "[problem]\npotential = 2 + cos(3)\n"
+    rest = ("[numerics]\ngrid_n = 200\nmodes = 4\nfdtd = off\n"
+            "[controls]\ntimes = 0.2, 0.45\n")
+    path = ini(tmp_path / "c.ini", problem + rest)
+    table = tmp_path / "csv" / "model" / "model.csv"
+    follow = ini(tmp_path / "r.ini", problem + f"coefficients = {table}\n" + rest)
+    runs = [(c, path, c) for c in ("eigs", "simulate", "model", "recover")]
+    runs.append(("recover", follow, "table"))
+    for fmt in ("csv", "json"):
+        for cmd, config, sub in runs:
+            assert main([cmd, "--config", config, "--out", str(tmp_path / fmt / sub),
+                         "--format", fmt]) == 0
+    capsys.readouterr()
+    files = sorted((tmp_path / "csv").rglob("*.*"))
+    assert len(files) == 14
+    for f in files + sorted((tmp_path / "json").rglob("*.*")):
+        text = f.read_text()
+        if f.suffix == ".csv":
+            canonical = text == _oracle_csv(text)    # no string diff on failure
+            assert canonical, f
+            twin = json.loads((tmp_path / "json" / f.relative_to(tmp_path / "csv"))
+                              .with_suffix(".json").read_text())
+            csv_vals = np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2)
+            assert twin["columns"] == text.split("\n", 1)[0].split(",")
+            assert np.array_equal(np.array(twin["rows"]).view(np.int64),
+                                  csv_vals.view(np.int64)), f
+        else:
+            canonical = text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+            assert canonical, f
+
+
+def test_model_algebra_needs_extended_precision(tmp_path, capsys, monkeypatch,
+                                                example_gauge):
+    """Where np.longdouble is plain double the gauge and recovery algebra
+    loses its margins; the pipeline must refuse, not degrade silently."""
+    kb = kernel_basis(potential(build_grid(1.0, 400), Const(0.0)))
+    mc = assemble_coefficients(example_gauge)
+    monkeypatch.setattr(model, "_LD_NMANT", 52)
+    with pytest.raises(NumericalError, match="63 mantissa bits"):
+        model.default_gauge(kb)
+    with pytest.raises(NumericalError, match="63 mantissa bits"):
+        assemble_coefficients(example_gauge)
+    with pytest.raises(NumericalError, match="63 mantissa bits"):
+        recover_potential(mc)
+    path = ini(tmp_path / "m.ini", COSINE_SMALL)
+    assert main(["model", "--config", path, "--out", str(tmp_path / "m")]) == 3
+    assert "63 mantissa bits" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 def test_verify_clean_run(tmp_path, capsys):
     out = tmp_path / "v"
     assert main(["verify", "--out", str(out)]) == 0
@@ -329,6 +409,9 @@ def test_verify_clean_run(tmp_path, capsys):
     rep = VerificationReport.from_json((out / "verification_report.json").read_text())
     assert rep.complete and rep.all_passed
     assert len(rep.checks) == len(CHECK_NAMES) == 12
+    runtime = rep.environment["runtime"]
+    assert runtime["longdouble_eps"] == float(np.finfo(np.longdouble).eps)
+    assert runtime["longdouble_nmant"] == np.finfo(np.longdouble).nmant
     for name in CHECK_NAMES:
         assert f"PASS {name}:" in stdout
 

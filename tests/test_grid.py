@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from slwave.errors import ConfigurationError
 from slwave.grid import (GridFunction, build_grid, central_diff, diff_samples,
-                         inner, interp_cubic, quad, read_csv, sample, write_csv)
+                         format_column, inner, interp_cubic, quad, read_csv,
+                         sample, write_csv, write_table)
 
 
 def f_of(grid, fn):
@@ -108,6 +109,81 @@ def test_csv_round_trip(tmp_path):
     back = read_csv(p)
     assert np.array_equal(back.values, gf.values)
     assert np.array_equal(back.grid.x, g.x)
+
+
+def oracle_table(header, blocks) -> str:
+    """Per-value row loop: what write_table must reproduce byte for byte."""
+    lines = [",".join(header)]
+    for block in blocks:
+        for row in zip(*block):
+            lines.append(",".join(v if isinstance(v, str) else "%.17g" % float(v)
+                                  for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_text(got: str, want: str):
+    # no pytest string diff: it takes minutes on tables of thousands of lines
+    same = got == want
+    first = next((i for i, (a, b) in enumerate(zip(got.split("\n"), want.split("\n")))
+                  if a != b), None)
+    assert same, f"texts differ, first at line {first}"
+
+
+SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0,
+                    -3.0, 2.0 ** 53, 1e16, 0.1, -0.0, 0.0, 1.0, 1 / 3])
+
+
+def test_format_column_keeps_signed_zero_and_specials():
+    strs = format_column(SPECIAL)
+    assert strs == ["%.17g" % v for v in SPECIAL.tolist()]
+    assert strs[:6] == ["-0", "0", "nan", "inf", "-inf", "4.9406564584124654e-324"]
+    assert format_column(np.array([])) == []
+
+
+def test_write_table_matches_row_loop(tmp_path):
+    rng = np.random.default_rng(3)
+    x = np.linspace(0.0, 1.0, SPECIAL.size)
+    xs = format_column(x)
+    blocks = [[xs, SPECIAL, np.zeros(SPECIAL.size)],
+              [xs, -SPECIAL[::-1], rng.standard_normal(SPECIAL.size)],
+              [xs[:3], np.array([7.0, 7.0, 7.0]), np.array([-0.0, 0.0, -0.0])],
+              [[], np.array([]), np.array([])]]
+    header = ["x", "a", "b"]
+    p = tmp_path / "t.csv"
+    write_table(p, header, iter(blocks))
+    assert_same_text(p.read_text(), oracle_table(header, blocks))
+
+
+def test_write_table_chunks_a_long_block(tmp_path):
+    # more cells than one formatting chunk, with repeats and signed zeros
+    rng = np.random.default_rng(5)
+    n = 7001
+    cols = [np.repeat(rng.standard_normal(n // 7 + 1), 7)[:n],
+            np.where(rng.uniform(size=n) < 0.5, -0.0, 0.0),
+            rng.standard_normal(n)]
+    cols.append(format_column(np.arange(n) / 3.0))
+    p = tmp_path / "long.csv"
+    write_table(p, ["a", "b", "c", "d"], [cols])
+    assert_same_text(p.read_text(), oracle_table(["a", "b", "c", "d"], [cols]))
+
+
+def test_write_table_empty_and_ragged(tmp_path):
+    p = tmp_path / "e.csv"
+    write_table(p, ["x", "y"], [])
+    assert p.read_text() == "x,y\n"
+    write_table(p, ["x", "y"], [[np.array([]), np.array([])]])
+    assert p.read_text() == "x,y\n"
+    with pytest.raises(ConfigurationError):
+        write_table(p, ["x", "y"], [[np.zeros(3), np.zeros(2)]])
+
+
+def test_write_csv_matches_row_loop(tmp_path):
+    g = build_grid(1.0, 24)
+    gf = GridFunction(g, np.exp(1j * g.x) / 3.0 - 0.0j)
+    p = tmp_path / "f.csv"
+    write_csv(gf, p)
+    assert_same_text(p.read_text(), oracle_table(["x", "re", "im"],
+                                                 [[g.x, gf.values.real, gf.values.imag]]))
 
 
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))

@@ -11,9 +11,10 @@ from slwave.errors import AdmissibilityError, ContractError
 from slwave.grid import GridFunction, build_grid
 from slwave.model import (SmoothFunction, default_gauge, hat_value,
                           smooth_from_closed_form)
-from slwave.operator import (apply_model, assemble_coefficients, graph_sample,
-                             intertwine_residual, recover_potential,
-                             smooth_from_samples)
+from slwave.operator import (RecoveryResult, apply_model, assemble_coefficients,
+                             graph_sample, intertwine_residual,
+                             recover_potential, smooth_from_samples,
+                             unordered_branch_error)
 from slwave.sturm import kernel_basis, potential
 
 
@@ -211,3 +212,15 @@ def test_smooth_from_samples_orders(q_zero):
     sm = smooth_from_samples(u)
     assert np.max(np.abs(sm.d1 - 3 * np.cos(3 * g.x))) <= 1e-9
     assert np.max(np.abs(sm.d2 + 9 * np.sin(3 * g.x))) <= 1e-7
+
+
+def test_unordered_branch_error_forgives_reflection_only():
+    qf = parse_expression("2 + cos(3)")
+    x = np.linspace(0.0, 0.45, 10)
+    qx, qr = qf.deriv(x, 0), qf.deriv(1.0 - x, 0)
+    swapped = np.where(x < 0.2, qx, qr), np.where(x < 0.2, qr, qx)
+    flags = np.zeros(x.size, dtype=bool)
+    rr = RecoveryResult(x, *swapped, flags, 0.0, "")
+    assert unordered_branch_error(rr, qf, 1.0) == 0.0
+    bent = RecoveryResult(x, swapped[0] + 1e-3 * x, swapped[1], flags, 0.0, "")
+    assert unordered_branch_error(bent, qf, 1.0) == pytest.approx(0.45e-3, rel=1e-9)

@@ -45,6 +45,10 @@ from .verify import Workspace, run_all
 _EPS_FLOOR = 100.0 * np.finfo(float).eps
 
 
+def _finite_positive(value: float) -> bool:
+    return 0.0 < value < np.inf
+
+
 @dataclass
 class RunConfig:
     """Resolved run parameters; every field validated on construction."""
@@ -72,12 +76,12 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("l", "horizon", "cfl", "shoot_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigurationError(f"{name} must be positive")
+            if not _finite_positive(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite and positive")
         if self.grid_n <= 0 or self.modes <= 0:
             raise ConfigurationError("grid_n and modes must be positive")
-        if any(t <= 0.0 for t in self.times):
-            raise ConfigurationError("snapshot times must be positive")
+        if not all(map(_finite_positive, self.times)):
+            raise ConfigurationError("snapshot times must be finite and positive")
         for key, val in self.tolerances.items():
             if not val >= _EPS_FLOOR:
                 raise ConfigurationError(
@@ -123,7 +127,10 @@ def load_config(path: Optional[str], out_dir: str = ".", fmt: str = "csv",
                 f"bad value for [{section}] {key}: {raw!r}") from None
 
     def as_bool(raw):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        try:
+            return cp.BOOLEAN_STATES[raw.strip().lower()]
+        except KeyError:
+            raise ValueError(f"not a boolean: {raw!r}") from None
 
     def as_times(raw):
         return tuple(float(p) for p in raw.split(",") if p.strip())

@@ -113,11 +113,16 @@ def sample(grid: Grid, f: Union[Callable, np.ndarray]) -> GridFunction:
     return GridFunction(grid, f)
 
 
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    w = np.full(n + 1, 2.0)
+def _simpson_pattern(n: int, dtype=float) -> np.ndarray:
+    """The composite Simpson pattern 1, 4, 2, ..., 2, 4, 1 on n + 1 nodes."""
+    w = np.full(n + 1, 2.0, dtype=dtype)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
-    return w * (h / 3.0)
+    return w
+
+
+def _simpson_weights(n: int, h: float) -> np.ndarray:
+    return _simpson_pattern(n) * (h / 3.0)
 
 
 def simpson_sum(values: np.ndarray, h) -> complex:
@@ -131,10 +136,7 @@ def simpson_sum(values: np.ndarray, h) -> complex:
     if m < 4:
         raise ConfigurationError(f"simpson_sum needs >= 5 samples, got {m + 1}")
     if m % 2 == 0:
-        w = np.full(m + 1, 2.0, dtype=values.real.dtype)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        return (h / 3.0) * np.sum(w * values)
+        return (h / 3.0) * np.sum(_simpson_pattern(m, values.real.dtype) * values)
     head = simpson_sum(values[: m - 3 + 1], h)  # m-3 is even
     tail = (3.0 * h / 8.0) * (values[m - 3] + 3.0 * values[m - 2] + 3.0 * values[m - 1] + values[m])
     return head + tail

@@ -102,6 +102,41 @@ def test_config_rejections(tmp_path):
         load_config(None, fmt="yaml")
 
 
+@pytest.mark.parametrize("section, line", [
+    ("controls", "times = nan"), ("controls", "times = inf"),
+    ("controls", "times = 0.1, -inf"), ("numerics", "horizon = inf"),
+    ("numerics", "cfl = nan"), ("numerics", "shoot_tol = inf"),
+    ("problem", "l = inf")])
+def test_exit_2_non_finite_value(tmp_path, capsys, section, line):
+    sections = {"numerics": ["grid_n = 200", "modes = 10"]}
+    sections.setdefault(section, []).append(line)
+    path = ini(tmp_path / "nf.ini", "".join(
+        f"[{name}]\n" + "".join(f"{key}\n" for key in keys)
+        for name, keys in sections.items()))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    capsys.readouterr()
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_boolean_words(tmp_path, capsys):
+    for word, want in (("On", True), ("YES", True), ("1", True), ("true", True),
+                       ("off", False), ("No", False), ("0", False), ("FALSE", False)):
+        path = ini(tmp_path / "b.ini", f"[numerics]\nfdtd = {word}\n")
+        assert load_config(path).run_fdtd is want
+    path = ini(tmp_path / "typo.ini", """
+        [numerics]
+        grid_n = 200
+        modes = 10
+        horizon = 0.2
+        fdtd = ture
+    """)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    capsys.readouterr()
+    assert not out.exists()
+
+
 def test_unknown_command_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

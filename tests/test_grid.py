@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from slwave.errors import ConfigurationError
 from slwave.grid import (GridFunction, build_grid, central_diff, diff_samples,
                          format_column, inner, interp_cubic, quad, read_csv,
-                         sample, write_csv, write_table)
+                         sample, simpson_sum, write_csv, write_table)
 
 
 def f_of(grid, fn):
@@ -42,6 +42,16 @@ def test_quad_three_eighths_tail():
     g = build_grid(1.0, 102)
     sub = GridFunction(build_grid(1.0, 102), (g.x ** 3).astype(complex))
     assert abs(quad(sub) - 0.25) <= 1e-12
+
+
+def test_simpson_sum_keeps_longdouble():
+    g = build_grid(1.0, 100)
+    x = np.linspace(np.longdouble(0), np.longdouble(1), 101)
+    val = simpson_sum(x ** 3, np.longdouble(1) / 100)
+    assert val.dtype == np.longdouble
+    assert abs(val - np.longdouble(0.25)) <= 4 * np.finfo(np.longdouble).eps
+    assert simpson_sum(g.x ** 3, g.h) == pytest.approx(quad(f_of(g, lambda x: x ** 3)).real,
+                                                       abs=1e-15)
 
 
 def test_diff_quadratic_first_order():

@@ -13,7 +13,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from slwave.analytic import Const, parse_expression
-from slwave.errors import AdmissibilityError, ConfigurationError
+from slwave.errors import AdmissibilityError, ConfigurationError, NumericalError
 from slwave import sturm
 from slwave.grid import GridFunction, build_grid, inner
 from slwave.sturm import (check_lower_bound, dirichlet_eigensystem,
@@ -29,6 +29,41 @@ def shooting_oracle(lam):
     sol = scipy_ivp(rhs, (0.0, 1.0), [0.0, 1.0], rtol=1e-12, atol=1e-14,
                     method="DOP853")
     return sol.y[0, -1]
+
+
+def staged_loop_reference(qn, qm, h, lam, v0, s0):
+    """The staged RK4 loop on float64 arrays, for a vector of lam: node
+    histories (U, V), each (n+1, K).  Same stage expressions as the scalar
+    sweep in sturm, so for one lam the two agree bit for bit."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    K = lam.shape[0]
+    n = qn.shape[0] - 1
+    u = np.full(K, float(v0))
+    v = np.full(K, float(s0))
+    U = np.empty((n + 1, K))
+    V = np.empty((n + 1, K))
+    U[0] = u
+    V[0] = v
+    h6 = h / 6.0
+    for j in range(n):
+        cj = qn[j] - lam
+        cm = qm[j] - lam
+        c1 = qn[j + 1] - lam
+        dv1 = cj * u
+        u2 = u + 0.5 * h * v
+        v2 = v + 0.5 * h * dv1
+        dv2 = cm * u2
+        u3 = u + 0.5 * h * v2
+        v3 = v + 0.5 * h * dv2
+        dv3 = cm * u3
+        u4 = u + h * v3
+        v4 = v + h * dv3
+        dv4 = c1 * u4
+        u = u + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v = v + h6 * (dv1 + 2.0 * (dv2 + dv3) + dv4)
+        U[j + 1] = u
+        V[j + 1] = v
+    return U, V
 
 
 def fd_lambda1(n=4000):
@@ -83,6 +118,31 @@ def test_ivp_right_side_data():
     assert np.max(np.abs(sol.u.values - (g.x - 1.0))) <= 1e-10
     with pytest.raises(ConfigurationError):
         solve_ivp(q, 0.0, "middle", 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [2000, 402])
+@pytest.mark.parametrize("lam", [0.0, np.pi ** 2])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_scalar_sweep_matches_array_loop(n, lam, side):
+    """The Python-float sweep reproduces the float64 array loop bit for bit,
+    for the left data and for the reversed right data of solve_ivp."""
+    g = build_grid(1.0, n)
+    q = potential(g, parse_expression("2 + cos(3)"))
+    qn, qm, s0 = q.values, q.mid, 1.0
+    if side == "right":
+        qn, qm, s0 = qn[::-1], qm[::-1], -1.0
+    U0, V0 = staged_loop_reference(qn, qm, g.h, lam, 0.0, s0)
+    U1, V1 = sturm._rk4_sweep(qn, qm, g.h, lam, 0.0, s0)
+    assert U1.shape == V1.shape == (n + 1,)
+    assert np.array_equal(U1, U0[:, 0]) and np.array_equal(V1, V0[:, 0])
+
+
+def test_ivp_blowup_raises():
+    """Python floats overflow to inf/nan without raising; the end-state
+    check must turn that into a NumericalError."""
+    q = potential(build_grid(1.0, 400), Const(1e6))
+    with pytest.raises(NumericalError):
+        solve_ivp(q, 0.0, "left", 0.0, 1.0)
 
 
 def test_kernel_basis_hyperbolic():
@@ -160,7 +220,7 @@ def test_transfer_matrices_match_staged_loop(n, K):
     g = build_grid(1.0, n)
     q = potential(g, parse_expression("2 + cos(3)"))
     lam = np.linspace(0.0, (n / 6.67 * np.pi) ** 2, K)
-    U0, V0 = sturm._rk4_sweep(q.values, q.mid, g.h, lam, 0.0, 1.0)
+    U0, V0 = staged_loop_reference(q.values, q.mid, g.h, lam, 0.0, 1.0)
     U1, V1 = sturm._tm_history(q.values, q.mid, g.h, lam)
     u1, v1 = sturm._tm_end_values(q.values, q.mid, g.h, lam)
     su = np.max(np.abs(U0), axis=0)

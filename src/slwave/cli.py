@@ -83,9 +83,9 @@ class RunConfig:
         if not all(map(_finite_positive, self.times)):
             raise ConfigurationError("snapshot times must be finite and positive")
         for key, val in self.tolerances.items():
-            if not val >= _EPS_FLOOR:
+            if not _EPS_FLOOR <= val < np.inf:
                 raise ConfigurationError(
-                    f"tolerance {key}={val:g} is below 100x machine precision")
+                    f"tolerance {key}={val:g} must be finite and at least 100x machine precision")
         parse_expression(self.potential_expr)   # fail early if unresolvable
         if self.fmt not in ("csv", "json"):
             raise ConfigurationError(f"unknown output format {self.fmt!r}")

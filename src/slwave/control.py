@@ -242,18 +242,30 @@ def fdtd_oracle(c: ControlSignal, q: Potential, horizon: float,
     flv = np.asarray(c.fl(tgrid), dtype=float)
     scale = 1e6 * (1.0 + max(np.max(np.abs(f0v)), np.max(np.abs(flv))))
 
+    # three rotating buffers; the interior update is evaluated as
+    # ((2z - z_prev) + r2 ((z[2:] - 2z) + z[:-2])) - (dt^2 q) z
     z_prev = np.zeros(g.size)
     z = np.zeros(g.size)
+    z_next = np.empty(g.size)
     z[0] = f0v[1]
     z[-1] = flv[1]
+    dq = dt * dt * qv[1:-1]
+    two_z = np.empty(g.size - 2)
+    work = np.empty(g.size - 2)
     for m in range(2, steps + 1):
-        z_next = np.empty(g.size)
-        z_next[1:-1] = (2.0 * z[1:-1] - z_prev[1:-1]
-                        + r2 * (z[2:] - 2.0 * z[1:-1] + z[:-2])
-                        - dt * dt * qv[1:-1] * z[1:-1])
+        zi = z[1:-1]
+        np.multiply(2.0, zi, out=two_z)
+        np.subtract(z[2:], two_z, out=work)
+        work += z[:-2]
+        work *= r2
+        out = z_next[1:-1]
+        np.subtract(two_z, z_prev[1:-1], out=out)
+        out += work
+        np.multiply(dq, zi, out=work)
+        out -= work
         z_next[0] = f0v[m]
         z_next[-1] = flv[m]
-        z_prev, z = z, z_next
+        z_prev, z, z_next = z, z_next, z_prev
         if m % 100 == 0 and np.max(np.abs(z)) > scale:
             raise NumericalError(
                 f"leapfrog instability detected at t={tgrid[m]:.6g} (cfl={cfl})")

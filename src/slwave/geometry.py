@@ -18,7 +18,7 @@ from .errors import ConfigurationError, NumericalError
 from .grid import Grid, GridFunction, interp_cubic, simpson_sum
 
 __all__ = [
-    "SymmetricSet", "Atom", "symmetric_set", "neighborhood", "isotony_apply",
+    "SymmetricSet", "Atom", "symmetric_set", "neighborhood",
     "complement", "project_onto", "set_mass", "atom_snapshot", "boundary_atom",
     "eikonal_apply", "eikonal_metric", "distance_profile",
 ]
@@ -83,13 +83,6 @@ def neighborhood(s: SymmetricSet, t: float) -> SymmetricSet:
     raw = [(max(0.0, a - t), min(s.l, b + t)) for a, b in s.intervals]
     raw += [(max(0.0, p - t), min(s.l, p + t)) for p in s.points]
     return SymmetricSet(s.l, _merge(raw), ())
-
-
-def isotony_apply(s: SymmetricSet, t: float) -> SymmetricSet:
-    """Action of the wave isotony on a symmetric set (alias of
-    :func:`neighborhood`; kept separate for call sites that speak in terms
-    of the evolved family)."""
-    return neighborhood(s, t)
 
 
 def complement(s: SymmetricSet) -> SymmetricSet:

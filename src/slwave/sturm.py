@@ -11,10 +11,10 @@ for a single lam on Python floats, bit for bit the float64 arithmetic of the
 scheme.  The eigensolver runs on the transfer matrices instead, assembled for
 many lam at once: end values come from a log-depth pairwise product, node
 histories from a two-level blocked scan (blocks of about sqrt(n) steps).
-Eigenvalues come from shooting: oscillation counting brackets each root of
-u_lam(l), an Illinois secant, clamped inside the bracket, refines it.  Matrix
-eigensolvers are deliberately not used here; they serve as independent
-oracles in the tests.
+Eigenvalues come from shooting: separators with exactly k oscillations,
+counted once each, bracket the roots of u_lam(l), and a safeguarded secant
+on the Prufer phase of (u, u')(l) refines them.  Matrix eigensolvers are
+deliberately not used here; they serve as independent oracles in the tests.
 """
 
 from __future__ import annotations
@@ -352,17 +352,35 @@ def _sign_change_counts(U: np.ndarray) -> np.ndarray:
     return np.sum(s[:-1] * s[1:] < 0.0, axis=0)
 
 
+def _phase(sigma, w, u, v):
+    """Prufer phase atan2(sigma w u, sigma v) of the end state (u, v)(l),
+    w = sqrt(lam - shift): its sign is that of sigma u(l)."""
+    return np.arctan2(sigma * w * u, sigma * v)
+
+
 def dirichlet_eigensystem(q: Potential, count: int, rel_tol: float = 1e-10) -> EigenSystem:
     """First `count` Dirichlet eigenpairs by shooting on RK4 transfer matrices.
 
-    Comparison bounds (k pi / l)^2 + [min q, max q] seed the brackets;
-    oscillation counting on blocked-scan histories isolates one root of
-    u_lam(l) per bracket, and the same histories give u_lam(l) at its ends.
-    An Illinois secant on pairwise-product end values refines each root to
-    relative tolerance rel_tol; the secant point is clamped half a tolerance
-    inside the bracket (Dekker), so a converging side still closes the
-    bracket, and only unconverged brackets are swept.  The eigenfunctions
-    are the blocked-scan histories at the bracket midpoints.
+    Comparison bounds (k pi / l)^2 + [min q, max q], padded, place
+    count + 1 separators s_0 < s_1 < ... < s_count, each counted once on a
+    blocked-scan history and required to hold exactly k oscillations: s_0
+    is mode 1's lower bound, s_k starts between the intervals of modes k
+    and k+1, and a separator with the wrong count is bisected between
+    points with counts <= k and >= k.  Mode k's root of u_lam(l) is then
+    isolated in [s_{k-1}, s_k], and the counting histories give (u, u')(l)
+    at both ends.  Each root is refined on the Prufer phase
+    F_k = atan2(sigma w u(l), sigma u'(l)), sigma = (-1)^k,
+    w = sqrt(lam - q_lo + 1) with q_lo the smaller of min q and s_0.  F_k has
+    the sign of sigma u(l), is continuous on the bracket (its branch cut
+    falls at the neighbouring roots) and is close to linear in w, so a
+    secant in w on the two latest iterates takes about three end-value
+    passes.  The secant point is kept half a tolerance inside the bracket:
+    a step shorter than that is pushed to that length towards the retained
+    end, so it lands across the root and closes the bracket (Dekker).  A
+    point outside the bracket, or a bracket that has not halved in three
+    passes, takes a bisection step instead.  Brackets are refined to width
+    rel_tol * max(1, |lam|); the eigenfunctions are the blocked-scan
+    histories at their midpoints.
     """
     if count < 1:
         raise ConfigurationError("eigenvalue count must be >= 1")
@@ -373,64 +391,94 @@ def dirichlet_eigensystem(q: Potential, count: int, rel_tol: float = 1e-10) -> E
     qn, qm, h = q.values, q.mid, g.h
     qlo = min(qn.min(), qm.min())
     qhi = max(qn.max(), qm.max())
-    k = np.arange(1, count + 1, dtype=float)
+    k = np.arange(1, count + 2, dtype=float)
     base = (k * np.pi / g.l) ** 2
     # pad covers both float fuzz and the RK4 phase drift of the discrete
     # shooting roots, which grows like lam^3 h^4 / 60 for oscillatory modes
     drift = (np.abs(base) + max(abs(qlo), abs(qhi))) ** 3 * h ** 4 / 10.0
     pad = 1e-6 * np.maximum(1.0, np.abs(base + qlo)) + drift
-    a = base + qlo - pad
+    a = base + qlo - pad               # comparison bounds of modes 1 .. count+1
     b = base + qhi + pad
 
     def counts(lams):
-        """Oscillation counts and end values u_lam(l) from blocked-scan histories."""
-        U = [_tm_history_batch(qn, qm, h, lams[cols])[0]
-             for cols in _batches(g.n, lams.shape[0])]
-        return (np.concatenate([_sign_change_counts(u) for u in U]),
-                np.concatenate([u[-1] for u in U]))
+        """Oscillation counts and end states (u, u')(l) from blocked-scan histories."""
+        UV = [_tm_history_batch(qn, qm, h, lams[cols])
+              for cols in _batches(g.n, lams.shape[0])]
+        return (np.concatenate([_sign_change_counts(U) for U, _ in UV]),
+                np.concatenate([U[-1] for U, _ in UV]),
+                np.concatenate([V[-1] for _, V in UV]))
 
-    target_lo = np.arange(0, count)
-    target_hi = np.arange(1, count + 1)
-    (ca, fa), (cb, fb) = counts(a), counts(b)
-    if np.any(ca > target_lo) or np.any(cb < target_hi):
+    target = np.arange(count + 1)
+    s = np.concatenate(([a[0]], np.maximum(b[:-1], 0.5 * (b[:-1] + a[1:]))))
+    c, u, v = counts(s)
+    # comparison: lam_j lies below b_j and at or above a_j, so
+    # #{b_j <= s} <= count(s) <= #{a_j < s}; the upper bound is known only
+    # where a_{count+1} >= s
+    below = np.sum(b <= s[:, None], axis=1)
+    above = np.sum(a < s[:, None], axis=1)
+    if np.any(c < below) or np.any((c > above) & (above <= count)):
         raise NumericalError("comparison brackets failed oscillation sanity check")
+    bad = np.flatnonzero(c != target)
+    lo = np.where(c <= bad[:, None], s, -np.inf).max(axis=1)
+    hi = np.where(c >= bad[:, None], s, np.inf).min(axis=1)
     for _ in range(120):
-        bad = np.flatnonzero((ca != target_lo) | (cb != target_hi))
         if bad.size == 0:
             break
-        mid = 0.5 * (a[bad] + b[bad])
-        cm, fm = counts(mid)
-        hi = cm >= target_hi[bad]
-        b[bad[hi]], cb[bad[hi]], fb[bad[hi]] = mid[hi], cm[hi], fm[hi]
-        a[bad[~hi]], ca[bad[~hi]], fa[bad[~hi]] = mid[~hi], cm[~hi], fm[~hi]
-    else:
+        mid = 0.5 * (lo + hi)
+        cm, um, vm = counts(mid)
+        hit = cm == bad
+        s[bad[hit]], u[bad[hit]], v[bad[hit]] = mid[hit], um[hit], vm[hit]
+        lo, hi = np.where(cm < bad, mid, lo), np.where(cm > bad, mid, hi)
+        bad, lo, hi = bad[~hit], lo[~hit], hi[~hit]
+    if bad.size or np.any(np.diff(s) <= 0.0):
         raise NumericalError("oscillation counting failed to isolate eigenvalue brackets")
 
-    if np.any(fa * fb > 0.0):
+    ulo, uhi = u[:-1], u[1:]
+    if np.any(ulo * uhi > 0.0):
         raise NumericalError("isolated bracket lost the sign change of u_lam(l)")
     # an end value that is exactly zero is a root: collapse its bracket
-    a, b = np.where(fb == 0.0, b, a), np.where(fa == 0.0, a, b)
-    # Illinois: b is the latest iterate, a the retained end of the bracket
+    lo = np.where(uhi == 0.0, s[1:], s[:-1])
+    hi = np.where(ulo == 0.0, s[:-1], s[1:])
+    sigma = (-1.0) ** target[1:]
+    shift = min(qlo, s[0]) - 1.0
+    w = np.sqrt(s - shift)
+    # the two latest iterates (w, F) of each secant, first the bracket ends;
+    # the latest is always an end of the bracket
+    w0, w1 = w[:-1].copy(), w[1:].copy()
+    F0 = _phase(sigma, w0, ulo, v[:-1])
+    F1 = _phase(sigma, w1, uhi, v[1:])
+    width = hi - lo
+    stall = np.zeros(count, dtype=int)
     for _ in range(300):
-        tol = rel_tol * np.maximum(1.0, np.abs(a + b) * 0.5)
-        act = np.flatnonzero(np.abs(b - a) > tol)
+        tol = rel_tol * np.maximum(1.0, np.abs(lo + hi) * 0.5)
+        act = np.flatnonzero(hi - lo > tol)
         if act.size == 0:
             break
-        a0, b0, fa0, fb0 = a[act], b[act], fa[act], fb[act]
-        half = 0.5 * tol[act]
-        c = b0 - fb0 * (b0 - a0) / (fb0 - fa0)
-        # Dekker-style safeguard: keep the secant point half a tolerance
-        # inside the bracket, so a step that lands on an end still shrinks it
-        c = np.clip(c, np.minimum(a0, b0) + half, np.maximum(a0, b0) - half)
-        fc = _tm_end_values(qn, qm, h, c)[0]
-        right = fb0 * fc < 0.0
-        a[act] = np.where(fc == 0.0, c, np.where(right, b0, a0))
-        fa[act] = np.where(right, fb0, 0.5 * fa0)  # Illinois cut against stagnation
-        b[act], fb[act] = c, fc
+        lo0, hi0, half = lo[act], hi[act], 0.5 * tol[act]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            wc = w1[act] - F1[act] * (w1[act] - w0[act]) / (F1[act] - F0[act])
+        x = wc * wc + shift
+        # safeguard: bisect when the secant leaves the bracket or stalls;
+        # else keep the point half a tolerance inside the bracket, which is
+        # the closing step: a shorter step from the latest iterate (an end)
+        # is pushed to half a tolerance, towards the retained end
+        bisect = ~((x >= lo0) & (x <= hi0)) | (stall[act] >= 3)
+        x = np.where(bisect, 0.5 * (lo0 + hi0), np.clip(x, lo0 + half, hi0 - half))
+        ux, vx = _tm_end_values(qn, qm, h, x)
+        wx = np.sqrt(x - shift)
+        su = sigma[act] * ux
+        lo[act] = np.where(su <= 0.0, x, lo0)
+        hi[act] = np.where(su >= 0.0, x, hi0)
+        w0[act], F0[act] = w1[act], F1[act]
+        w1[act], F1[act] = wx, _phase(sigma[act], wx, ux, vx)
+        # anti-stagnation: count passes since the bracket last halved
+        halved = hi[act] - lo[act] <= 0.5 * width[act]
+        width[act] = np.where(halved, hi[act] - lo[act], width[act])
+        stall[act] = np.where(halved, 0, stall[act] + 1)
     else:
         raise NumericalError(f"eigenvalue refinement did not reach rel_tol={rel_tol}")
 
-    lam = 0.5 * (a + b)
+    lam = 0.5 * (lo + hi)
     U, V = _tm_history(qn, qm, h, lam)
     nrm = np.sqrt(_simpson_weights(g.n, h) @ (U * U))
     phi = (U / nrm).T.copy()

@@ -106,7 +106,8 @@ def test_config_rejections(tmp_path):
     ("controls", "times = nan"), ("controls", "times = inf"),
     ("controls", "times = 0.1, -inf"), ("numerics", "horizon = inf"),
     ("numerics", "cfl = nan"), ("numerics", "shoot_tol = inf"),
-    ("problem", "l = inf")])
+    ("problem", "l = inf"), ("tolerances", "fdtd = inf"),
+    ("tolerances", "support = nan")])
 def test_exit_2_non_finite_value(tmp_path, capsys, section, line):
     sections = {"numerics": ["grid_n = 200", "modes = 10"]}
     sections.setdefault(section, []).append(line)

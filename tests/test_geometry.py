@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 from slwave.errors import ConfigurationError
 from slwave.geometry import (Atom, atom_snapshot, boundary_atom, complement,
                              distance_profile, eikonal_apply, eikonal_metric,
-                             isotony_apply, neighborhood, project_onto,
-                             set_mass, symmetric_set)
+                             neighborhood, project_onto, set_mass,
+                             symmetric_set)
 from slwave.grid import GridFunction, build_grid, quad
 
 L = 1.0
@@ -81,11 +81,6 @@ def test_set_mass_interval_resolved():
     u = GridFunction(g, np.ones(g.size, dtype=complex))
     s = sym_interval(0.25, 0.375)
     assert set_mass(u, s) == pytest.approx(0.25, abs=1e-10)
-
-
-def test_isotony_alias():
-    s = sym_interval(0.25, 0.3125)
-    assert isotony_apply(s, 0.125).intervals == neighborhood(s, 0.125).intervals
 
 
 def test_atom_validation():

@@ -252,6 +252,62 @@ def test_refinement_brackets_each_root_in_few_passes(q_cosine, monkeypatch):
     assert np.all(lo * hi < 0.0)
 
 
+def test_shooting_column_budget(q_cosine, monkeypatch):
+    """Oscillations are counted once per separator, not at both ends of
+    every bracket, and the phase secant needs about three end-value passes:
+    on 2 + cos 3x every separator starts with the right count, so counting
+    takes count + 1 history columns, and refinement at most 4 * count
+    end-value columns."""
+    history, ends = [], []
+    history_batch, end_values = sturm._tm_history_batch, sturm._tm_end_values
+
+    def counted_history(*args):
+        history.append(args[3].size)
+        return history_batch(*args)
+
+    def counted_ends(*args):
+        ends.append(args[3].size)
+        return end_values(*args)
+
+    monkeypatch.setattr(sturm, "_tm_history_batch", counted_history)
+    monkeypatch.setattr(sturm, "_tm_end_values", counted_ends)
+    count = 300
+    dirichlet_eigensystem(q_cosine, count)
+    counting = sum(history) - count          # the rest are the eigenfunctions
+    assert counting <= count + 1
+    assert sum(ends) <= 4 * count
+
+
+def rk4_dirichlet_roots(c, l, n, count):
+    """Exact Dirichlet roots of the RK4 shooting scheme for q = c.
+
+    The step matrix M is the same at every step, with m11 = m22 and, for
+    x = h^2 (c - lam), det M = 1 + x^3/72 + x^4/576 and m12 m21 =
+    x (1 + x/6)^2.  u_n = (M^n)_12 vanishes where n theta = k pi, with
+    cos theta = m11 / sqrt(det M); for theta < pi/2 this is
+    sin theta = sqrt(-x) (1 + x/6) / sqrt(det M), free of cancellation."""
+    h = l / n
+
+    def sin_theta(y):        # y = -x = h^2 (lam - c)
+        return np.sqrt(y) * (1.0 - y / 6.0) / np.sqrt(1.0 - y ** 3 / 72.0 + y ** 4 / 576.0)
+
+    y = [brentq(lambda y: sin_theta(y) - np.sin(k * np.pi / n), 0.0, 0.3,
+                xtol=1e-300, rtol=4 * np.finfo(float).eps) for k in range(1, count + 1)]
+    return c + np.array(y) / h ** 2
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0])
+def test_spectrum_matches_exact_discrete_roots(c):
+    """All 300 modes of a constant potential land on the scheme's own roots
+    (the RK4 phase drift is in both), which pins the separators and the
+    refinement over the whole spectrum."""
+    g = build_grid(1.0, 2000)
+    rel_tol = 1e-10
+    es = dirichlet_eigensystem(potential(g, Const(c)), 300, rel_tol=rel_tol)
+    want = rk4_dirichlet_roots(c, g.l, g.n, 300)
+    assert np.all(np.abs(es.lam - want) <= 2 * rel_tol * np.maximum(1.0, np.abs(want)))
+
+
 def test_grid_too_coarse_for_modes():
     g = build_grid(1.0, 100)
     with pytest.raises(ConfigurationError):

@@ -35,7 +35,8 @@ from .control import (ControlSignal, control_to_kernel, fdtd_oracle,
                       WaveField)
 from .errors import (ConfigurationError, ContractError, NumericalError,
                      SlwaveError, VerificationFailure)
-from .grid import GridFunction, build_grid, format_column, quad, write_table
+from .grid import (GridFunction, build_grid, format_column, json_text, quad,
+                   write_table)
 from .model import GUARD_CELLS, default_gauge
 from .operator import (ModelCoefficients, assemble_coefficients, recover_potential,
                        unordered_branch_error)
@@ -196,9 +197,10 @@ def _complex_table(names: str, mats) -> tuple:
 
 
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> Path:
+    text = json_text(payload)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(text)
     return path
 
 

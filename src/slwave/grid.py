@@ -8,18 +8,19 @@ with zero imaginary part.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 
 __all__ = [
     "Grid", "GridFunction", "build_grid", "sample", "quad", "inner",
     "central_diff", "diff_samples", "interp_cubic", "simpson_sum",
-    "format_column", "write_table", "write_csv", "read_csv",
+    "format_column", "write_table", "json_text", "write_csv", "read_csv",
 ]
 
 
@@ -269,6 +270,19 @@ def write_table(path, header, blocks) -> None:
                 cols = [c[i:i + step] if isinstance(c, list) else
                         format_column(c[i:i + step]) for c in block]
                 fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+
+
+def json_text(payload) -> str:
+    """Canonical text of a JSON artefact: indent 2, sorted keys, newline.
+
+    NaN and infinities have no JSON spelling (Python would write the
+    non-standard tokens NaN and Infinity), so they raise a NumericalError
+    and nothing is written.
+    """
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"non-finite value in a JSON artefact: {exc}") from None
 
 
 def write_csv(f: GridFunction, path) -> None:

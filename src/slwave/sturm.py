@@ -5,16 +5,21 @@ The second-order equation -u'' + q u = lam u is integrated as a first-order
 system with a fixed-step fourth-order Runge-Kutta scheme on the grid nodes,
 with q at the half steps taken from the closed form when available and from
 cubic interpolation otherwise.  One RK4 step is exactly a 2x2 matrix,
-(u, v)_{j+1} = M_j(lam) (u, v)_j, whose entries are polynomials in h and
-q - lam.  Cauchy solutions (solve_ivp, kernel_basis) run the staged RK4 loop
-for a single lam on Python floats, bit for bit the float64 arithmetic of the
-scheme.  The eigensolver runs on the transfer matrices instead, assembled for
-many lam at once: end values come from a log-depth pairwise product, node
-histories from a two-level blocked scan (blocks of about sqrt(n) steps).
-Eigenvalues come from shooting: separators with exactly k oscillations,
-counted once each, bracket the roots of u_lam(l), and a safeguarded secant
-on the Prufer phase of (u, u')(l) refines them.  Matrix eigensolvers are
-deliberately not used here; they serve as independent oracles in the tests.
+(u, v)_{j+1} = M_j(lam) (u, v)_j, whose entries are quadratics in lam.
+Cauchy solutions (solve_ivp, kernel_basis) run the staged RK4 loop for a
+single lam on Python floats, bit for bit the float64 arithmetic of the
+scheme.  The eigensolver runs on the transfer matrices instead: once per
+solve it stores the coefficients of every step and the exact degree-8
+products of every four consecutive steps, both independent of lam (the
+lam-independent precomputation of MATSLISE, Ledoux, Van Daele and Vanden
+Berghe 2005), so the matrices at a batch of lam are one matmul against the
+powers of lam.  End values come from a log-depth pairwise product of the
+n/4 four-step matrices, node histories from a two-level blocked scan
+(blocks of about sqrt(n) steps, a multiple of 4).  Eigenvalues come from
+shooting: separators with exactly k oscillations, counted once each,
+bracket the roots of u_lam(l), and a safeguarded secant on the Prufer
+phase of (u, u')(l) refines them.  Matrix eigensolvers are deliberately
+not used here; they serve as independent oracles in the tests.
 """
 
 from __future__ import annotations
@@ -35,8 +40,10 @@ __all__ = [
 ]
 
 _BLOWUP = 1e120
-# step-matrix cells (steps x lam columns) per batch of the transfer-matrix
-# products: bounds their working set at about 4 MB whatever the mode count
+# node cells (steps x lam columns) per batch of the transfer-matrix kernels:
+# a batch holds its two step-major histories and its four-step matrices,
+# about n K cells each, so its working set stays near 3 MB whatever the
+# mode count
 _BATCH_CELLS = 1 << 17
 
 
@@ -135,17 +142,54 @@ def _rk4_sweep(qn, qm, h, lam, v0, s0):
     return np.array(U), np.array(V)
 
 
-def _step_matrices(qn, qm, h, lam, rows):
-    """RK4 one-step matrices M_j(lam) as one array E of shape (4, rows, K)
-    holding (m11, m12, m21, m22); steps past n are identities.
+@dataclass(frozen=True)
+class _Transfer:
+    """The RK4 step matrices of one mesh as polynomials in lam, built once
+    per solve; their values at a batch of lam are one matmul away.
+
+    C4 (4, ceil(n/4), 9) holds the exact degree-8 products of four
+    consecutive steps, steps past n being identities.  C4h holds them for
+    the end values, padded by identities to 8 Q rows and reordered so that
+    the first three pairwise levels multiply contiguous halves: four-step
+    matrix j = 8 q + r sits in row rev(r) Q + q, rev reversing three bits.
+    For the blocked scan the n steps are grouped into B blocks of b steps,
+    b a multiple of 4 near sqrt(n) and B b > n; C1s (b-1, 4, B, 3) holds the
+    quadratic single steps taken inside the blocks, step-major: C1s[i, :, k]
+    is step i of block k.
+    """
+
+    n: int
+    b: int
+    B: int
+    C4: np.ndarray
+    C4h: np.ndarray
+    C1s: np.ndarray
+
+
+_REV3 = np.array([0, 4, 2, 6, 1, 5, 3, 7])
+
+
+def _polymul2(R, L):
+    """Stacked 2x2 products R L of polynomial matrices: entry arrays
+    (4, m, dR) and (4, m, dL) of coefficients in increasing degree."""
+    dl = L.shape[2]
+    P = np.zeros(R.shape[:2] + (R.shape[2] + dl - 1,))
+    for i, (r, l) in enumerate(((0, 0), (0, 1), (2, 0), (2, 1))):
+        for a, c in ((r, l), (r + 1, l + 2)):
+            for k in range(R.shape[2]):
+                P[i, :, k:k + dl] += R[a, :, k, None] * L[c]
+    return P
+
+
+def _transfer(qn, qm, h):
+    """Step-matrix polynomials of the mesh (qn at nodes, qm at half steps).
 
     With c = q - lam at x_j, x_j + h/2 and x_{j+1} (cj, cm, c1), the four
     stages of the scheme expand exactly to
       m11 = 1 + h^2 (cj + 2 cm)/6 + h^4 cm cj/24,   m12 = h + h^3 cm/6,
       m21 = h (cj + 4 cm + c1)/6 + h^3 cm (cj + c1)/12,
-      m22 = 1 + h^2 (2 cm + c1)/6 + h^4 c1 cm/24.
-    Each entry is assembled as alpha_j + lam (beta_j + gamma lam), with the
-    node coefficients computed once, in three passes over (n, K).
+      m22 = 1 + h^2 (2 cm + c1)/6 + h^4 c1 cm/24,
+    each alpha_j + beta_j lam + gamma lam^2.
     """
     n = qm.shape[0]
     qj, q1 = qn[:-1], qn[1:]
@@ -159,14 +203,36 @@ def _step_matrices(qn, qm, h, lam, rows):
         (1.0 + h2 * (2.0 * qm + q1) / 6.0 + h4 * (q1 * qm) / 24.0,
          -0.5 * h2 - h4 * (q1 + qm) / 24.0, h4 / 24.0),
     )
-    E = np.empty((4, rows, lam.shape[0]))
-    for e, (alpha, beta, gamma) in zip(E, coefficients):
-        m = e[:n]
-        np.add(np.reshape(beta, (-1, 1)), gamma * lam, out=m)
-        m *= lam
-        m += alpha[:, None]
-    E[:, n:] = np.array([1.0, 0.0, 0.0, 1.0])[:, None, None]
-    return E
+    b = max(4, 4 * round(np.sqrt(n) / 4.0))
+    B = n // b + 1
+    C1b = np.zeros((4, B * b, 3))      # C1 (4, n, 3), then identity steps
+    for e, entry in zip(C1b, coefficients):
+        for d, c in enumerate(entry):
+            e[:n, d] = c
+    C1b[(0, 3), n:, 0] = 1.0
+    C1 = C1b[:, :-(-n // 4) * 4]
+    C2 = _polymul2(C1[:, 1::2], C1[:, 0::2])
+    C4 = _polymul2(C2[:, 1::2], C2[:, 0::2])
+    j = np.arange(C4.shape[1])
+    Q = -(-j.size // 8)
+    C4h = np.zeros((4, 8 * Q, 9))
+    C4h[(0, 3), :, 0] = 1.0
+    C4h[:, _REV3[j % 8] * Q + j // 8] = C4
+    C1s = C1b.reshape(4, B, b, 3)[:, :, :-1].transpose(2, 0, 1, 3).copy()
+    for a in (C4, C4h, C1s):
+        a.setflags(write=False)
+    return _Transfer(n, b, B, C4, C4h, C1s)
+
+
+def _powers(lam, d):
+    """lam^0 .. lam^(d-1), shape (d, K)."""
+    return np.vander(lam, d, increasing=True).T
+
+
+def _evaluate(C, powers):
+    """Values (..., K) of the polynomials C (..., d) at each lam, from its
+    powers (d, K): one matmul."""
+    return (C.reshape(-1, C.shape[-1]) @ powers).reshape(C.shape[:-1] + powers.shape[1:])
 
 
 def _mul2(R, L):
@@ -198,61 +264,72 @@ def _batches(n, K):
     return [slice(s, s + step) for s in range(0, K, step)]
 
 
-def _tm_end_values(qn, qm, h, lam):
+def _tm_end_values(tm, lam):
     """End state (u, v)(l) of u(0) = 0, u'(0) = 1 for a vector of lam: the
-    second column of the pairwise product of the step matrices."""
-    n = qm.shape[0]
+    second column of the pairwise product of the four-step matrices, whose
+    first three levels pair contiguous halves of C4h."""
     u = np.empty(lam.shape[0])
     v = np.empty(lam.shape[0])
-    for cols in _batches(n, lam.shape[0]):
-        P = _pairwise_product(_step_matrices(qn, qm, h, lam[cols], n))
+    for cols in _batches(tm.n, lam.shape[0]):
+        E = _evaluate(tm.C4h, _powers(lam[cols], 9))
+        for _ in range(3):
+            half = E.shape[1] // 2
+            E = _mul2(E[:, half:], E[:, :half])
+        P = _pairwise_product(E)
         u[cols], v[cols] = P[1], P[3]
     _check_end_state(u, v)
     return u, v
 
 
-def _tm_history_batch(qn, qm, h, lam):
-    """Node histories (U, V), each (n+1, K), of u(0) = 0, u'(0) = 1 by a
-    two-level blocked scan.
+def _tm_history_batch(tm, lam):
+    """Node histories (U, V) of u(0) = 0, u'(0) = 1 by a two-level blocked
+    scan, step-major: U[i, k] is node k b + i, each (b, B, K).
 
-    The n steps are split into B blocks of b ~ sqrt(n) steps, the last one
-    padded with identities.  Pairwise products give each block's matrix, a
-    sequential pass over the blocks gives their start states, and b - 1
-    steps advance all blocks at once: about B + b Python steps, not n.
+    The n steps are split into B blocks of b ~ sqrt(n) steps, b a multiple
+    of 4, the last one padded with identities, so nodes past n repeat node
+    n.  Pairwise products of the four-step matrices give each block's
+    matrix, a sequential pass over the blocks gives their start states, and
+    b - 1 single steps advance all blocks at once on contiguous (B, K)
+    slabs: about B + b Python steps, not n.
     """
-    n = qm.shape[0]
-    K = lam.shape[0]
-    b = max(1, int(np.sqrt(n)))
-    B = n // b + 1                     # B * b > n: node n lies in the last block
-    E = _step_matrices(qn, qm, h, lam, B * b).reshape(4, B, b, K)
-    T = _pairwise_product(E.swapaxes(1, 2))
-    U = np.empty((B, b, K))
-    V = np.empty((B, b, K))
-    u = np.zeros(K)
-    v = np.ones(K)
-    for k in range(B):
-        U[k, 0] = u
-        V[k, 0] = v
-        u, v = T[0, k] * u + T[1, k] * v, T[2, k] * u + T[3, k] * v
-    for i in range(b - 1):
-        u, v = U[:, i], V[:, i]
-        U[:, i + 1] = E[0, :, i] * u + E[1, :, i] * v
-        V[:, i + 1] = E[2, :, i] * u + E[3, :, i] * v
-    U = U.reshape(B * b, K)[:n + 1]
-    V = V.reshape(B * b, K)[:n + 1]
-    _check_end_state(U[-1], V[-1])
+    b, B, K = tm.b, tm.B, lam.shape[0]
+    C4 = tm.C4[:, :(B - 1) * b // 4]   # the blocks before the last
+    T = _evaluate(C4, _powers(lam, 9)).reshape(4, B - 1, b // 4, K)
+    T = _pairwise_product(T.swapaxes(1, 2))
+    U = np.empty((b, B, K))
+    V = np.empty((b, B, K))
+    U[0, 0] = 0.0
+    V[0, 0] = 1.0
+    for k in range(B - 1):
+        U[0, k + 1] = T[0, k] * U[0, k] + T[1, k] * V[0, k]
+        V[0, k + 1] = T[2, k] * U[0, k] + T[3, k] * V[0, k]
+    t = np.empty((B, K))
+    powers = _powers(lam, 3)
+    for i, C1 in enumerate(tm.C1s):
+        E = _evaluate(C1, powers)
+        np.multiply(E[0], U[i], out=U[i + 1])
+        U[i + 1] += np.multiply(E[1], V[i], out=t)
+        np.multiply(E[2], U[i], out=V[i + 1])
+        V[i + 1] += np.multiply(E[3], V[i], out=t)
+    end = divmod(tm.n, b)[::-1]
+    _check_end_state(U[end], V[end])
     return U, V
 
 
-def _tm_history(qn, qm, h, lam):
+def _tm_history(tm, lam):
     """Node histories (U, V), each (n+1, K), of u(0) = 0, u'(0) = 1 for a
-    vector of lam."""
-    n = qm.shape[0]
-    U = np.empty((n + 1, lam.shape[0]))
+    vector of lam: transposed views of fresh C-ordered (K, n+1) arrays, so
+    each row U.T[k] is the history of lam[k]."""
+    n, b, K = tm.n, tm.b, lam.shape[0]
+    full = (tm.B - 1) * b              # nodes of the blocks before the last
+    U = np.empty((K, n + 1))
     V = np.empty_like(U)
-    for cols in _batches(n, lam.shape[0]):
-        U[:, cols], V[:, cols] = _tm_history_batch(qn, qm, h, lam[cols])
-    return U, V
+    for cols in _batches(n, K):
+        for out, H in zip((U, V), _tm_history_batch(tm, lam[cols])):
+            blocks = out[cols, :full].reshape(H.shape[2], tm.B - 1, b)
+            blocks[...] = H[:, :-1].transpose(2, 1, 0)
+            out[cols, full:] = H[:n + 1 - full, -1].T
+    return U.T, V.T
 
 
 def solve_ivp(q: Potential, lam: float, side: str = "left",
@@ -341,15 +418,18 @@ class EigenSystem:
 
 
 def _sign_change_counts(U: np.ndarray) -> np.ndarray:
-    """Sign changes over the samples past x=0, endpoint included.
+    """Sign changes over the nodes past x=0, endpoint included, of
+    step-major histories U (b, B, K) (nodes past n repeat node n).
 
     Including u(l) matters: just above an eigenvalue the new zero hugs
     the right end closer than any grid cell, so an interior-only count
     would lag by one until lambda grows enough to pull it inside.
     """
-    s = np.sign(U[1:])
+    s = np.sign(U)
     s[s == 0.0] = 1.0
-    return np.sum(s[:-1] * s[1:] < 0.0, axis=0)
+    within = np.sum(s[:-1] * s[1:] < 0.0, axis=(0, 1))
+    across = np.sum(s[-1, :-1] * s[0, 1:] < 0.0, axis=0)
+    return within + across - (s[0, 0] * s[1, 0] < 0.0)
 
 
 def _phase(sigma, w, u, v):
@@ -389,24 +469,28 @@ def dirichlet_eigensystem(q: Potential, count: int, rel_tol: float = 1e-10) -> E
         raise ConfigurationError(
             f"grid too coarse to resolve {count} oscillating modes (n={g.n})")
     qn, qm, h = q.values, q.mid, g.h
+    tm = _transfer(qn, qm, h)
     qlo = min(qn.min(), qm.min())
     qhi = max(qn.max(), qm.max())
     k = np.arange(1, count + 2, dtype=float)
     base = (k * np.pi / g.l) ** 2
     # pad covers both float fuzz and the RK4 phase drift of the discrete
-    # shooting roots, which grows like lam^3 h^4 / 60 for oscillatory modes
-    drift = (np.abs(base) + max(abs(qlo), abs(qhi))) ** 3 * h ** 4 / 10.0
+    # shooting roots, which grows like (lam - q)^3 h^4 / 60 for oscillatory
+    # modes; on mode k's comparison interval lam - q is at most
+    # base + (q_hi - q_lo), whatever the size of q itself
+    drift = (base + (qhi - qlo)) ** 3 * h ** 4 / 10.0
     pad = 1e-6 * np.maximum(1.0, np.abs(base + qlo)) + drift
     a = base + qlo - pad               # comparison bounds of modes 1 .. count+1
     b = base + qhi + pad
 
     def counts(lams):
         """Oscillation counts and end states (u, u')(l) from blocked-scan histories."""
-        UV = [_tm_history_batch(qn, qm, h, lams[cols])
+        UV = [_tm_history_batch(tm, lams[cols])
               for cols in _batches(g.n, lams.shape[0])]
+        end = divmod(g.n, tm.b)[::-1]
         return (np.concatenate([_sign_change_counts(U) for U, _ in UV]),
-                np.concatenate([U[-1] for U, _ in UV]),
-                np.concatenate([V[-1] for _, V in UV]))
+                np.concatenate([U[end] for U, _ in UV]),
+                np.concatenate([V[end] for _, V in UV]))
 
     target = np.arange(count + 1)
     s = np.concatenate(([a[0]], np.maximum(b[:-1], 0.5 * (b[:-1] + a[1:]))))
@@ -464,7 +548,7 @@ def dirichlet_eigensystem(q: Potential, count: int, rel_tol: float = 1e-10) -> E
         # is pushed to half a tolerance, towards the retained end
         bisect = ~((x >= lo0) & (x <= hi0)) | (stall[act] >= 3)
         x = np.where(bisect, 0.5 * (lo0 + hi0), np.clip(x, lo0 + half, hi0 - half))
-        ux, vx = _tm_end_values(qn, qm, h, x)
+        ux, vx = _tm_end_values(tm, x)
         wx = np.sqrt(x - shift)
         su = sigma[act] * ux
         lo[act] = np.where(su <= 0.0, x, lo0)
@@ -479,10 +563,11 @@ def dirichlet_eigensystem(q: Potential, count: int, rel_tol: float = 1e-10) -> E
         raise NumericalError(f"eigenvalue refinement did not reach rel_tol={rel_tol}")
 
     lam = 0.5 * (lo + hi)
-    U, V = _tm_history(qn, qm, h, lam)
-    nrm = np.sqrt(_simpson_weights(g.n, h) @ (U * U))
-    phi = (U / nrm).T.copy()
-    dphi = (V / nrm).T.copy()
+    U, V = _tm_history(tm, lam)
+    phi, dphi = U.T, V.T
+    nrm = np.sqrt((phi * phi) @ _simpson_weights(g.n, h))[:, None]
+    phi /= nrm
+    dphi /= nrm
     return EigenSystem(q, lam, phi, dphi)
 
 

@@ -29,7 +29,7 @@ from .control import (ControlSignal, control_to_kernel, fdtd_oracle,
                       reachable_span_estimate, smooth_wave, support_report)
 from .errors import SlwaveError, VerificationFailure
 from .geometry import Atom, distance_profile, eikonal_metric
-from .grid import GridFunction, build_grid, quad, sample
+from .grid import GridFunction, build_grid, json_text, quad, sample
 from .model import (default_gauge, form_limit_check, hat_value,
                     parseval_residual, smooth_from_closed_form)
 from .operator import (apply_model, assemble_coefficients, graph_sample,
@@ -54,6 +54,13 @@ class CheckResult:
     passed: bool
     detail: str = ""
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # a non-finite measurement has no JSON spelling and passes nothing
+        if not np.isfinite(self.measured):
+            object.__setattr__(self, "detail", f"{self.detail} [measured {self.measured}]".strip())
+            object.__setattr__(self, "measured", _FAILED_SENTINEL)
+            object.__setattr__(self, "passed", False)
 
     def to_dict(self) -> dict:
         return {"name": self.name, "measured": self.measured,
@@ -89,7 +96,7 @@ class VerificationReport:
     def to_json(self) -> str:
         payload = {"checks": [c.to_dict() for c in self.checks],
                    "environment": self.environment}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json_text(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":

@@ -10,7 +10,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from slwave import model
+from slwave import cli, model
 from slwave.analytic import Const
 from slwave.cli import load_config, main
 from slwave.errors import ConfigurationError, NumericalError, VerificationFailure
@@ -478,3 +478,35 @@ def test_report_roundtrip_and_uniqueness():
     assert not rep.complete
     with pytest.raises(VerificationFailure):
         VerificationReport((_cr("alpha"), _cr("alpha")), {})
+
+
+@pytest.mark.parametrize("measured, sense", [(np.nan, "<="), (np.inf, ">=")])
+def test_non_finite_measurement_is_a_failed_check(measured, sense):
+    """NaN or infinity as a measured value becomes the failed sentinel, so
+    the report stays valid JSON and the check cannot pass."""
+    c = CheckResult("probe", measured, 1e-6, sense, True, "probe")
+    assert c.measured == 9e99 and not c.passed
+    assert "probe" in c.detail
+    text = VerificationReport((c,), {}).to_json()
+    assert "NaN" not in text and "Infinity" not in text
+    assert VerificationReport.from_json(text).checks[0] == c
+
+
+def test_non_finite_report_value_is_refused(tmp_path, capsys, monkeypatch):
+    """Any other NaN or infinity in a report raises instead of writing the
+    tokens NaN/Infinity: verify exits 3 and leaves no report behind."""
+    bad = CheckResult("probe", 1e-9, 1e-6, "<=", True, "probe", {"n": np.inf})
+    with pytest.raises(NumericalError, match="non-finite"):
+        VerificationReport((bad,), {}).to_json()
+    monkeypatch.setattr(cli, "run_all", lambda ws: VerificationReport((bad,), {}))
+    out = tmp_path / "v"
+    assert main(["verify", "--out", str(out)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "verification_report.json").exists()
+
+
+def test_json_artefact_refuses_nan(tmp_path):
+    cfg = load_config(None, out_dir=str(tmp_path / "j"))
+    with pytest.raises(NumericalError, match="non-finite"):
+        cli._write_json(cfg, "summary", {"kappa": float("nan")})
+    assert not (tmp_path / "j" / "summary.json").exists()

@@ -211,18 +211,19 @@ def test_eigen_residual_and_orthonormality(es_zero, q_zero):
     assert np.max(np.abs(gram - np.eye(10))) <= 1e-8
 
 
-@pytest.mark.parametrize("n", [2000, 402])
-@pytest.mark.parametrize("K", [1, 300])
-def test_transfer_matrices_match_staged_loop(n, K):
-    """Pairwise end values and blocked-scan histories run the RK4 scheme of
-    the staged loop in another operation order.  n = 2000 and n = 402 give
-    odd pairwise levels and a ragged last block."""
+def assert_transfer_matrices_match(expr, n, K):
+    """Pairwise four-step end values and blocked-scan histories run the RK4
+    scheme of the staged loop in another operation order, on the expanded
+    lam-polynomials, with lam up to the top of the n >= 6 count cap plus
+    max q, where the expansion cancels most."""
     g = build_grid(1.0, n)
-    q = potential(g, parse_expression("2 + cos(3)"))
-    lam = np.linspace(0.0, (n / 6.67 * np.pi) ** 2, K)
+    q = potential(g, parse_expression(expr))
+    qhi = max(q.values.max(), q.mid.max())
+    lam = np.linspace(0.0, (n // 6 * np.pi / g.l) ** 2 + qhi, K)
     U0, V0 = staged_loop_reference(q.values, q.mid, g.h, lam, 0.0, 1.0)
-    U1, V1 = sturm._tm_history(q.values, q.mid, g.h, lam)
-    u1, v1 = sturm._tm_end_values(q.values, q.mid, g.h, lam)
+    tm = sturm._transfer(q.values, q.mid, g.h)
+    U1, V1 = sturm._tm_history(tm, lam)
+    u1, v1 = sturm._tm_end_values(tm, lam)
     su = np.max(np.abs(U0), axis=0)
     sv = np.max(np.abs(V0), axis=0)
     assert U1.shape == U0.shape
@@ -232,24 +233,79 @@ def test_transfer_matrices_match_staged_loop(n, K):
     assert np.all(np.abs(v1 - V0[-1]) <= 1e-12 * sv)
 
 
+@pytest.mark.parametrize("n", [2000, 402])
+@pytest.mark.parametrize("K", [1, 300])
+def test_transfer_matrices_match_staged_loop(n, K):
+    """n = 2000 and n = 402 give odd pairwise levels and a ragged last
+    block."""
+    assert_transfer_matrices_match("2 + cos(3)", n, K)
+
+
+@pytest.mark.parametrize("expr", ["1e4", "2000*cos(7) + 1500*sin(2)"])
+@pytest.mark.parametrize("n", [2000, 402])
+@pytest.mark.parametrize("K", [1, 300])
+def test_transfer_matrices_match_staged_loop_large_q(n, K, expr):
+    """Large and steep potentials: at lam = 0 the solutions grow like
+    exp(100) and exp(59).  A pairwise product of the n single-step
+    matrices misses the 1e-12 bound on the steep one (1.5e-12 at n = 402,
+    K = 300); the four-step route stays below 8e-13."""
+    assert_transfer_matrices_match(expr, n, K)
+
+
+@pytest.mark.parametrize("n", [8, 402, 2000])
+def test_step_major_counts_match_node_order(n):
+    """The blocked scan keeps its histories step-major (node k b + i at
+    [i, k], identities past node n); counted there, the oscillations are
+    those of the node-order staged loop, u(l) included and x = 0 not."""
+    g = build_grid(1.0, n)
+    q = potential(g, parse_expression("2 + cos(3)"))
+    lam = np.linspace(-5.0, ((n // 6 + 1) * np.pi) ** 2, 40)
+    U0, _ = staged_loop_reference(q.values, q.mid, g.h, lam, 0.0, 1.0)
+    s = np.sign(U0[1:])
+    s[s == 0.0] = 1.0
+    want = np.sum(s[:-1] * s[1:] < 0.0, axis=0)
+    U, _ = sturm._tm_history_batch(sturm._transfer(q.values, q.mid, g.h), lam)
+    assert np.array_equal(sturm._sign_change_counts(U), want)
+    assert want.max() >= n // 6
+
+
 def test_refinement_brackets_each_root_in_few_passes(q_cosine, monkeypatch):
     """The clamped Illinois secant closes every bracket: u_lam(l) changes
     sign across lam_k (1 +- rel_tol), within a dozen end-value passes."""
     passes = []
     end_values = sturm._tm_end_values
 
-    def counted(*args):
-        passes.append(args[3].size)
-        return end_values(*args)
+    def counted(tm, lam):
+        passes.append(lam.size)
+        return end_values(tm, lam)
 
     monkeypatch.setattr(sturm, "_tm_end_values", counted)
     rel_tol = 1e-10
     es = dirichlet_eigensystem(q_cosine, 300, rel_tol=rel_tol)
     assert len(passes) <= 12
     g = q_cosine.grid
-    lo, _ = end_values(q_cosine.values, q_cosine.mid, g.h, es.lam * (1 - rel_tol))
-    hi, _ = end_values(q_cosine.values, q_cosine.mid, g.h, es.lam * (1 + rel_tol))
+    tm = sturm._transfer(q_cosine.values, q_cosine.mid, g.h)
+    lo, _ = end_values(tm, es.lam * (1 - rel_tol))
+    hi, _ = end_values(tm, es.lam * (1 + rel_tol))
     assert np.all(lo * hi < 0.0)
+
+
+def count_columns(monkeypatch):
+    """Record the lam-columns of every history and end-value batch."""
+    history, ends = [], []
+    history_batch, end_values = sturm._tm_history_batch, sturm._tm_end_values
+
+    def counted_history(tm, lam):
+        history.append(lam.size)
+        return history_batch(tm, lam)
+
+    def counted_ends(tm, lam):
+        ends.append(lam.size)
+        return end_values(tm, lam)
+
+    monkeypatch.setattr(sturm, "_tm_history_batch", counted_history)
+    monkeypatch.setattr(sturm, "_tm_end_values", counted_ends)
+    return history, ends
 
 
 def test_shooting_column_budget(q_cosine, monkeypatch):
@@ -258,19 +314,7 @@ def test_shooting_column_budget(q_cosine, monkeypatch):
     on 2 + cos 3x every separator starts with the right count, so counting
     takes count + 1 history columns, and refinement at most 4 * count
     end-value columns."""
-    history, ends = [], []
-    history_batch, end_values = sturm._tm_history_batch, sturm._tm_end_values
-
-    def counted_history(*args):
-        history.append(args[3].size)
-        return history_batch(*args)
-
-    def counted_ends(*args):
-        ends.append(args[3].size)
-        return end_values(*args)
-
-    monkeypatch.setattr(sturm, "_tm_history_batch", counted_history)
-    monkeypatch.setattr(sturm, "_tm_end_values", counted_ends)
+    history, ends = count_columns(monkeypatch)
     count = 300
     dirichlet_eigensystem(q_cosine, count)
     counting = sum(history) - count          # the rest are the eigenfunctions
@@ -296,16 +340,21 @@ def rk4_dirichlet_roots(c, l, n, count):
     return c + np.array(y) / h ** 2
 
 
-@pytest.mark.parametrize("c", [0.0, 1.0])
-def test_spectrum_matches_exact_discrete_roots(c):
+@pytest.mark.parametrize("c", [0.0, 1.0, 1e6])
+def test_spectrum_matches_exact_discrete_roots(c, monkeypatch):
     """All 300 modes of a constant potential land on the scheme's own roots
     (the RK4 phase drift is in both), which pins the separators and the
-    refinement over the whole spectrum."""
+    refinement over the whole spectrum.  The drift pad of the comparison
+    bounds depends on the oscillation of q, not its size, so every
+    separator starts with the right count even at q = 1e6."""
+    history, _ = count_columns(monkeypatch)
     g = build_grid(1.0, 2000)
     rel_tol = 1e-10
-    es = dirichlet_eigensystem(potential(g, Const(c)), 300, rel_tol=rel_tol)
-    want = rk4_dirichlet_roots(c, g.l, g.n, 300)
+    count = 300
+    es = dirichlet_eigensystem(potential(g, Const(c)), count, rel_tol=rel_tol)
+    want = rk4_dirichlet_roots(c, g.l, g.n, count)
     assert np.all(np.abs(es.lam - want) <= 2 * rel_tol * np.maximum(1.0, np.abs(want)))
+    assert sum(history) - count <= count + 1
 
 
 def test_grid_too_coarse_for_modes():

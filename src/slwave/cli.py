@@ -10,8 +10,9 @@ Config is INI-style with sections [problem], [numerics], [gauge],
 empty section still yields a runnable configuration.  Outputs are
 deterministic byte-for-byte for a fixed config and seed: floats print as
 %.17g in CSV and round-trip repr in JSON, keys are sorted, and no
-timestamps are embedded.  Every CSV table, the wave field and the
-eigenfunctions included, goes through `grid.write_table`.
+timestamps are embedded.  Every table, the wave field and the
+eigenfunctions included, goes through `_write_table`, which streams CSV
+through `grid.write_table` one block at a time.
 
 Exit codes: 0 all good, 2 configuration problems, 3 numerical failures
 (inadmissible potential or gauge, instability), 4 verification failures.
@@ -31,8 +32,7 @@ import numpy as np
 
 from .analytic import parse_expression
 from .control import (ControlSignal, control_to_kernel, fdtd_oracle,
-                      smooth_wave, support_report, wavefield_write_csv,
-                      WaveField)
+                      smooth_wave, support_report)
 from .errors import (ConfigurationError, ContractError, NumericalError,
                      SlwaveError, VerificationFailure)
 from .grid import (GridFunction, build_grid, format_column, json_text, quad,
@@ -174,16 +174,23 @@ def load_config(path: Optional[str], out_dir: str = ".", fmt: str = "csv",
     return cfg
 
 
-def _write_table(cfg: RunConfig, name: str, header: list, cols: list) -> Path:
-    """One table from equally long columns (float arrays; in CSV mode also
-    columns already formatted by `format_column`)."""
+def _write_table(cfg: RunConfig, name: str, header: list, blocks) -> Path:
+    """One table from an iterable of blocks, each a list of equally long
+    columns: float arrays, or columns from `_column` (formatted once in CSV
+    mode).  CSV streams one block at a time."""
     if cfg.fmt == "json":
-        rows = np.column_stack([np.asarray(c, dtype=float) for c in cols]).tolist()
+        rows = [row for block in blocks for row in
+                np.column_stack([np.asarray(c, dtype=float) for c in block]).tolist()]
         return _write_json(cfg, name, {"columns": header, "rows": rows})
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / f"{name}.csv"
-    write_table(path, header, [cols])
+    write_table(path, header, blocks)
     return path
+
+
+def _column(cfg: RunConfig, values):
+    """A column repeated over many blocks: %.17g strings in CSV mode."""
+    return values if cfg.fmt == "json" else format_column(values)
 
 
 def _complex_table(names: str, mats) -> tuple:
@@ -221,15 +228,15 @@ def run_eigs(cfg: RunConfig) -> list:
     es = dirichlet_eigensystem(q, cfg.modes, rel_tol=cfg.shoot_tol)
     kappa = check_lower_bound(es)
     files = [_write_table(cfg, "eigenvalues", ["n", "lambda"],
-                          [np.arange(1.0, es.count + 1), es.lam])]
+                          [[np.arange(1.0, es.count + 1), es.lam]])]
     files.append(_write_json(cfg, "eigs_summary",
                              {"kappa": kappa, "count": es.count,
                               "l": cfg.l, "grid_n": cfg.grid_n}))
-    xs = es.grid.x if cfg.fmt == "json" else format_column(es.grid.x)
+    xs = _column(cfg, es.grid.x)
     for k in range(es.count):
         f = es.eigenfunction(k)
         files.append(_write_table(cfg, f"eigenfunction_{k + 1:04d}", ["x", "re", "im"],
-                                  [xs, f.values.real, f.values.imag]))
+                                  [[xs, f.values.real, f.values.imag]]))
     return files
 
 
@@ -243,17 +250,10 @@ def run_simulate(cfg: RunConfig) -> list:
     kc = control_to_kernel(c, kb)
     times = cfg.times if cfg.times else (cfg.horizon,)
     snaps = [smooth_wave(kc, t, es) for t in times]
-    wf = WaveField(grid, np.asarray(times, dtype=float),
-                   np.stack([s.values for s in snaps]))
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.fmt == "json":
-        wf_path = _write_table(cfg, "wavefield", ["t", "x", "re", "im"],
-                               [np.repeat(wf.times, grid.size),
-                                np.tile(grid.x, wf.times.size),
-                                wf.values.real.ravel(), wf.values.imag.ravel()])
-    else:
-        wf_path = cfg.out_dir / "wavefield.csv"
-        wavefield_write_csv(wf, wf_path)
+    xs = _column(cfg, grid.x)
+    wf_path = _write_table(cfg, "wavefield", ["t", "x", "re", "im"],
+                           ([[t] * grid.size, xs, s.values.real, s.values.imag]
+                            for t, s in zip(_column(cfg, times), snaps)))
     support = []
     for t, s in zip(times, snaps):
         rep = support_report(s, t, tol=cfg.tol("support", 1e-6))
@@ -284,10 +284,10 @@ def run_model(cfg: RunConfig) -> list:
     mc = assemble_coefficients(gd)
     header, cols = _complex_table("TG", (gd.T, gd.G))
     files = [_write_table(cfg, "gauge", ["x", *header, "rho"],
-                          [gd.half_x, *cols, gd.rho])]
+                          [[gd.half_x, *cols, gd.rho]])]
     ok = mc.admissible
     header, cols = _complex_table("PQ", (mc.Phat[ok], mc.Qhat[ok]))
-    files.append(_write_table(cfg, "model", ["x", *header], [mc.half_x[ok], *cols]))
+    files.append(_write_table(cfg, "model", ["x", *header], [[mc.half_x[ok], *cols]]))
     return files
 
 
@@ -333,8 +333,7 @@ def _coefficients_from_csv(path: str, l: float, grid_n: int) -> ModelCoefficient
     Phat[js] = vals[:, 0]
     Qhat[js] = vals[:, 1]
     return ModelCoefficients(half_x, admissible, Phat, np.zeros_like(Phat),
-                             Qhat, np.zeros((m + 1, 2)),
-                             np.zeros(m + 1, dtype=complex), h, 0.0)
+                             Qhat, h, 0.0)
 
 
 def run_recover(cfg: RunConfig) -> list:
@@ -350,7 +349,7 @@ def run_recover(cfg: RunConfig) -> list:
         compare = unordered_branch_error(rr, parse_expression(cfg.potential_expr),
                                          cfg.l)
     files = [_write_table(cfg, "recovery", ["x", "q1", "q2", "collision"],
-                          [rr.x, rr.q1, rr.q2, rr.collision])]
+                          [[rr.x, rr.q1, rr.q2, rr.collision]])]
     payload = {"branches": [rr.q1.tolist(), rr.q2.tolist()],
                "collision_flags": rr.collision.tolist(),
                "reflection_note": rr.note,

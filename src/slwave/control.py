@@ -1,6 +1,6 @@
 """Boundary control of the wave system: trace maps into the defect kernel,
-controlled smooth waves, interior source waves, an explicit time-stepping
-oracle, and reachability diagnostics.
+controlled smooth waves, separable interior source waves, an explicit
+time-stepping oracle, and reachability diagnostics.
 
 The control dictionary translates endpoint signals (f0, fl) into the
 time-dependent kernel element h(t) = a(t) phi0 + b(t) phil with
@@ -17,25 +17,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .analytic import ClosedForm, bump, sine_moments
 from .errors import ConfigurationError, ContractError, NumericalError
-from .grid import (Grid, GridFunction, _simpson_weights, format_column, quad,
-                   write_table)
+from .grid import Grid, GridFunction, _cubic_stencil, quad
 from .sturm import (EigenSystem, KernelBasis, Potential, check_lower_bound,
                     modal_coefficients)
 
 __all__ = [
-    "ControlSignal", "KernelControl", "WaveField", "SourceTerm",
-    "SupportReport", "SpanEstimate", "gamma1", "gamma2", "control_to_kernel",
-    "smooth_wave", "source_wave", "fdtd_oracle", "support_report",
-    "reachable_span_estimate", "wavefield_write_csv",
+    "ControlSignal", "KernelControl", "SourceTerm", "SupportReport",
+    "SpanEstimate", "gamma1", "gamma2", "control_to_kernel", "smooth_wave",
+    "source_wave", "fdtd_oracle", "support_report", "reachable_span_estimate",
 ]
 
 _JET_TOL = 1e-9
+# cells between the light cone and the region support_report measures
+_MARGIN_CELLS = 2
+# interior probe points of reachable_span_estimate
+_COARSE_M = 24
 
 
 def _check_admissible(f: ClosedForm, name: str):
@@ -73,12 +75,6 @@ class KernelControl:
     a: ClosedForm
     b: ClosedForm
     kb: KernelBasis
-
-    def at(self, t: float) -> GridFunction:
-        g = self.kb.grid
-        av = complex(np.asarray(self.a(np.array([t]))).ravel()[0])
-        bv = complex(np.asarray(self.b(np.array([t]))).ravel()[0])
-        return GridFunction(g, av * self.kb.phi0.u.values + bv * self.kb.phil.u.values)
 
 
 def gamma1(u: GridFunction, kb: KernelBasis) -> tuple:
@@ -159,15 +155,11 @@ class SourceTerm:
     signal: ClosedForm
 
 
-def source_wave(g: Union[SourceTerm, Sequence[SourceTerm], Callable],
-                t: float, es: EigenSystem, ds: float = None) -> GridFunction:
-    """Source wave v^g(t) = int_0^t L^{-1/2} sin((t-s)L^{1/2}) g(s) ds.
-
-    Separable terms integrate exactly through the sine moments of their
-    signals.  A callable s -> GridFunction is sampled on a Simpson grid in
-    s with step at most min(t/64, 1/(10 sqrt(lam_max))); pass ds to set
-    the step instead when the source is expensive.
-    """
+def source_wave(g: Union[SourceTerm, Sequence[SourceTerm]], t: float,
+                es: EigenSystem) -> GridFunction:
+    """Source wave v^g(t) = int_0^t L^{-1/2} sin((t-s)L^{1/2}) g(s) ds of a
+    separable source (or a sum of them), exact in s through the sine
+    moments of the signals."""
     if t < 0.0:
         raise ConfigurationError("time must be nonnegative")
     check_lower_bound(es)
@@ -176,45 +168,12 @@ def source_wave(g: Union[SourceTerm, Sequence[SourceTerm], Callable],
     mu = np.sqrt(es.lam)
     if isinstance(g, SourceTerm):
         g = [g]
-    if isinstance(g, Sequence):
-        m = sine_moments([term.signal for term in g], mu, t, 0)
-        cn = np.stack([modal_coefficients(es, term.profile) for term in g])
-        coeff = np.sum(cn * m, axis=0) / mu
-        return GridFunction(es.grid, coeff @ es.phi)
-    if not callable(g):
-        raise ContractError("source must be a SourceTerm, a sequence of them, or callable")
-    if ds is None:
-        ds = min(t / 64.0, 1.0 / (10.0 * float(mu[-1])))
-    m = max(8, int(math.ceil(t / ds)))
-    m += m % 2
-    s = np.linspace(0.0, t, m + 1)
-    w = _simpson_weights(m, t / m)
-    coeff = np.zeros(es.count, dtype=complex)
-    for sj, wj in zip(s, w):
-        coeff += wj * np.sin(mu * (t - sj)) * modal_coefficients(es, g(float(sj)))
-    return GridFunction(es.grid, (coeff / mu) @ es.phi)
-
-
-@dataclass(frozen=True)
-class WaveField:
-    """Time-stamped wave snapshots on a grid."""
-
-    grid: Grid
-    times: np.ndarray
-    values: np.ndarray  # (len(times), n+1)
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values)
-        if values.shape != (times.shape[0], self.grid.size):
-            raise ConfigurationError("wave field shape mismatch")
-        times.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-    def snapshot(self, i: int) -> GridFunction:
-        return GridFunction(self.grid, self.values[i].astype(complex))
+    if not isinstance(g, Sequence):
+        raise ContractError("source must be a SourceTerm or a sequence of them")
+    m = sine_moments([term.signal for term in g], mu, t, 0)
+    cn = np.stack([modal_coefficients(es, term.profile) for term in g])
+    coeff = np.sum(cn * m, axis=0) / mu
+    return GridFunction(es.grid, coeff @ es.phi)
 
 
 def fdtd_oracle(c: ControlSignal, q: Potential, horizon: float,
@@ -288,12 +247,11 @@ class SupportReport:
     passed: bool
 
 
-def support_report(u: GridFunction, t: float, tol: float = 1e-6,
-                   margin_cells: int = 2) -> SupportReport:
-    """Mass of u on [t+eps, l-t-eps] (eps = margin_cells * h) relative to
-    the total; passes iff the ratio is below tol."""
+def support_report(u: GridFunction, t: float, tol: float = 1e-6) -> SupportReport:
+    """Mass of u on [t+eps, l-t-eps] (eps = 2 h) relative to the total;
+    passes iff the ratio is below tol."""
     g = u.grid
-    eps = margin_cells * g.h
+    eps = _MARGIN_CELLS * g.h
     lo, hi = t + eps, g.l - t - eps
     dens = np.abs(u.values) ** 2
     total = quad(GridFunction(g, dens.astype(complex))).real
@@ -321,34 +279,28 @@ class SpanEstimate:
         return float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
 
 
-def _cubic_interp_matrix(grid: Grid, xq: np.ndarray) -> np.ndarray:
-    h = grid.h
-    j = np.clip((xq / h).astype(int) - 1, 0, grid.n - 3)
-    W = np.zeros((xq.shape[0], grid.size))
-    for k in range(4):
-        xk = grid.x[j + k]
-        lk = np.ones_like(xq)
-        for mth in range(4):
-            if mth == k:
-                continue
-            lk = lk * (xq - grid.x[j + mth]) / (xk - grid.x[j + mth])
-        W[np.arange(xq.shape[0]), j + k] = lk
+def _probe_matrix(g: Grid, xq: np.ndarray) -> np.ndarray:
+    """Cubic interpolation at xq as a matrix: row i holds the stencil
+    weights of xq[i] on its four nodes."""
+    j, w = _cubic_stencil(xq, g.x, g.h)
+    W = np.zeros((xq.shape[0], g.size))
+    W[np.arange(xq.shape[0]), j + np.arange(4)[:, None]] = w
     return W
 
 
 def reachable_span_estimate(t: float, es: EigenSystem, kb: KernelBasis,
-                            samples: int, coarse_m: int = 24,
-                            seed: int = 0) -> SpanEstimate:
+                            samples: int, seed: int = 0) -> SpanEstimate:
     """L2-density surrogate for the reachable set at time t.
 
     Draws `samples` random admissible bump controls acting from both ends,
-    collects u^h(t) on a coarse probe grid of coarse_m interior points, and
-    returns the singular value profile of the snapshot matrix.  Only spans
-    in the L2 sense at fixed t are probed; no smooth-norm claim is made.
+    collects u^h(t) on a coarse probe grid of 24 interior points (cubic
+    interpolation of the snapshots), and returns the singular value profile
+    of the snapshot matrix.  Only spans in the L2 sense at fixed t are
+    probed; no smooth-norm claim is made.
     """
-    if samples < coarse_m:
+    if samples < _COARSE_M:
         raise ConfigurationError(
-            f"need at least as many samples ({samples}) as probe points ({coarse_m})")
+            f"need at least as many samples ({samples}) as probe points ({_COARSE_M})")
     g = es.grid
     rng = np.random.default_rng(seed)
     controls = []
@@ -363,17 +315,7 @@ def reachable_span_estimate(t: float, es: EigenSystem, kb: KernelBasis,
             sig[end] = bump(center, wsup, amp)
         controls.append(control_to_kernel(ControlSignal(sig["f0"], sig["fl"]), kb))
     fields = _batched_smooth_wave(controls, t, es)
-    xq = g.l * (np.arange(1, coarse_m + 1)) / (coarse_m + 1.0)
-    W = _cubic_interp_matrix(g, xq)
-    A = fields @ W.T
+    xq = g.l * (np.arange(1, _COARSE_M + 1)) / (_COARSE_M + 1.0)
+    A = fields @ _probe_matrix(g, xq).T
     sv = np.linalg.svd(A, compute_uv=False)
     return SpanEstimate(t, xq, A, sv)
-
-
-def wavefield_write_csv(wf: WaveField, path) -> None:
-    """Write a wave field as CSV rows t,x,re,im (full precision), one
-    block per snapshot."""
-    xs = format_column(wf.grid.x)
-    write_table(path, ["t", "x", "re", "im"],
-                ([[t] * len(xs), xs, row.real, row.imag]
-                 for t, row in zip(format_column(wf.times), wf.values)))

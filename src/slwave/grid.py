@@ -1,4 +1,5 @@
-"""Uniform grids on [0, l], grid functions, quadrature and differencing.
+"""Uniform grids on [0, l], grid functions, quadrature, differencing, the
+one cubic interpolation stencil, and the text of the CSV/JSON artefacts.
 
 Everything downstream works on closed uniform grids with an even number of
 subintervals so that composite Simpson quadrature applies without special
@@ -19,8 +20,8 @@ from .errors import ConfigurationError, NumericalError
 
 __all__ = [
     "Grid", "GridFunction", "build_grid", "sample", "quad", "inner",
-    "central_diff", "diff_samples", "interp_cubic", "simpson_sum",
-    "format_column", "write_table", "json_text", "write_csv", "read_csv",
+    "diff_samples", "interp_cubic", "simpson_sum", "format_column",
+    "write_table", "json_text",
 ]
 
 
@@ -78,33 +79,9 @@ class GridFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    # small arithmetic surface, enough for the tests and the library itself
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check(other)
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check(other)
-        return GridFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, c) -> "GridFunction":
-        return GridFunction(self.grid, self.values * complex(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "GridFunction":
-        return GridFunction(self.grid, -self.values)
-
-    def conj(self) -> "GridFunction":
-        return GridFunction(self.grid, np.conj(self.values))
-
     def _check(self, other: "GridFunction"):
         if other.grid.n != self.grid.n or other.grid.l != self.grid.l:
             raise ConfigurationError("grid functions live on different grids")
-
-    def norm(self) -> float:
-        """L2 norm via the grid quadrature."""
-        return float(np.sqrt(quad(GridFunction(self.grid, self.values * np.conj(self.values))).real))
 
 
 def sample(grid: Grid, f: Union[Callable, np.ndarray]) -> GridFunction:
@@ -136,11 +113,12 @@ def simpson_sum(values: np.ndarray, h) -> complex:
     m = values.shape[0] - 1
     if m < 4:
         raise ConfigurationError(f"simpson_sum needs >= 5 samples, got {m + 1}")
-    if m % 2 == 0:
-        return (h / 3.0) * np.sum(_simpson_pattern(m, values.real.dtype) * values)
-    head = simpson_sum(values[: m - 3 + 1], h)  # m-3 is even
-    tail = (3.0 * h / 8.0) * (values[m - 3] + 3.0 * values[m - 2] + 3.0 * values[m - 1] + values[m])
-    return head + tail
+    even = m - 3 * (m % 2)      # Simpson cells; an odd count leaves 3 for the tail
+    total = (h / 3.0) * np.sum(_simpson_pattern(even, values.real.dtype) * values[: even + 1])
+    if m % 2:
+        total = total + (3.0 * h / 8.0) * (values[m - 3] + 3.0 * values[m - 2]
+                                           + 3.0 * values[m - 1] + values[m])
+    return total
 
 
 def quad(f: GridFunction) -> complex:
@@ -156,32 +134,17 @@ def inner(f: GridFunction, g: GridFunction) -> complex:
     return complex(np.sum(w * f.values * np.conj(g.values)))
 
 
-def diff_samples(values: np.ndarray, h: float, order: int = 1, accuracy: int = 2) -> np.ndarray:
-    """Finite-difference derivative of equispaced samples.
-
-    accuracy=2 uses the classical central stencils with one-sided
-    second-order ends; accuracy=4 uses five-point stencils with shifted
-    five-point ends.  Needs at least 5 samples for accuracy 4.
+def diff_samples(values: np.ndarray, h: float, order: int = 1) -> np.ndarray:
+    """Fourth-order finite-difference derivative of equispaced samples:
+    five-point central stencils with shifted five-point ends (six-point
+    for the second derivative).  Needs at least 4 + order samples.
     """
     v = np.asarray(values)
-    m = v.shape[0]
     out = np.empty_like(v, dtype=np.result_type(v.dtype, float))
     if order not in (1, 2):
         raise ConfigurationError(f"derivative order must be 1 or 2, got {order}")
-    if accuracy == 2:
-        if order == 1:
-            out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-            out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-            out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-        else:
-            out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
-            out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
-            out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
-        return out
-    if accuracy != 4:
-        raise ConfigurationError(f"accuracy must be 2 or 4, got {accuracy}")
-    if m < 5:
-        raise ConfigurationError("accuracy-4 differencing needs >= 5 samples")
+    if v.shape[0] < 4 + order:
+        raise ConfigurationError(f"order-{order} differencing needs >= {4 + order} samples")
     if order == 1:
         out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
         c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
@@ -192,8 +155,6 @@ def diff_samples(values: np.ndarray, h: float, order: int = 1, accuracy: int = 2
         out[-1] = -(c @ v[-5:][::-1])
     else:
         out[2:-2] = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1] - v[4:]) / (12.0 * h * h)
-        if m < 6:
-            raise ConfigurationError("accuracy-4 second derivative needs >= 6 samples")
         c = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / (12.0 * h * h)
         c1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / (12.0 * h * h)
         out[0] = c @ v[:6]
@@ -203,9 +164,31 @@ def diff_samples(values: np.ndarray, h: float, order: int = 1, accuracy: int = 2
     return out
 
 
-def central_diff(f: GridFunction, order: int = 1) -> GridFunction:
-    """Second-order derivative samples of a grid function (one-sided ends)."""
-    return GridFunction(f.grid, diff_samples(f.values, f.grid.h, order=order, accuracy=2))
+def _cubic_stencil(xq: np.ndarray, x: np.ndarray, h: float) -> tuple:
+    """Cubic Lagrange stencil of the queries xq on the uniform nodes x
+    (spacing h): the first node j of each query's four and the weights
+    (4, len(xq)) of nodes j .. j+3, clipped to the first and last cells.
+
+    The nodes are passed, not rebuilt as i h, because the last node of a
+    grid is l itself, which n (l/n) can miss by an ulp.
+    """
+    j = np.clip((xq / h).astype(int) - 1, 0, x.shape[0] - 4)
+    w = np.empty((4,) + xq.shape)
+    for k in range(4):
+        lk = np.ones_like(xq)
+        for mth in range(4):
+            if mth != k:
+                lk = lk * (xq - x[j + mth]) / (x[j + k] - x[j + mth])
+        w[k] = lk
+    return j, w
+
+
+def _cubic_apply(values: np.ndarray, j: np.ndarray, w: np.ndarray):
+    """Sum of the stencil weights times the node values, in node order."""
+    out = 0.0
+    for k in range(4):
+        out = out + w[k] * values[j + k]
+    return out
 
 
 def interp_cubic(f: GridFunction, xq) -> np.ndarray:
@@ -218,18 +201,7 @@ def interp_cubic(f: GridFunction, xq) -> np.ndarray:
     g = f.grid
     if np.any(xq_arr < -1e-12) or np.any(xq_arr > g.l * (1 + 1e-12)):
         raise ConfigurationError("interpolation query outside [0, l]")
-    h = g.h
-    j = np.clip((xq_arr / h).astype(int) - 1, 0, g.n - 3)
-    out = np.zeros(xq_arr.shape, dtype=complex)
-    for k in range(4):
-        xk = g.x[j + k]
-        lk = np.ones_like(xq_arr)
-        for mth in range(4):
-            if mth == k:
-                continue
-            xm = g.x[j + mth]
-            lk = lk * (xq_arr - xm) / (xk - xm)
-        out += lk * f.values[j + k]
+    out = _cubic_apply(f.values, *_cubic_stencil(xq_arr, g.x, g.h))
     if np.isscalar(xq) or np.asarray(xq).ndim == 0:
         return out[0]
     return out
@@ -283,22 +255,3 @@ def json_text(payload) -> str:
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericalError(f"non-finite value in a JSON artefact: {exc}") from None
-
-
-def write_csv(f: GridFunction, path) -> None:
-    """Write a grid function as CSV with columns x,re,im at full precision."""
-    write_table(path, ["x", "re", "im"], [[f.grid.x, f.values.real, f.values.imag]])
-
-
-def read_csv(path) -> GridFunction:
-    """Read a grid function written by :func:`write_csv`."""
-    path = Path(path)
-    raw = np.genfromtxt(path, delimiter=",", skip_header=1)
-    if raw.ndim != 2 or raw.shape[1] != 3:
-        raise ConfigurationError(f"{path} is not an x,re,im table")
-    x = raw[:, 0]
-    n = x.shape[0] - 1
-    grid = build_grid(float(x[-1]), n)
-    if not np.allclose(grid.x, x, rtol=0.0, atol=1e-12 * max(1.0, x[-1])):
-        raise ConfigurationError(f"{path} nodes are not a uniform grid on [0, l]")
-    return GridFunction(grid, raw[:, 1] + 1j * raw[:, 2])

@@ -28,15 +28,15 @@ from .analytic import ClosedForm
 from .errors import (AdmissibilityError, ConfigurationError, ContractError,
                      InternalError, NumericalError)
 from .geometry import atom_snapshot, Atom, set_mass
-from .grid import Grid, GridFunction, inner, interp_cubic, simpson_sum
+from .grid import (Grid, GridFunction, _cubic_apply, _cubic_stencil, inner,
+                   interp_cubic, simpson_sum)
 from .sturm import KernelBasis, Potential
 
 __all__ = [
     "KernelElement", "GaugeData", "SmoothFunction", "HatField",
     "FormLimitReport", "ModelInnerReport", "default_gauge", "boundary_form",
-    "form_limit_check", "hat_value", "hat_consistency_residual",
-    "model_inner", "model_inner_report", "parseval_residual",
-    "smooth_from_closed_form",
+    "form_limit_check", "hat_value", "model_inner", "model_inner_report",
+    "parseval_residual", "smooth_from_closed_form",
 ]
 
 _LD = np.longdouble
@@ -46,6 +46,10 @@ _CLD = np.clongdouble
 _LD_NMANT = np.finfo(_LD).nmant
 # half-grid cells before l/2 left out of the model: T degenerates there
 GUARD_CELLS = 3
+# |det T| at or below which a node outside the guard band is inadmissible
+DET_FLOOR = 1e-8
+# tolerance of form_limit_check
+_FORM_TOL = 1e-4
 
 
 def _require_extended_precision(what: str) -> None:
@@ -120,8 +124,6 @@ class GaugeData:
     d2T: np.ndarray
     G: np.ndarray
     detT: np.ndarray
-    guard_cells: int
-    det_floor: float
     admissible: np.ndarray
     band: np.ndarray
 
@@ -140,16 +142,15 @@ def _pair(values: np.ndarray, m: int) -> tuple:
 def default_gauge(kb: KernelBasis,
                   e: Optional[tuple] = None,
                   e1: Optional[tuple] = None,
-                  e2: Optional[tuple] = None,
-                  guard_cells: int = GUARD_CELLS,
-                  det_floor: float = 1e-8) -> GaugeData:
+                  e2: Optional[tuple] = None) -> GaugeData:
     """Assemble the gauge fields on the half grid.
 
     e, e1, e2 are coefficient pairs in the (phi0, phil) basis; the defaults
     are e = phi0 + i phil, e1 = phi0, e2 = phil.  Inadmissible weights
     (min rho <= 1e-12) and dependent frames (Wronskian below 1e-10) are
-    rejected.  The guard band is the last guard_cells half-grid cells
-    before the midpoint, where T degenerates (its columns coincide at l/2).
+    rejected.  The guard band is the last GUARD_CELLS half-grid cells
+    before the midpoint, where T degenerates (its columns coincide at l/2);
+    nodes with |det T| <= DET_FLOOR are inadmissible as well.
     """
     _require_extended_precision("default_gauge")
     g = kb.grid
@@ -209,26 +210,10 @@ def default_gauge(kb: KernelBasis,
 
     detT = mat2.det2(T)
     half_x = g.x[: m + 1].astype(_LD)
-    band = half_x > half_x[m] - guard_cells * _LD(g.h) + _LD(1e-12) * g.h
-    admissible = (~band) & (np.abs(detT) > det_floor)
+    band = half_x > half_x[m] - GUARD_CELLS * _LD(g.h) + _LD(1e-12) * g.h
+    admissible = (~band) & (np.abs(detT) > DET_FLOOR)
     return GaugeData(g, kb.q, ke, ke1, ke2, half_x, rho, drho, d2rho,
-                     T, dT, d2T, G, detT, guard_cells, det_floor,
-                     admissible, band)
-
-
-def _interp4_half(values: np.ndarray, h: float, xq: float):
-    """Cubic Lagrange interpolation on the uniform half grid."""
-    mlast = values.shape[0] - 1
-    j = int(np.clip(int(xq / h) - 1, 0, mlast - 3))
-    xs = (j + np.arange(4)) * h
-    acc = values[j] * 0.0
-    for k in range(4):
-        lk = 1.0
-        for mth in range(4):
-            if mth != k:
-                lk *= (xq - xs[mth]) / (xs[k] - xs[mth])
-        acc = acc + lk * values[j + k]
-    return acc
+                     T, dT, d2T, G, detT, admissible, band)
 
 
 def boundary_form(u: GridFunction, v: GridFunction, x: float, gd: GaugeData) -> complex:
@@ -242,7 +227,8 @@ def boundary_form(u: GridFunction, v: GridFunction, x: float, gd: GaugeData) -> 
     uxr = interp_cubic(u, l - x)
     vx = interp_cubic(v, x)
     vxr = interp_cubic(v, l - x)
-    rho = float(_interp4_half(gd.rho, gd.grid.h, x))
+    stencil = _cubic_stencil(np.array([x]), gd.grid.x[: gd.half + 1], gd.grid.h)
+    rho = float(_cubic_apply(gd.rho, *stencil)[0])
     return complex((ux * np.conj(vx) + uxr * np.conj(vxr)) / rho)
 
 
@@ -262,15 +248,12 @@ class FormLimitReport:
     passed: bool
 
 
-def form_limit_check(u: GridFunction, x: float, gd: GaugeData,
-                     radii: tuple = None, tol: float = 1e-4) -> FormLimitReport:
-    """Ratio ||P_{omega_x(t)} u||^2 / ||P_{omega_x(t)} e||^2 for shrinking
-    t, Richardson-extrapolated in t^2 and compared with the boundary form
-    value at x."""
+def form_limit_check(u: GridFunction, x: float, gd: GaugeData) -> FormLimitReport:
+    """Ratio ||P_{omega_x(t)} u||^2 / ||P_{omega_x(t)} e||^2 for t = 0.08 l,
+    0.04 l and 0.02 l, Richardson-extrapolated in t^2 and compared with the
+    boundary form value at x; passes within 1e-4."""
     l = gd.grid.l
-    if radii is None:
-        radii = (0.08 * l, 0.04 * l, 0.02 * l)
-    radii = tuple(sorted(float(t) for t in radii))[::-1]
+    radii = (0.08 * l, 0.04 * l, 0.02 * l)
     if radii[0] >= min(x, l - x):
         raise ConfigurationError("largest radius must stay inside (0, l)")
     atom = Atom(min(x, l - x))
@@ -289,9 +272,9 @@ def form_limit_check(u: GridFunction, x: float, gd: GaugeData,
     devs = [abs(r - target) for r in ratios]
     floor = max(1e-10, 1e-8 * abs(target))
     monotone = all(d2 <= d1 * 2.0 + floor for d1, d2 in zip(devs, devs[1:]))
-    passed = bool(deviation <= tol and monotone)
+    passed = bool(deviation <= _FORM_TOL and monotone)
     return FormLimitReport(x, radii, tuple(ratios), float(extrapolated),
-                           float(target), float(deviation), tol, monotone, passed)
+                           float(target), float(deviation), _FORM_TOL, monotone, passed)
 
 
 @dataclass(frozen=True)
@@ -318,7 +301,7 @@ def _trace_pair(values: np.ndarray, m: int, sign: float = 1.0) -> np.ndarray:
 
 
 def hat_value(u: Union[GridFunction, SmoothFunction, KernelElement],
-              gd: GaugeData, check: bool = True) -> HatField:
+              gd: GaugeData) -> HatField:
     """Hat of u: u^(x) = T(x) (u(x), u(l-x)).
 
     The result is cross-checked against the boundary-form route
@@ -345,12 +328,11 @@ def hat_value(u: Union[GridFunction, SmoothFunction, KernelElement],
         d1 = d2 = None
     else:
         raise ContractError(f"cannot hat a {type(u).__name__}")
-    if check:
-        res = _hat_form_residual(vals, hat, gd)
-        scale = float(np.max(np.abs(hat))) + 1.0
-        if res > 1e-12 * scale:
-            raise InternalError(
-                f"hat routes disagree by {res:.3e}; gauge data is inconsistent")
+    res = _hat_form_residual(vals, hat, gd)
+    scale = float(np.max(np.abs(hat))) + 1.0
+    if res > 1e-12 * scale:
+        raise InternalError(
+            f"hat routes disagree by {res:.3e}; gauge data is inconsistent")
     return HatField(gd.half_x, hat, trace=w, d1=d1, d2=d2)
 
 
@@ -362,15 +344,6 @@ def _hat_form_residual(full_values: np.ndarray, hat: np.ndarray, gd: GaugeData) 
     alt0 = (ul * np.conj(e1l) + ur * np.conj(e1r)) / gd.rho
     alt1 = (ul * np.conj(e2l) + ur * np.conj(e2r)) / gd.rho
     return float(max(np.max(np.abs(hat[:, 0] - alt0)), np.max(np.abs(hat[:, 1] - alt1))))
-
-
-def hat_consistency_residual(u: GridFunction, gd: GaugeData) -> float:
-    """Max difference between the matrix route and the form route of the
-    hat; exposed for verification."""
-    m = gd.half
-    vals = u.values.astype(_CLD)
-    hat = mat2.apply2(gd.T, _trace_pair(vals, m))
-    return _hat_form_residual(vals, hat, gd)
 
 
 @dataclass(frozen=True)

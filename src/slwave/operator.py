@@ -25,8 +25,7 @@ import numpy as np
 
 from . import mat2
 from .control import ControlSignal, control_to_kernel, smooth_wave
-from .errors import (AdmissibilityError, ContractError, InternalError,
-                     NumericalError)
+from .errors import ContractError, InternalError, NumericalError
 from .grid import GridFunction, diff_samples
 from .model import (GaugeData, HatField, SmoothFunction, _require_extended_precision,
                     hat_value)
@@ -40,6 +39,8 @@ __all__ = [
 
 _LD = np.longdouble
 _CLD = np.clongdouble
+# relative branch separation below which recover_potential flags a collision
+_COLLISION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class ModelCoefficients:
     """P^, Q^ and the analytic P^' on the half grid.
 
     Rows outside the admissible mask are zero filled and carry no meaning.
-    Qdiag keeps the diagonal pair (q(x), q(l-x)) of the similarity target;
     route_residual is the measured disagreement of the two P^ routes.
     """
 
@@ -56,27 +56,16 @@ class ModelCoefficients:
     Phat: np.ndarray
     dPhat: np.ndarray
     Qhat: np.ndarray
-    Qdiag: np.ndarray
-    detT: np.ndarray
     h: float
     route_residual: float
 
-    def at(self, x: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(P^, Q^) at the nearest half-grid node; guard band is off limits."""
-        j = int(round(x / self.h))
-        if not (0 <= j < self.admissible.size) or not self.admissible[j]:
-            raise AdmissibilityError(
-                f"x={x} falls outside the admissible half interval")
-        return (self.Phat[j].astype(complex), self.Qhat[j].astype(complex))
 
+def assemble_coefficients(gd: GaugeData) -> ModelCoefficients:
+    """Pointwise assembly of the model coefficients from the gauge fields
+    and the potential they were built from.
 
-def assemble_coefficients(gd: GaugeData, q=None) -> ModelCoefficients:
-    """Pointwise assembly of the model coefficients from the gauge fields.
-
-    q defaults to the potential the gauge was built from; passing another
-    sample set is allowed for sensitivity experiments.  P^ is computed
-    both as 2 T' T^{-1} and as -2 T (T^{-1})'; the two must agree to
-    1e-10 or the gauge data is corrupt.
+    P^ is computed both as 2 T' T^{-1} and as -2 T (T^{-1})'; the two must
+    agree to 1e-10 or the gauge data is corrupt.
     """
     _require_extended_precision("assemble_coefficients")
     m = gd.half
@@ -101,11 +90,9 @@ def assemble_coefficients(gd: GaugeData, q=None) -> ModelCoefficients:
     d2Tinv = -Tinv @ d2T @ Tinv + 2.0 * (A @ A @ Tinv)
     dPhat = 2.0 * (d2T @ Tinv) + 2.0 * (dT @ dTinv)
 
-    qv = (gd.q if q is None else q).values.astype(_LD)
-    qpair = np.zeros((m + 1, 2), dtype=_LD)
-    qpair[:, 0] = qv[: m + 1]
-    qpair[:, 1] = qv[::-1][: m + 1]
-    Qhat = (T * qpair[idx][:, None, :]) @ Tinv - T @ d2Tinv
+    qv = gd.q.values.astype(_LD)
+    qpair = np.stack([qv[idx], qv[::-1][idx]], axis=1)     # (q(x), q(l-x))
+    Qhat = (T * qpair[:, None, :]) @ Tinv - T @ d2Tinv
 
     def _embed(block):
         full = np.zeros((m + 1, 2, 2), dtype=_CLD)
@@ -113,8 +100,7 @@ def assemble_coefficients(gd: GaugeData, q=None) -> ModelCoefficients:
         return full
 
     return ModelCoefficients(gd.half_x, gd.admissible.copy(), _embed(Phat),
-                             _embed(dPhat), _embed(Qhat), qpair,
-                             gd.detT.copy(), gd.grid.h, route_res)
+                             _embed(dPhat), _embed(Qhat), gd.grid.h, route_res)
 
 
 def apply_model(uh: HatField, mc: ModelCoefficients) -> HatField:
@@ -141,11 +127,12 @@ def intertwine_residual(u: SmoothFunction, gd: GaugeData, mc: ModelCoefficients)
     return float(np.max(diff))
 
 
-def smooth_from_samples(u: GridFunction, accuracy: int = 4) -> SmoothFunction:
-    """Attach differenced derivatives to grid samples; the observer route
-    when no analytic derivative is available (measured wave snapshots)."""
-    d1 = diff_samples(u.values, u.grid.h, order=1, accuracy=accuracy)
-    d2 = diff_samples(u.values, u.grid.h, order=2, accuracy=accuracy)
+def smooth_from_samples(u: GridFunction) -> SmoothFunction:
+    """Attach fourth-order differenced derivatives to grid samples; the
+    observer route when no analytic derivative is available (measured wave
+    snapshots)."""
+    d1 = diff_samples(u.values, u.grid.h, order=1)
+    d2 = diff_samples(u.values, u.grid.h, order=2)
     return SmoothFunction(u.grid, u.values.copy(), d1, d2)
 
 
@@ -185,8 +172,7 @@ class RecoveryResult:
 
 
 def recover_potential(mc: ModelCoefficients,
-                      sampled_derivatives: bool = False,
-                      collision_tol: float = 1e-6) -> RecoveryResult:
+                      sampled_derivatives: bool = False) -> RecoveryResult:
     """Eigenvalues of S(x), continued in x by nearest-neighbor matching.
 
     With sampled_derivatives the analytic P^' is discarded and recomputed
@@ -213,8 +199,7 @@ def recover_potential(mc: ModelCoefficients,
         dR = np.empty_like(R)
         for i in range(2):
             for j in range(2):
-                dR[:, i, j] = diff_samples(R[:, i, j].astype(complex),
-                                           mc.h, order=1, accuracy=4)
+                dR[:, i, j] = diff_samples(R[:, i, j].astype(complex), mc.h)
         dPhat = (dR + Phat) / dist[:, None, None]
     else:
         dPhat = mc.dPhat[idx]
@@ -237,7 +222,7 @@ def recover_potential(mc: ModelCoefficients,
         if swap < keep:
             a[k], b[k] = b[k], a[k]
     sep_scale = 1.0 + np.maximum(np.abs(a), np.abs(b))
-    collision = np.abs(a - b) <= collision_tol * sep_scale
+    collision = np.abs(a - b) <= _COLLISION_TOL * sep_scale
     note = ("branch labels are continued from the left edge and defined up to "
             "the reflection x -> l-x; collision nodes carry no stable labeling")
     return RecoveryResult(mc.half_x[idx].astype(float), a, b, collision,

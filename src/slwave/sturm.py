@@ -1,5 +1,5 @@
 """Potentials, Cauchy solutions, the kernel basis, Dirichlet spectra and
-the wave propagator on [0, l].
+modal coefficients on [0, l].
 
 The second-order equation -u'' + q u = lam u is integrated as a first-order
 system with a fixed-step fourth-order Runge-Kutta scheme on the grid nodes,
@@ -36,7 +36,7 @@ from .grid import Grid, GridFunction, _simpson_weights, interp_cubic
 __all__ = [
     "Potential", "OdeSolution", "KernelBasis", "EigenSystem",
     "potential", "solve_ivp", "kernel_basis", "dirichlet_eigensystem",
-    "check_lower_bound", "wave_propagator_apply", "modal_coefficients",
+    "check_lower_bound", "modal_coefficients",
 ]
 
 _BLOWUP = 1e120
@@ -590,20 +590,3 @@ def modal_coefficients(es: EigenSystem, g: GridFunction) -> np.ndarray:
     if g.grid.n != grid.n or g.grid.l != grid.l:
         raise ConfigurationError("grid mismatch between eigensystem and data")
     return es.phi @ (_simpson_weights(grid.n, grid.h) * g.values)
-
-
-def _sine_kernel(lam: np.ndarray, t: float) -> np.ndarray:
-    """sin(sqrt(lam) t)/sqrt(lam), continued through lam <= 0."""
-    z = np.sqrt(lam.astype(complex))
-    small = np.abs(z) * abs(t) < 1e-12
-    out = np.where(small, t, np.sin(z * t) / np.where(small, 1.0, z))
-    return out
-
-
-def wave_propagator_apply(es: EigenSystem, t: float, g: GridFunction) -> GridFunction:
-    """Apply the modal propagator sum_n sin(sqrt(lam_n) t)/sqrt(lam_n)
-    (g, phi_n) phi_n over the computed modes."""
-    c = modal_coefficients(es, g)
-    kern = _sine_kernel(es.lam, float(t))
-    vals = (kern * c) @ es.phi
-    return GridFunction(es.grid, vals)

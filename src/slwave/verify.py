@@ -15,11 +15,9 @@ identity, Parseval and intertwining checks fail loudly, never silently.
 from __future__ import annotations
 
 import dataclasses
-import json
 import platform
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Optional
 
 import numpy as np
 
@@ -30,7 +28,7 @@ from .control import (ControlSignal, control_to_kernel, fdtd_oracle,
 from .errors import SlwaveError, VerificationFailure
 from .geometry import Atom, distance_profile, eikonal_metric
 from .grid import GridFunction, build_grid, json_text, quad, sample
-from .model import (default_gauge, form_limit_check, hat_value,
+from .model import (DET_FLOOR, default_gauge, form_limit_check, hat_value,
                     parseval_residual, smooth_from_closed_form)
 from .operator import (apply_model, assemble_coefficients, graph_sample,
                        intertwine_residual, recover_potential,
@@ -68,12 +66,6 @@ class CheckResult:
                 "passed": self.passed, "detail": self.detail,
                 "extras": dict(sorted(self.extras.items()))}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CheckResult":
-        return cls(d["name"], float(d["measured"]), float(d["tolerance"]),
-                   d["sense"], bool(d["passed"]), d.get("detail", ""),
-                   {k: float(v) for k, v in d.get("extras", {}).items()})
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -89,34 +81,24 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def complete(self) -> bool:
-        return sorted(c.name for c in self.checks) == sorted(CHECK_NAMES)
-
     def to_json(self) -> str:
         payload = {"checks": [c.to_dict() for c in self.checks],
                    "environment": self.environment}
         return json_text(payload)
 
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        payload = json.loads(text)
-        checks = tuple(CheckResult.from_dict(d) for d in payload["checks"])
-        return cls(checks, payload["environment"])
-
 
 class Workspace:
-    """Shared lazily-built artifacts for the verification checks."""
+    """Shared lazily-built artifacts for the verification checks, on [0, 1]."""
 
     _Q_EXPR = {"zero": "const(0)", "one": "const(1)", "cosine": "2 + cos(3)"}
 
     def __init__(self, grid_n: int = 2000, modes: int = 300, seed: int = 0,
-                 t_perturbation: float = 0.0, l: float = 1.0):
+                 t_perturbation: float = 0.0):
         self.grid_n = int(grid_n)
         self.modes = int(modes)
         self.seed = int(seed)
         self.t_perturbation = float(t_perturbation)
-        self.grid = build_grid(l, self.grid_n)
+        self.grid = build_grid(1.0, self.grid_n)
         self._forms = {}
         self._potentials = {}
         self._eigen = {}
@@ -164,7 +146,7 @@ def _perturb_gauge(gd, eps: float):
     dT = gd.dT * (1.0 + eps)
     d2T = gd.d2T * (1.0 + eps)
     detT = mat2.det2(T)
-    admissible = (~gd.band) & (np.abs(detT) > gd.det_floor)
+    admissible = (~gd.band) & (np.abs(detT) > DET_FLOOR)
     return dataclasses.replace(gd, T=T, dT=dT, d2T=d2T, detT=detT,
                                admissible=admissible)
 
@@ -222,7 +204,7 @@ def check_finite_speed(ws: Workspace) -> CheckResult:
     extras = {}
     for frac in (0.1, 0.2, 0.4):
         t = frac * ws.grid.l
-        rep = support_report(smooth_wave(kc, t, es), t, tol=1e-6, margin_cells=2)
+        rep = support_report(smooth_wave(kc, t, es), t, tol=1e-6)
         extras[f"ratio_t{frac:g}"] = rep.ratio
         worst = max(worst, rep.ratio)
     return CheckResult("finite_speed", worst, 1e-6, "<=", worst <= 1e-6,
@@ -234,8 +216,7 @@ def check_reachable_span(ws: Workspace) -> CheckResult:
     matrix has no numerically dead directions."""
     es = ws.eigensystem("zero")
     kb = ws.kernel("zero")
-    se = reachable_span_estimate(0.6 * ws.grid.l, es, kb, samples=96,
-                                 coarse_m=24, seed=ws.seed)
+    se = reachable_span_estimate(0.6 * ws.grid.l, es, kb, samples=96, seed=ws.seed)
     measured = se.ratio
     return CheckResult("reachable_span", measured, 1e-6, ">=",
                        measured >= 1e-6,
@@ -250,7 +231,7 @@ def check_gauge_identities(ws: Workspace) -> CheckResult:
         gd = ws.gauge(key)
         G_from_T = gd.rho[:, None, None] * (gd.T @ mat2.herm2(gd.T))
         r1 = float(np.max(np.abs(gd.G - G_from_T)))
-        mask = np.abs(gd.detT) > 1e-8
+        mask = np.abs(gd.detT) > DET_FLOOR
         Tm = gd.T[mask]
         lhs = mat2.herm2(Tm) @ mat2.inv2(gd.G[mask]) @ Tm
         target = np.zeros_like(lhs)
@@ -416,13 +397,8 @@ _CHECKS = [
 CHECK_NAMES = tuple(name for name, _, _, _ in _CHECKS)
 
 
-def run_all(ws: Optional[Workspace] = None, grid_n: int = 2000,
-            modes: int = 300, seed: int = 0,
-            t_perturbation: float = 0.0) -> VerificationReport:
+def run_all(ws: Workspace) -> VerificationReport:
     """Execute the twelve standard checks; exceptions become failed rows."""
-    if ws is None:
-        ws = Workspace(grid_n=grid_n, modes=modes, seed=seed,
-                       t_perturbation=t_perturbation)
     results = []
     for name, tol, sense, fn in _CHECKS:
         try:

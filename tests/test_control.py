@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
+from scipy.integrate import simpson
 
 from slwave.analytic import Const, bump, parse_expression
-from slwave.control import (ControlSignal, KernelControl, SourceTerm,
+from slwave.control import (ControlSignal, SourceTerm,
                             _kernel_modal_coefficients, control_to_kernel,
                             fdtd_oracle, gamma1, gamma2,
                             reachable_span_estimate, smooth_wave, source_wave,
@@ -56,9 +57,9 @@ def test_control_dictionary_trace(kb_zero, q_zero):
     c = ControlSignal(bump(0.2, 0.3, 1.0, 6), bump(0.3, 0.4, -0.7, 6))
     kc = control_to_kernel(c, kb_zero)
     for t in (0.1, 0.25, 0.4):
-        h = kc.at(t)
-        assert abs(h.values[0] + c.f0.deriv(np.array([t]), 0)[0]) <= 1e-13
-        assert abs(h.values[-1] + c.fl.deriv(np.array([t]), 0)[0]) <= 1e-13
+        h = (kc.a(t) * kb_zero.phi0.u.values + kc.b(t) * kb_zero.phil.u.values)
+        assert abs(h[0] + c.f0.deriv(np.array([t]), 0)[0]) <= 1e-13
+        assert abs(h[-1] + c.fl.deriv(np.array([t]), 0)[0]) <= 1e-13
 
 
 def test_control_rejects_nonvanishing_start():
@@ -206,15 +207,20 @@ def test_source_wave_single_mode(es_zero, q_zero):
 
 
 def test_source_wave_callable_matches_separable(es_zero, q_zero):
-    """The sampled s-grid path of a callable source agrees with the exact
-    moments of the same separable source."""
+    """The exact sine moments of a separable source agree with Simpson's
+    rule in s over the sampled source s -> signal(s) * profile, with step
+    at most min(t/64, 1/(10 sqrt(lam_max)))."""
     g = q_zero.grid
     prof = GridFunction(g, bump(0.5, 0.2, 1.0, 6).deriv(g.x, 0).astype(complex))
     signal = parse_expression("bump(0.1, 0.16, 1.0, 6)")
     t = 0.15
     exact = source_wave(SourceTerm(prof, signal), t, es_zero)
-    sampled = source_wave(lambda s: float(signal(s)) * prof, t, es_zero)
-    assert np.max(np.abs(sampled.values - exact.values)) <= 1e-8 * np.max(np.abs(exact.values))
+    mu = np.sqrt(es_zero.lam)
+    m = int(np.ceil(t / min(t / 64.0, 1.0 / (10.0 * mu[-1]))))
+    s = np.linspace(0.0, t, m + m % 2 + 1)
+    kernel = simpson(np.sin(np.outer(t - s, mu)) * signal(s)[:, None], x=s, axis=0)
+    sampled = (kernel * modal_coefficients(es_zero, prof) / mu) @ es_zero.phi
+    assert np.max(np.abs(sampled - exact.values)) <= 1e-8 * np.max(np.abs(exact.values))
 
 
 def test_source_wave_finite_speed(es_zero, q_zero):

@@ -1,13 +1,19 @@
 """Quadrature, differencing and table round-trips on the uniform grid."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from slwave.analytic import Const
+from slwave.control import _probe_matrix
 from slwave.errors import ConfigurationError
-from slwave.grid import (GridFunction, build_grid, central_diff, diff_samples,
-                         format_column, inner, interp_cubic, quad, read_csv,
-                         sample, simpson_sum, write_csv, write_table)
+from slwave.grid import (GridFunction, build_grid, diff_samples, format_column,
+                         inner, interp_cubic, quad, sample, simpson_sum,
+                         write_table)
+from slwave.model import boundary_form, default_gauge
+from slwave.sturm import kernel_basis, potential
 
 
 def f_of(grid, fn):
@@ -54,21 +60,30 @@ def test_simpson_sum_keeps_longdouble():
                                                        abs=1e-15)
 
 
+@pytest.mark.parametrize("samples", [5, 6, 7, 8, 9])
+def test_simpson_sum_exact_on_cubics(samples):
+    """Simpson and its 3/8 tail integrate cubics exactly from 5 samples on,
+    6 included (two Simpson cells and one 3/8 block)."""
+    x = np.linspace(0.0, 1.0, samples)
+    val = simpson_sum(2.0 * x ** 3 - x ** 2 + 0.5, 1.0 / (samples - 1))
+    assert abs(val - (0.5 - 1.0 / 3.0 + 0.5)) <= 1e-14
+
+
 def test_diff_quadratic_first_order():
     g = build_grid(1.0, 50)
-    d = diff_samples((g.x ** 2).astype(complex), g.h, order=1, accuracy=4)
+    d = diff_samples((g.x ** 2).astype(complex), g.h, order=1)
     assert np.max(np.abs(d - 2 * g.x)) <= 1e-10
 
 
 def test_diff_quadratic_second_order():
     g = build_grid(1.0, 50)
-    d = diff_samples((g.x ** 2).astype(complex), g.h, order=2, accuracy=4)
+    d = diff_samples((g.x ** 2).astype(complex), g.h, order=2)
     assert np.max(np.abs(d - 2.0)) <= 1e-8
 
 
 def test_diff_sine_taylor_bound():
     g = build_grid(1.0, 200)
-    d = diff_samples(np.sin(g.x).astype(complex), g.h, order=2, accuracy=2)
+    d = diff_samples(np.sin(g.x).astype(complex), g.h, order=2)
     assert np.max(np.abs(d + np.sin(g.x))) <= 3 * g.h ** 2
 
 
@@ -76,18 +91,10 @@ def test_diff_order4_convergence():
     errs = []
     for n in (100, 200):
         g = build_grid(1.0, n)
-        d = diff_samples(np.sin(3 * g.x).astype(complex), g.h, order=1, accuracy=4)
+        d = diff_samples(np.sin(3 * g.x).astype(complex), g.h, order=1)
         errs.append(np.max(np.abs(d - 3 * np.cos(3 * g.x))))
     rate = np.log2(errs[0] / errs[1])
     assert rate > 3.7
-
-
-def test_central_diff_matches_interior():
-    g = build_grid(1.0, 64)
-    v = np.exp(g.x).astype(complex)
-    a = central_diff(GridFunction(g, v))
-    b = diff_samples(v, g.h, order=1, accuracy=2)
-    assert np.allclose(a.values[1:-1], b[1:-1])
 
 
 def test_inner_conjugate_symmetry():
@@ -103,22 +110,49 @@ def test_sample_matches_closed_form():
     assert np.allclose(gf.values, g.x ** 2)
 
 
+def cubic(x):
+    return x ** 3 - x + 2.0
+
+
+def interp_on_grid(g, xq):
+    return interp_cubic(GridFunction(g, cubic(g.x).astype(complex)), xq)
+
+
+def interp_by_probe_matrix(g, xq):
+    """The rows reachable_span_estimate applies to the wave snapshots."""
+    return _probe_matrix(g, xq) @ cubic(g.x)
+
+
+def interp_on_half_grid(g, xq):
+    """boundary_form of u = v = 1 is 2 / rho(x), rho interpolated on the
+    half grid in longdouble; give the gauge a cubic rho."""
+    gd = default_gauge(kernel_basis(potential(g, Const(0.0))))
+    gd = dataclasses.replace(gd, rho=cubic(gd.half_x))
+    one = GridFunction(g, np.ones(g.size))
+    return np.array([2.0 / boundary_form(one, one, x, gd).real for x in xq])
+
+
 def test_interp_cubic_reproduces_cubics():
+    """Every caller of the one cubic stencil reproduces a cubic, in the
+    clipped first and last cells and at the last node too (l, or l/2 on
+    the half grid)."""
     g = build_grid(1.0, 40)
-    gf = GridFunction(g, (g.x ** 3 - g.x).astype(complex))
-    xq = np.array([0.111, 0.512, 0.93])
-    out = interp_cubic(gf, xq)
-    assert np.max(np.abs(out - (xq ** 3 - xq))) <= 1e-13
+    for route, end in ((interp_on_grid, 1.0), (interp_by_probe_matrix, 1.0),
+                       (interp_on_half_grid, 0.5)):
+        xq = np.array([0.0, 0.3 * g.h, 0.111, 0.3 * end, end - 0.4 * g.h, end])
+        err = np.max(np.abs(route(g, xq) - cubic(xq)))
+        assert err <= 1e-13, route.__name__
 
 
 def test_csv_round_trip(tmp_path):
+    """%.17g cells read back to the same floats, bit for bit."""
     g = build_grid(1.0, 24)
     gf = GridFunction(g, np.exp(1j * g.x) / 3.0)
     p = tmp_path / "f.csv"
-    write_csv(gf, p)
-    back = read_csv(p)
-    assert np.array_equal(back.values, gf.values)
-    assert np.array_equal(back.grid.x, g.x)
+    write_table(p, ["x", "re", "im"], [[g.x, gf.values.real, gf.values.imag]])
+    back = np.loadtxt(p, delimiter=",", skiprows=1)
+    assert np.array_equal(back[:, 1] + 1j * back[:, 2], gf.values)
+    assert np.array_equal(back[:, 0], g.x)
 
 
 def oracle_table(header, blocks) -> str:
@@ -185,15 +219,6 @@ def test_write_table_empty_and_ragged(tmp_path):
     assert p.read_text() == "x,y\n"
     with pytest.raises(ConfigurationError):
         write_table(p, ["x", "y"], [[np.zeros(3), np.zeros(2)]])
-
-
-def test_write_csv_matches_row_loop(tmp_path):
-    g = build_grid(1.0, 24)
-    gf = GridFunction(g, np.exp(1j * g.x) / 3.0 - 0.0j)
-    p = tmp_path / "f.csv"
-    write_csv(gf, p)
-    assert_same_text(p.read_text(), oracle_table(["x", "re", "im"],
-                                                 [[g.x, gf.values.real, gf.values.imag]]))
 
 
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))

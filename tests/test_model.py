@@ -8,8 +8,8 @@ from slwave import mat2
 from slwave.analytic import Const, Poly, bump
 from slwave.errors import AdmissibilityError, ConfigurationError, InternalError
 from slwave.grid import GridFunction, build_grid, inner
-from slwave.model import (boundary_form, default_gauge, form_limit_check,
-                          hat_consistency_residual, hat_value, model_inner,
+from slwave.model import (DET_FLOOR, GUARD_CELLS, boundary_form, default_gauge,
+                          form_limit_check, hat_value, model_inner,
                           model_inner_report, parseval_residual,
                           smooth_from_closed_form)
 from slwave.sturm import kernel_basis, potential
@@ -59,7 +59,7 @@ def test_gram_identity_assembly(gauge_zero):
 
 def test_gram_inverse_identity(gauge_zero):
     gd = gauge_zero
-    ok = np.abs(gd.detT) > gd.det_floor
+    ok = np.abs(gd.detT) > DET_FLOOR
     Ginv = mat2.inv2(gd.G[ok])
     out = mat2.herm2(gd.T[ok]) @ Ginv @ gd.T[ok]
     eye = np.broadcast_to(np.eye(2), out.shape)
@@ -91,8 +91,16 @@ def test_hat_equivalence_class(gauge_zero):
 
 
 def test_hat_dual_route_consistency(gauge_zero, q_zero):
-    u = GridFunction(gauge_zero.grid, np.exp(1j * gauge_zero.grid.x))
-    assert hat_consistency_residual(u, gauge_zero) <= 1e-13
+    """The matrix route T (u(x), u(l-x)) against the boundary-form route
+    (<u, e1>_x, <u, e2>_x) on the half grid."""
+    gd = gauge_zero
+    u = GridFunction(gd.grid, np.exp(1j * gd.grid.x))
+    m = gd.half
+    ul, ur = u.values[: m + 1], u.values[::-1][: m + 1]
+    form = [(ul * np.conj(e.u[: m + 1]) + ur * np.conj(e.u[::-1][: m + 1])) / gd.rho
+            for e in (gd.e1, gd.e2)]
+    hat = hat_value(u, gd).values
+    assert float(np.max(np.abs(hat - np.stack(form, axis=1)))) <= 1e-13
 
 
 def test_boundary_form_against_hat_gram(gauge_zero):
@@ -188,7 +196,7 @@ def test_degenerate_midpoint_rank_one(gauge_zero):
     gd = gauge_zero
     assert abs(complex(gd.detT[-1])) <= 1e-10
     band = np.flatnonzero(gd.band)
-    assert band.size == gd.guard_cells
+    assert band.size == GUARD_CELLS
     assert not gd.admissible[-1]
 
 

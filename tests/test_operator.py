@@ -7,9 +7,9 @@ import pytest
 
 from slwave.analytic import Const, bump, parse_expression
 from slwave.control import ControlSignal
-from slwave.errors import AdmissibilityError, ContractError
+from slwave.errors import ContractError
 from slwave.grid import GridFunction, build_grid
-from slwave.model import (SmoothFunction, default_gauge, hat_value,
+from slwave.model import (GUARD_CELLS, SmoothFunction, default_gauge, hat_value,
                           smooth_from_closed_form)
 from slwave.operator import (RecoveryResult, apply_model, assemble_coefficients,
                              graph_sample, intertwine_residual,
@@ -36,14 +36,19 @@ def test_route_residual_small(example_mc):
 
 def test_frozen_coefficients_quarter_point(example_mc):
     """q=0, frame e1=1, e2=x, e=1: closed forms at x=1/4."""
-    P, Q = example_mc.at(0.25)
+    j = round(0.25 / example_mc.h)
+    assert example_mc.admissible[j]
+    P, Q = example_mc.Phat[j].astype(complex), example_mc.Qhat[j].astype(complex)
     assert np.max(np.abs(P - np.array([[0.0, 0.0], [4.0, -8.0]]))) <= 1e-10
     assert np.max(np.abs(Q - np.array([[0.0, 0.0], [16.0, -32.0]]))) <= 1e-9
 
 
-def test_at_rejects_guard_band(example_mc):
-    with pytest.raises(AdmissibilityError):
-        example_mc.at(0.5)
+def test_guard_band_is_not_admissible(example_mc):
+    """The last GUARD_CELLS nodes before l/2 carry no coefficients."""
+    band = slice(-GUARD_CELLS, None)
+    assert not example_mc.admissible[band].any()
+    assert not example_mc.Phat[band].any() and not example_mc.Qhat[band].any()
+    assert example_mc.admissible[-GUARD_CELLS - 1]
 
 
 def test_S_vanishes_for_zero_potential(example_mc):

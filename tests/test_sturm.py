@@ -16,9 +16,10 @@ from slwave.analytic import Const, parse_expression
 from slwave.errors import AdmissibilityError, ConfigurationError, NumericalError
 from slwave import sturm
 from slwave.grid import GridFunction, build_grid, inner
+from slwave.control import SourceTerm, source_wave
 from slwave.sturm import (check_lower_bound, dirichlet_eigensystem,
                           kernel_basis, modal_coefficients, potential,
-                          solve_ivp, wave_propagator_apply)
+                          solve_ivp)
 
 LAMBDA1_COSINE = 11.922697949810356   # DOP853 + brentq, frozen 2026-08
 
@@ -363,12 +364,20 @@ def test_grid_too_coarse_for_modes():
         dirichlet_eigensystem(potential(g, Const(0.0)), 80)
 
 
+# The modal propagator sin(t sqrt(L))/sqrt(L) acts through the source wave:
+# a separable source with a unit signal integrates it in time,
+# v(t) = sum_n (1 - cos(mu_n t))/mu_n^2 (g, phi_n) phi_n.
+
+def unit_source_wave(es, t, g):
+    return source_wave(SourceTerm(g, Const(1.0)), t, es)
+
+
 def test_propagator_single_mode(es_zero, q_zero):
     g = q_zero.grid
     phi1 = GridFunction(g, es_zero.phi[0].astype(complex))
     t = 0.37
-    out = wave_propagator_apply(es_zero, t, phi1)
-    want = (np.sin(np.pi * t) / np.pi) * phi1.values
+    out = unit_source_wave(es_zero, t, phi1)
+    want = ((1.0 - np.cos(np.pi * t)) / np.pi ** 2) * phi1.values
     assert np.max(np.abs(out.values - want)) <= 1e-8
 
 
@@ -378,10 +387,10 @@ def test_propagator_parabola_fourier(es_zero, q_zero):
     g = q_zero.grid
     u = GridFunction(g, (g.x * (1 - g.x)).astype(complex))
     t = 0.3
-    out = wave_propagator_apply(es_zero, t, u)
+    out = unit_source_wave(es_zero, t, u)
     n = np.arange(1, es_zero.count + 1)
     coef = 2 * np.sqrt(2) * (1 - np.cos(n * np.pi)) / (n * np.pi) ** 3
-    kernel = np.sin(np.sqrt(es_zero.lam) * t) / np.sqrt(es_zero.lam)
+    kernel = (1.0 - np.cos(np.sqrt(es_zero.lam) * t)) / es_zero.lam
     want = (es_zero.phi * (coef * kernel)[:, None]).sum(axis=0)
     assert np.max(np.abs(out.values - want)) <= 1e-6
 
@@ -392,19 +401,20 @@ def test_propagator_linearity(es_zero, q_zero):
     v = GridFunction(g, (g.x * (1 - g.x)).astype(complex))
     w = GridFunction(g, 2.0 * u.values - 0.5j * v.values)
     t = 0.21
-    a = wave_propagator_apply(es_zero, t, u)
-    b = wave_propagator_apply(es_zero, t, v)
-    c = wave_propagator_apply(es_zero, t, w)
+    a = unit_source_wave(es_zero, t, u)
+    b = unit_source_wave(es_zero, t, v)
+    c = unit_source_wave(es_zero, t, w)
     assert np.max(np.abs(c.values - 2.0 * a.values + 0.5j * b.values)) <= 1e-10
 
 
 def test_propagator_t_derivative_is_projection(es_zero, q_zero):
+    """v''(0) = g: the propagator starts as t times the projection."""
     g = q_zero.grid
     u = GridFunction(g, (g.x * (1 - g.x)).astype(complex))
     eps = 1e-4
-    a = wave_propagator_apply(es_zero, eps, u)
-    b = wave_propagator_apply(es_zero, 2 * eps, u)
-    ddt = (4 * a.values - b.values) / (2 * eps)   # Richardson at t=0
+    a = unit_source_wave(es_zero, eps, u)
+    b = unit_source_wave(es_zero, 2 * eps, u)
+    ddt2 = (8 * a.values - 0.5 * b.values) / (3 * eps ** 2)   # Richardson at t=0
     coef = modal_coefficients(es_zero, u)
     proj = (es_zero.phi * coef[:, None]).sum(axis=0)
-    assert np.max(np.abs(ddt - proj)) <= 1e-6
+    assert np.max(np.abs(ddt2 - proj)) <= 1e-6

@@ -11,8 +11,9 @@ empty section still yields a runnable configuration.  Outputs are
 deterministic byte-for-byte for a fixed config and seed: floats print as
 %.17g in CSV and round-trip repr in JSON, keys are sorted, and no
 timestamps are embedded.  Every table, the wave field and the
-eigenfunctions included, goes through `_write_table`, which streams CSV
-through `grid.write_table` one block at a time.
+eigenfunctions included, goes through `_write_table`, which streams it
+through `grid.write_table` (CSV) or `grid.write_json_table` one block at
+a time.
 
 Exit codes: 0 all good, 2 configuration problems, 3 numerical failures
 (inadmissible potential or gauge, instability), 4 verification failures.
@@ -36,7 +37,7 @@ from .control import (ControlSignal, control_to_kernel, fdtd_oracle,
 from .errors import (ConfigurationError, ContractError, NumericalError,
                      SlwaveError, VerificationFailure)
 from .grid import (GridFunction, build_grid, format_column, json_text, quad,
-                   write_table)
+                   write_json_table, write_table)
 from .model import GUARD_CELLS, default_gauge
 from .operator import (ModelCoefficients, assemble_coefficients, recover_potential,
                        unordered_branch_error)
@@ -174,22 +175,26 @@ def load_config(path: Optional[str], out_dir: str = ".", fmt: str = "csv",
     return cfg
 
 
+def _out_path(cfg: RunConfig, name: str) -> Path:
+    """The path of an artefact in the output directory, made if missing."""
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot use output directory {cfg.out_dir}: {exc}") from None
+    return cfg.out_dir / name
+
+
 def _write_table(cfg: RunConfig, name: str, header: list, blocks) -> Path:
     """One table from an iterable of blocks, each a list of equally long
     columns: float arrays, or columns from `_column` (formatted once in CSV
-    mode).  CSV streams one block at a time."""
-    if cfg.fmt == "json":
-        rows = [row for block in blocks for row in
-                np.column_stack([np.asarray(c, dtype=float) for c in block]).tolist()]
-        return _write_json(cfg, name, {"columns": header, "rows": rows})
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / f"{name}.csv"
-    write_table(path, header, blocks)
+    mode), streamed one block at a time."""
+    path = _out_path(cfg, f"{name}.{cfg.fmt}")
+    (write_json_table if cfg.fmt == "json" else write_table)(path, header, blocks)
     return path
 
 
 def _column(cfg: RunConfig, values):
-    """A column repeated over many blocks: %.17g strings in CSV mode."""
+    """A column repeated over many blocks: %.17g cells in CSV mode."""
     return values if cfg.fmt == "json" else format_column(values)
 
 
@@ -205,8 +210,7 @@ def _complex_table(names: str, mats) -> tuple:
 
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> Path:
     text = json_text(payload)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / f"{name}.json"
+    path = _out_path(cfg, f"{name}.json")
     path.write_text(text)
     return path
 
@@ -252,8 +256,8 @@ def run_simulate(cfg: RunConfig) -> list:
     snaps = [smooth_wave(kc, t, es) for t in times]
     xs = _column(cfg, grid.x)
     wf_path = _write_table(cfg, "wavefield", ["t", "x", "re", "im"],
-                           ([[t] * grid.size, xs, s.values.real, s.values.imag]
-                            for t, s in zip(_column(cfg, times), snaps)))
+                           ([np.full(grid.size, t), xs, s.values.real, s.values.imag]
+                            for t, s in zip(times, snaps)))
     support = []
     for t, s in zip(times, snaps):
         rep = support_report(s, t, tol=cfg.tol("support", 1e-6))
@@ -300,7 +304,10 @@ def _coefficients_from_csv(path: str, l: float, grid_n: int) -> ModelCoefficient
     (smallest gap between rows) is not l / grid_n or its last row is not
     the last node before the guard band at l/2.
     """
-    text = Path(path).read_text().strip().splitlines()
+    try:
+        text = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read coefficient table {path}: {exc}") from None
     if not text or not text[0].startswith("x,"):
         raise ConfigurationError(f"{path} is not a model coefficient table")
     try:

@@ -21,7 +21,7 @@ from .errors import ConfigurationError, NumericalError
 __all__ = [
     "Grid", "GridFunction", "build_grid", "sample", "quad", "inner",
     "diff_samples", "interp_cubic", "simpson_sum", "format_column",
-    "write_table", "json_text",
+    "write_table", "write_json_table", "json_text",
 ]
 
 
@@ -207,41 +207,198 @@ def interp_cubic(f: GridFunction, xq) -> np.ndarray:
     return out
 
 
+# Exact %.17g cells in numpy.  A finite x != 0 has 17 significant digits
+# D = round-half-even(|x| 10^(16 - k)) with k = floor(log10 |x|).  The
+# product is formed from a double-double 10^(16 - k) by Dekker's (1971)
+# error-free product, so its integer part and fraction are known to better
+# than 1e-14; a cell whose fraction is within _TIE of 1/2, a non-finite cell
+# and one whose k lies outside the table are formatted by Python's own
+# %.17g.  A cell is 48 bytes, six native uint64 words:
+#   0 sign | 1-5 "0.000" | 6, 8, ..., 38 digits d0..d16, each followed by
+#   a slot for "." | 40-43 "e+dd" | 44 unused | 45 separator | 46-47 pad
+# Unused slots hold NUL and are dropped when a chunk is written.
 _FMT = "%.17g".__mod__
-# cells formatted per chunk of a block: bounds the strings held at once
+_K_MIN, _K_MAX = -40, 40        # k handled in numpy; 10^(16 - k) is tabled for k +- 1
+_TIE = 1e-6
+_SPLIT = 134217729.0            # 2^27 + 1, Dekker's splitter
+_CELL = 48
+_X_MIN = _K_MIN - 1             # exponents _K_MIN - 1 .. _K_MAX + 2 (fix-up, then carry)
+_N_X = _K_MAX + 3 - _X_MIN
+_tables = None
+# cells formatted per chunk of a block: bounds the bytes held at once
 _CHUNK_CELLS = 1 << 13
 
 
-def format_column(values) -> list:
-    """%.17g strings of a float column; each distinct value, keyed by its
-    bit pattern (so -0.0 stays "-0"), is formatted once."""
+def _split(a):
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _build_tables() -> dict:
+    """Powers of ten as double-doubles, 4-digit groups, trailing-zero
+    counts and the templates of every (sign, exponent, digit count)."""
+    hi, lo = [], []
+    for j in range(16 - _K_MAX - 1, 16 - _K_MIN + 2):
+        num, den = (10 ** j, 1) if j >= 0 else (1, 10 ** -j)
+        h = num / den                       # correctly rounded int division
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))
+    p_hi = np.array(hi[::-1])               # index k - _K_MIN + 1
+    p_lo = np.array(lo[::-1])
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T     # of 0000 .. 9999
+    groups = np.full((10_000, 8), 0xFF, np.uint8)
+    groups[:, 0::2] = 48 + digits
+    lead = np.full((10, 8), 0xFF, np.uint8)
+    lead[:, 6] = 48 + np.arange(10)
+    tz = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)
+    # templates, indexed (sign, X - _X_MIN, nd - 1)
+    X = np.arange(_X_MIN, _X_MIN + _N_X)[:, None]
+    nd = np.arange(1, 18)[None, :]
+    i = np.arange(17)
+    fixed = (X >= -4) & (X < 17)
+    small = fixed & (X < 0)
+    used = np.where(fixed & (X >= 0), np.maximum(nd, X + 1), nd)
+    dot_at = np.where(fixed, X, 0)
+    dot = ~small & (nd > dot_at + 1)
+    t = np.zeros((2, _N_X, 17, _CELL), np.uint8)
+    t[1, ..., 0] = ord("-")
+    t[..., 6:40:2] = np.where(i < used[..., None], 0xFF, 0)
+    t[..., 7:40:2] = np.where(dot[..., None] & (i == dot_at[..., None]), ord("."), 0)
+    pre = np.where(np.arange(5) < 1 - X, np.frombuffer(b"0.000", np.uint8), 0)
+    t[..., 1:6] = np.where(small, pre, 0)[:, None, :]
+    ax = np.abs(X[:, 0])
+    exp = np.stack([np.full_like(ax, ord("e")), np.where(X[:, 0] < 0, ord("-"), ord("+")),
+                    48 + ax // 10, 48 + ax % 10], axis=1)
+    t[..., 40:44] = np.where(fixed, 0, exp)[:, None, :]
+    return {"powers": (p_hi, p_lo, *_split(p_hi)),
+            "groups": groups.view(np.uint64)[:, 0], "lead": lead.view(np.uint64)[:, 0],
+            "tz": tz, "templates": t.view(np.uint64).reshape(-1, _CELL // 8)}
+
+
+def _scaled(y, k, tb):
+    """Integer part and fraction of y 10^(16 - k), to a few 1e-15."""
+    j = k - (_K_MIN - 1)
+    hi, lo, hh, hl = (np.take(t, j) for t in tb["powers"])
+    p = y * hi
+    yh, yl = _split(y)
+    r = (((yh * hh - p) + yh * hl + yl * hh) + yl * hl) + y * lo
+    fp = np.floor(p)
+    r = (p - fp) + r
+    fr = np.floor(r)
+    return fp.astype(np.int64) + fr.astype(np.int64), r - fr
+
+
+def _format_into(a: np.ndarray, out: np.ndarray) -> None:
+    """The %.17g cells of the float64 vector a into out, an (n, 6) uint64
+    view; every byte is written, the separator slot 45 with NUL."""
+    global _tables
+    if _tables is None:
+        _tables = _build_tables()
+    tb = _tables
+    mag = np.abs(a)
+    zero = mag == 0.0
+    ok = np.isfinite(mag) & ~zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.floor(np.log10(np.where(ok, mag, 1.0)))
+    ok &= (k >= _K_MIN) & (k <= _K_MAX)
+    k = np.where(ok, k, 0).astype(np.int64)
+    y = np.where(ok, mag, 1.0)
+    F, frac = _scaled(y, k, tb)
+    off = (F < 10 ** 16) | (F >= 10 ** 17)
+    if off.any():                           # log10 missed a power of ten
+        w = np.flatnonzero(off)
+        k[w] += np.where(F[w] < 10 ** 16, -1, 1)
+        F[w], frac[w] = _scaled(y[w], k[w], tb)
+        ok &= (F >= 10 ** 16) & (F < 10 ** 17)
+    ok &= np.abs(frac - 0.5) >= _TIE
+    D = F + (frac > 0.5)
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    k += carry
+    D[~ok] = 0                              # zeros print "0"; the rest is replaced
+    k[~ok] = 0
+    top, low = np.divmod(D, 10 ** 8)
+    d0, mid = np.divmod(top, 10 ** 8)
+    g = (*np.divmod(mid, 10 ** 4), *np.divmod(low, 10 ** 4))
+    tz = np.take(tb["tz"], g[3])
+    for w in (2, 1, 0):                     # trailing zeros past the last group
+        short = np.flatnonzero(tz == 4 * (3 - w))
+        if not short.size:
+            break
+        tz[short] += np.take(tb["tz"], g[w][short])
+    out[:, 0] = np.take(tb["lead"], d0)
+    for w in range(4):
+        out[:, w + 1] = np.take(tb["groups"], g[w])
+    out[:, 5] = ~np.uint64(0)
+    tpl = (np.signbit(a) * _N_X + (k - _X_MIN)) * 17 + (16 - tz)
+    out &= np.take(tb["templates"], tpl, axis=0)
+    bad = np.flatnonzero(~ok & ~zero)
+    if bad.size:
+        cells = np.zeros((bad.size, _CELL), np.uint8)
+        for r, v in enumerate(a[bad].tolist()):
+            s = _FMT(v).encode()
+            cells[r, :len(s)] = np.frombuffer(s, np.uint8)
+        out[bad] = cells.view(np.uint64)
+
+
+def format_column(values) -> np.ndarray:
+    """The %.17g cells of a float column, or of the columns of an (n, m)
+    array: uint8 of shape values.shape + (48,) whose bytes, NUL dropped,
+    are the text ("-0" for -0.0).  A column of one bit pattern is
+    formatted once."""
     a = np.asarray(values, dtype=float)
-    keys, inverse = np.unique(a.view(np.int64), return_inverse=True)
-    if keys.size == a.size:
-        return list(map(_FMT, a.tolist()))
-    strs = np.array(list(map(_FMT, keys.view(float).tolist())), dtype=object)
-    return strs[inverse].tolist()
+    cells = np.empty(a.shape + (_CELL,), np.uint8)
+    a2 = a if a.ndim == 2 else a[:, None]
+    words = cells.view(np.uint64).reshape(a2.shape + (_CELL // 8,))
+    bits = a2.view(np.int64)
+    same = (bits == bits[:1]).all(axis=0) & (len(a2) > 1)
+    if same.any():
+        one = np.empty((np.count_nonzero(same), _CELL // 8), np.uint64)
+        _format_into(a2[0, same], one)
+        words[:, same] = one
+    if not same.all():
+        rest = a2[:, ~same]
+        out = np.empty(rest.shape + (_CELL // 8,), np.uint64)
+        _format_into(rest.ravel(), out.reshape(-1, _CELL // 8))
+        words[:, ~same] = out
+    return cells
+
+
+def _rows(block) -> int:
+    n = len(block[0])
+    if any(len(c) != n for c in block):
+        raise ConfigurationError("table columns differ in length")
+    return n
 
 
 def write_table(path, header, blocks) -> None:
     """Write a CSV table: the header line, then the rows of each block.
 
-    A block is a list of equally long columns, each a float array or a
-    list of strings already formatted by :func:`format_column`.  Blocks are
-    formatted column by column in chunks of bounded size, so a caller can
-    stream a large table one block at a time.
+    A block is a list of equally long columns, each a float array or an
+    array of cells from :func:`format_column`.  Blocks are formatted in
+    chunks of bounded size, the float columns of a chunk together, into
+    one byte buffer per chunk, so a caller can stream a large table one
+    block at a time.
     """
-    with Path(path).open("w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with Path(path).open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
         for block in blocks:
-            n = len(block[0])
-            if any(len(c) != n for c in block):
-                raise ConfigurationError("table columns differ in length")
+            n = _rows(block)
+            done = [j for j, c in enumerate(block) if np.ndim(c) == 2]
+            todo = [j for j in range(len(block)) if j not in done]
             step = max(1, _CHUNK_CELLS // len(block))
             for i in range(0, n, step):
-                cols = [c[i:i + step] if isinstance(c, list) else
-                        format_column(c[i:i + step]) for c in block]
-                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+                buf = np.empty((min(step, n - i), len(block), _CELL), np.uint8)
+                for j in done:
+                    buf[:, j] = block[j][i:i + step]
+                if todo:
+                    buf[:, todo] = format_column(
+                        np.column_stack([block[j][i:i + step] for j in todo]))
+                buf[:, :, 45] = ord(",")
+                buf[:, -1, 45] = ord("\n")
+                fh.write(buf.tobytes().translate(None, b"\0"))
 
 
 def json_text(payload) -> str:
@@ -255,3 +412,31 @@ def json_text(payload) -> str:
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericalError(f"non-finite value in a JSON artefact: {exc}") from None
+
+
+def write_json_table(path, header, blocks) -> None:
+    """Write the JSON table {"columns": header, "rows": [...]} of float
+    blocks (as for :func:`write_table`), byte for byte what
+    :func:`json_text` gives, one block at a time.  A non-finite value
+    raises a NumericalError and leaves no file."""
+    path = Path(path)
+    head = json_text({"columns": list(header), "rows": []})[:-len("[]\n}\n")]
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("w", encoding="ascii") as fh:
+            fh.write(head + "[")
+            sep = "\n"
+            for block in blocks:
+                n = _rows(block)
+                if not n:
+                    continue
+                a = np.column_stack([np.asarray(c, dtype=float) for c in block])
+                if not np.isfinite(a).all():
+                    raise NumericalError("non-finite value in a JSON artefact")
+                row = "    [\n" + ",\n".join(["      %s"] * a.shape[1]) + "\n    ]"
+                fh.write(sep + ",\n".join([row] * n) % tuple(map(repr, a.ravel().tolist())))
+                sep = ",\n"
+            fh.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+        part.replace(path)
+    finally:
+        part.unlink(missing_ok=True)

@@ -4,6 +4,7 @@ Heavy invocations stay at reduced grid sizes except `verify`, which pins
 its own workspace size by design and is exercised once per outcome.
 """
 
+import dataclasses
 import hashlib
 import json
 import textwrap
@@ -400,6 +401,49 @@ def test_recover_rejects_ragged_table(tmp_path, capsys):
                  "[numerics]\ngrid_n = 400\n")
     assert main(["recover", "--config", follow, "--out", str(out)]) == 2
     assert "ragged or non-numeric" in capsys.readouterr().err
+
+
+def _bad_table(tmp_path, kind):
+    if kind == "missing":
+        return tmp_path / "absent.csv"
+    if kind == "directory":
+        return tmp_path
+    table = tmp_path / "latin1.csv"
+    table.write_bytes("x,re(P11)\n0.5,\xe9\n".encode("latin-1"))
+    return table
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_recover_unreadable_table_exits_2(tmp_path, capsys, kind):
+    follow = ini(tmp_path / "r.ini", f"[problem]\ncoefficients = {_bad_table(tmp_path, kind)}\n"
+                 "[numerics]\ngrid_n = 400\n")
+    assert main(["recover", "--config", follow, "--out", str(tmp_path / "o")]) == 2
+    assert "cannot read coefficient table" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "recovery.csv").exists()
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    path = ini(tmp_path / "c.ini", COSINE_SMALL)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    assert main(["eigs", "--config", path, "--out", str(taken)]) == 2
+    assert "cannot use output directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep"
+
+
+def test_json_table_with_nan_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    path = ini(tmp_path / "c.ini", COSINE_SMALL)
+    monkeypatch.setattr(cli, "check_lower_bound", lambda es: 0.0)
+    real = cli.dirichlet_eigensystem
+
+    def poisoned(q, modes, **kw):
+        es = real(q, modes, **kw)
+        return dataclasses.replace(es, lam=np.append(es.lam[:-1], np.nan))
+    monkeypatch.setattr(cli, "dirichlet_eigensystem", poisoned)
+    out = tmp_path / "j"
+    assert main(["eigs", "--config", path, "--out", str(out), "--format", "json"]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not list(out.glob("*"))
 
 
 def _oracle_csv(text: str) -> str:

@@ -8,10 +8,11 @@ from hypothesis import given, strategies as st
 
 from slwave.analytic import Const
 from slwave.control import _probe_matrix
-from slwave.errors import ConfigurationError
+from slwave import grid as grid_module
+from slwave.errors import ConfigurationError, NumericalError
 from slwave.grid import (GridFunction, build_grid, diff_samples, format_column,
-                         inner, interp_cubic, quad, sample, simpson_sum,
-                         write_table)
+                         inner, interp_cubic, json_text, quad, sample, simpson_sum,
+                         write_json_table, write_table)
 from slwave.model import boundary_form, default_gauge
 from slwave.sturm import kernel_basis, potential
 
@@ -155,11 +156,17 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back[:, 0], g.x)
 
 
+def text_of(cells) -> list:
+    """The strings of a column of format_column cells."""
+    return [bytes(c).replace(b"\0", b"").decode("ascii") for c in cells]
+
+
 def oracle_table(header, blocks) -> str:
     """Per-value row loop: what write_table must reproduce byte for byte."""
     lines = [",".join(header)]
     for block in blocks:
-        for row in zip(*block):
+        cols = [text_of(c) if np.ndim(c) == 2 else c for c in block]
+        for row in zip(*cols):
             lines.append(",".join(v if isinstance(v, str) else "%.17g" % float(v)
                                   for v in row))
     return "\n".join(lines) + "\n"
@@ -178,10 +185,10 @@ SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0,
 
 
 def test_format_column_keeps_signed_zero_and_specials():
-    strs = format_column(SPECIAL)
+    strs = text_of(format_column(SPECIAL))
     assert strs == ["%.17g" % v for v in SPECIAL.tolist()]
     assert strs[:6] == ["-0", "0", "nan", "inf", "-inf", "4.9406564584124654e-324"]
-    assert format_column(np.array([])) == []
+    assert text_of(format_column(np.array([]))) == []
 
 
 def test_write_table_matches_row_loop(tmp_path):
@@ -211,6 +218,81 @@ def test_write_table_chunks_a_long_block(tmp_path):
     assert_same_text(p.read_text(), oracle_table(["a", "b", "c", "d"], [cols]))
 
 
+def assert_column_matches(tmp_path, values):
+    """write_table of one float column against the per-value %.17g loop."""
+    p = tmp_path / "col.csv"
+    write_table(p, ["v"], [[values]])
+    assert_same_text(p.read_text(), oracle_table(["v"], [[values]]))
+
+
+def test_write_table_matches_oracle_on_bulk_draws(tmp_path):
+    """Random bit patterns (subnormals, NaNs and infinities included),
+    normals over 32 decades and integers past 2^53: 120,000 cells."""
+    rng = np.random.default_rng(11)
+    n = 40_000
+    bits = rng.integers(0, 2 ** 63, n, dtype=np.uint64) | (
+        rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))
+    scaled = rng.standard_normal(n) * 10.0 ** rng.uniform(-12.0, 20.0, n)
+    ints = rng.integers(2 ** 53, 2 ** 62, n).astype(float)
+    p = tmp_path / "bulk.csv"
+    blocks = [[bits.view(float), scaled, ints]]
+    write_table(p, ["a", "b", "c"], blocks)
+    assert_same_text(p.read_text(), oracle_table(["a", "b", "c"], blocks))
+
+
+def test_write_table_matches_oracle_around_powers_of_ten(tmp_path):
+    """10^k and up to 50 ulps either side, for k in [-30, 30]: where
+    floor(log10 |x|) can miss and where the 17 digits carry."""
+    p10 = np.array([float(f"1e{k}") for k in range(-30, 31)])
+    bits = p10.view(np.int64)[:, None] + np.arange(-50, 51)
+    values = bits.view(float).ravel()
+    assert_column_matches(tmp_path, np.concatenate([values, -values]))
+
+
+def exact_ties() -> np.ndarray:
+    """Odd m 2^-e, m < 4000 and 20 <= e < 80, whose exact decimal expansion
+    has 18 significant digits ending in 5, with both signs: the 17-digit
+    rounding is an exact tie."""
+    out = []
+    for e in range(20, 80):
+        for m in range(1, 4000, 2):
+            digits = str(m * 5 ** e).rstrip("0")     # m 2^-e = m 5^e 10^-e
+            if len(digits) == 18:
+                out += [m * 2.0 ** -e, -m * 2.0 ** -e]
+    return np.array(out)
+
+
+def test_write_table_leaves_exact_ties_to_python(tmp_path, monkeypatch):
+    ties = np.concatenate([[2.0 ** -25], exact_ties()])
+    assert ties.size == 1 + 5312
+    assert "%.17g" % 2.0 ** -25 == "2.9802322387695312e-08"  # half-even, not ...13
+    seen = []
+    monkeypatch.setattr(grid_module, "_FMT", lambda v: seen.append(v) or "%.17g" % v)
+    assert_column_matches(tmp_path, ties)
+    assert len(seen) == ties.size
+
+
+def test_write_table_edge_columns(tmp_path):
+    """|k| past the table, a constant column, signed zeros, and a block
+    whose rows straddle the chunk size."""
+    far = np.array([1e-300, -2.5e-200, 1e-41, 9.9e-42, 1e41, 1e42, 1.7e308, -1e200])
+    assert_column_matches(tmp_path, far)
+    assert_column_matches(tmp_path, np.full(1000, 0.1))
+    assert_column_matches(tmp_path, np.full(3, -0.0))
+    assert_column_matches(tmp_path, np.array([0.0, -0.0, 0.0, 5e-324, -0.0]))
+    rng = np.random.default_rng(2)
+    n = grid_module._CHUNK_CELLS // 2 + 1
+    cols = [rng.standard_normal(n), np.full(n, 0.45), -np.abs(rng.standard_normal(n))]
+    p = tmp_path / "straddle.csv"
+    write_table(p, ["a", "b", "c"], [cols])
+    assert_same_text(p.read_text(), oracle_table(["a", "b", "c"], [cols]))
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_format_column_matches_python_on_any_float(values):
+    assert text_of(format_column(np.array(values))) == ["%.17g" % v for v in values]
+
+
 def test_write_table_empty_and_ragged(tmp_path):
     p = tmp_path / "e.csv"
     write_table(p, ["x", "y"], [])
@@ -230,3 +312,25 @@ def test_quad_is_linear(a, b):
     lhs = quad(combo)
     rhs = a * quad(u) + b * quad(v)
     assert abs(lhs - rhs) <= 1e-12 * (1 + abs(a) + abs(b))
+
+
+def test_write_json_table_matches_json_text(tmp_path):
+    """Streamed JSON tables are json_text of the whole table, byte for byte."""
+    rng = np.random.default_rng(4)
+    blocks = [[np.full(3, 0.5), rng.standard_normal(3), np.array([-0.0, 1e300, 5e-324])],
+              [np.array([]), np.array([]), np.array([])],
+              [np.arange(2.0), np.ones(2, dtype=bool), np.array([1 / 3, -7.0])]]
+    header = ["t", "x", "re(é)"]
+    rows = np.concatenate([np.column_stack(b) for b in blocks]).astype(float).tolist()
+    p = tmp_path / "t.json"
+    write_json_table(p, header, iter(blocks))
+    assert p.read_text() == json_text({"columns": header, "rows": rows})
+    write_json_table(p, header, [])
+    assert p.read_text() == json_text({"columns": header, "rows": []})
+
+
+def test_write_json_table_refuses_non_finite(tmp_path):
+    p = tmp_path / "t.json"
+    with pytest.raises(NumericalError, match="non-finite"):
+        write_json_table(p, ["a"], [[np.zeros(4)], [np.array([1.0, np.nan])]])
+    assert list(tmp_path.iterdir()) == []

@@ -14,6 +14,7 @@ and Norsett 2005), evaluated for a whole vector of frequencies mu at once.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -42,6 +43,12 @@ class ClosedForm:
 
     def differentiate(self, k: int = 1) -> "ClosedForm":
         return _Derivative(self, k)
+
+    def jet(self, order: int) -> np.ndarray:
+        """Signed derivatives f^(k)(0) for k = 0..order, each equal to
+        deriv(0, k)."""
+        t0 = np.zeros(1)
+        return np.array([self.deriv(t0, k)[0] for k in range(order + 1)], dtype=float)
 
     def sine_moments(self, mu, t: float, k: int = 0) -> np.ndarray:
         """Exact int_0^t sin(mu_n (t - s)) f^(k)(s) ds for every mu_n >= 0."""
@@ -152,6 +159,13 @@ class PiecewisePoly(ClosedForm):
             out = np.where((u < 0.0) | (u > 1.0), 0.0, inside)
         return out
 
+    def jet(self, order):
+        if self.t0 <= 0.0:
+            return super().jet(order)
+        out = np.zeros(order + 1)     # t = 0 lies on the constant left part
+        out[0] = self.left
+        return out
+
     def _moment_terms(self, t, k, scale):
         w = self.t1 - self.t0
         terms = _piece(scale / w**k, self.t0, self.t1, t, self.t0, w,
@@ -160,6 +174,14 @@ class PiecewisePoly(ClosedForm):
             terms += _piece(scale * self.left, 0.0, self.t0, t, 0.0, 1.0, (1.0,))
             terms += _piece(scale * self.right, self.t1, t, t, 0.0, 1.0, (1.0,))
         return terms
+
+
+@functools.lru_cache(maxsize=None)
+def _bump_base(p: int) -> np.ndarray:
+    """Ascending coefficients of (u - u^2)^p, shared read-only."""
+    base = P.polypow([0.0, 1.0, -1.0], p)
+    base.flags.writeable = False
+    return base
 
 
 def bump(center: float, width: float, amplitude: float = 1.0, smoothness: int = 3) -> PiecewisePoly:
@@ -173,8 +195,7 @@ def bump(center: float, width: float, amplitude: float = 1.0, smoothness: int = 
         raise ConfigurationError("bump width must be positive")
     if smoothness < 2:
         raise ConfigurationError("bump smoothness must be >= 2")
-    base = P.polypow([0.0, 1.0, -1.0], smoothness)  # (u - u^2)^p
-    coeffs = tuple(float(amplitude) * 4.0**smoothness * base)
+    coeffs = tuple(float(amplitude) * 4.0**smoothness * _bump_base(smoothness))
     return PiecewisePoly(center - width / 2.0, center + width / 2.0, coeffs)
 
 
@@ -191,6 +212,9 @@ class _Scaled(ClosedForm):
     def deriv(self, t, k: int = 1):
         return self.c * self.f.deriv(t, k)
 
+    def jet(self, order):
+        return self.c * self.f.jet(order)
+
     def _moment_terms(self, t, k, scale):
         return self.f._moment_terms(t, k, scale * self.c)
 
@@ -205,6 +229,12 @@ class _Sum(ClosedForm):
             out = out + p.deriv(t, k)
         return out
 
+    def jet(self, order):
+        out = self.parts[0].jet(order)
+        for p in self.parts[1:]:
+            out = out + p.jet(order)
+        return out
+
     def _moment_terms(self, t, k, scale):
         return [term for p in self.parts for term in p._moment_terms(t, k, scale)]
 
@@ -216,6 +246,9 @@ class _Derivative(ClosedForm):
 
     def deriv(self, t, k: int = 1):
         return self.f.deriv(t, k + self.shift)
+
+    def jet(self, order):
+        return self.f.jet(order + self.shift)[self.shift:]
 
     def _moment_terms(self, t, k, scale):
         return self.f._moment_terms(t, k + self.shift, scale)

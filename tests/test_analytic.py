@@ -3,10 +3,12 @@ exact sine moments against QUADPACK."""
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from scipy.integrate import quad as scipy_quad
 
-from slwave.analytic import (ClosedForm, Const, Poly, Trig, bump,
-                             parse_expression, ramp, sine_moments)
+from slwave.analytic import (ClosedForm, Const, PiecewisePoly, Poly, Trig,
+                             _bump_base, bump, parse_expression, ramp,
+                             sine_moments)
 from slwave.errors import ConfigurationError
 
 X = np.linspace(0.0, 1.0, 257)
@@ -88,6 +90,52 @@ def test_parse_expression_rejects_unknown():
 def test_bump_two_argument_form():
     f = parse_expression("bump(0.5, 0.2)")
     assert f.deriv(np.array([0.5]), 0)[0] == pytest.approx(1.0)
+
+
+def test_bump_coefficients_from_shared_base():
+    """Bumps share one read-only (u - u^2)^p per smoothness; the
+    coefficients are the direct product amplitude 4^p (u - u^2)^p."""
+    for p in (2, 3, 6):
+        for amp in (1.0, -0.7, 1.3):
+            direct = tuple(amp * 4.0 ** p * P.polypow([0.0, 1.0, -1.0], p))
+            assert bump(0.3, 0.2, amp, p).coeffs == direct
+    with pytest.raises(ValueError):
+        _bump_base(6)[0] = 1.0
+
+
+# --------------------------------------------------------------------- jets
+
+JET_FORMS = [
+    ("const", Const(2.5)),
+    ("const zero", Const(0.0)),
+    ("poly", Poly((1.0, -2.0, 3.0, 0.5, 4.0, 7.0))),
+    ("poly short", Poly((0.25, -3.0))),
+    ("cos", Trig("cos", 3.0, 0.7)),
+    ("sin", Trig("sin", 2.5, -1.3)),
+    ("piecewise t0 < 0", PiecewisePoly(-0.2, 0.4, (0.1, 1.0, -2.0, 3.0, 0.5), left=0.3)),
+    ("piecewise t0 == 0", PiecewisePoly(0.0, 0.5, (0.1, 1.0, -2.0, 3.0, 0.5), left=0.3)),
+    ("piecewise t0 > 0, left", PiecewisePoly(0.1, 0.4, (0.1, 1.0, -2.0), left=-0.75, right=2.0)),
+    ("bump", bump(0.3, 0.2, 1.0, 6)),
+    ("straddling bump", bump(0.05, 0.2, 1.0, 6)),
+    ("ramp", ramp(0.1, 0.4)),
+    ("straddling ramp", ramp(-0.1, 0.2)),
+    ("scaled", -2.5 * Trig("sin", 4.0)),
+    ("sum", Trig("cos", 2.0) + PiecewisePoly(-0.1, 0.3, (1.0, 2.0, 3.0)) - 1.0),
+    ("derivative", bump(0.05, 0.2, 1.0, 6).differentiate(2)),
+    ("nested", (3.0 * (Trig("cos", 3.0) + ramp(-0.2, 0.6))).differentiate(1)
+     + -(bump(0.1, 0.3, 0.8, 6).differentiate(2)) + 0.5 * Poly((0.0, 1.0, 2.0, 3.0))),
+    ("nested, derivative of derivative",
+     (2.0 * PiecewisePoly(0.2, 0.5, (1.0, 1.0), left=4.0)).differentiate(1).differentiate(1)),
+    ("parsed", parse_expression("0.5 + 2*sin(40) - cos(3) + bump(0.01, 0.1, 1, 6)")),
+]
+
+
+@pytest.mark.parametrize("name, f", JET_FORMS)
+def test_jet_equals_deriv_at_zero(name, f):
+    """The jet is exactly deriv(0, k), k = 0..4, on every form type."""
+    want = np.array([f.deriv(np.zeros(1), k)[0] for k in range(5)])
+    assert np.array_equal(f.jet(4), want), name
+    assert np.array_equal(f.jet(2), want[:3]), name
 
 
 # ------------------------------------------------------------ sine moments

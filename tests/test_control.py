@@ -1,11 +1,13 @@
 """Boundary control dynamics: trace maps, smooth waves, sources, oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.integrate import simpson
 
-from slwave.analytic import Const, bump, parse_expression
+from slwave.analytic import Const, Poly, Trig, bump, parse_expression, ramp
 from slwave.control import (ControlSignal, SourceTerm,
                             _kernel_modal_coefficients, control_to_kernel,
                             fdtd_oracle, gamma1, gamma2,
@@ -66,6 +68,46 @@ def test_control_rejects_nonvanishing_start():
     # admissibility needs a vanishing 4-jet at t=0
     with pytest.raises(ContractError):
         ControlSignal(Const(1.0), Const(0.0))
+
+
+def deriv_jet_message(f, name):
+    """The admissibility message built from deriv(0, k), k = 0, 1, 2."""
+    jet = [float(np.max(np.abs(f.deriv(np.zeros(1), k)))) for k in range(3)]
+    return (f"control {name} must vanish with its first two derivatives at t=0, "
+            f"got 2-jet {jet}")
+
+
+SHIFTED_RAMP = dataclasses.replace(ramp(0.3, 0.5), left=0.25)
+
+
+@pytest.mark.parametrize("f0, fl, bad", [
+    (bump(0.05, 0.2, 1.0, 6), Const(0.0), "f0"),                # straddles t = 0
+    (bump(0.2, 0.1, 1.0, 6), SHIFTED_RAMP, "fl"),
+    (Trig("sin", 3.0), Const(0.0), "f0"),
+    (Const(0.0), Trig("cos", 2.0) - 1.0, "fl"),
+    (Poly((0.0, 0.0, 1e-6)), Const(0.0), "f0"),
+    (2.0 * ramp(-0.1, 0.2), Const(0.0), "f0"),
+    (bump(0.3, 0.2, 1.0, 6) + Trig("sin", 1.0), Const(0.0), "f0"),
+    (Const(0.0), -0.5 * bump(0.2, 0.1, 1.0, 6) + bump(0.02, 0.1, 1.0, 6), "fl"),
+    (Poly((0.0, 0.0, 0.0, 1.0)).differentiate(1), Const(0.0), "f0"),
+], ids=["straddling bump", "shifted ramp with left", "sin", "cos - 1",
+        "quadratic", "scaled straddling ramp", "bump + sin", "sum with straddling bump",
+        "derivative of cubic"])
+def test_control_rejection_table(f0, fl, bad):
+    """Inputs with a nonvanishing 2-jet raise, with the message that
+    evaluating deriv at t = 0 gives."""
+    with pytest.raises(ContractError) as info:
+        ControlSignal(f0, fl)
+    assert str(info.value) == deriv_jet_message(f0 if bad == "f0" else fl, bad)
+
+
+def test_control_admissible_table():
+    for f0, fl in [(bump(0.2, 0.3, 1.0, 6), ramp(0.1, 0.3)),
+                   (Poly((0.0, 0.0, 0.0, 1.0)), Const(0.0)),
+                   (Poly((1e-10,)), -2.0 * bump(0.1, 0.1, 1.0, 3))]:
+        ControlSignal(f0, fl)
+    # the second derivative of a C^5 bump still has a vanishing 2-jet
+    ControlSignal(bump(0.2, 0.3, 1.0, 6), bump(0.1, 0.1, -1.0, 6)).differentiate(2)
 
 
 def test_dalembert_traveling_wave(es_zero, kb_zero, q_zero):
@@ -149,14 +191,18 @@ def test_fdtd_cross_check_zero_potential(es_zero, kb_zero, q_zero):
     assert l2 <= 1e-3
 
 
-def leapfrog_loop_reference(c, q, horizon, cfl=0.5):
+def leapfrog_loop_reference(c, q, horizon, cfl=0.5, order="factored"):
     """The leapfrog of fdtd_oracle written as one array expression per step
-    with a fresh array each step, in the evaluation order the oracle keeps."""
+    with a fresh array each step.  `order="factored"` is the evaluation
+    order the oracle keeps, (a z + r2 (z[2:] + z[:-2])) - z_prev with
+    a = 2 - 2 r2 - dt^2 q; `order="expanded"` is the textbook order
+    ((2z - z_prev) + r2 ((z[2:] - 2z) + z[:-2])) - (dt^2 q) z."""
     g = q.grid
     steps = max(1, int(np.ceil(horizon / (cfl * g.h))))
     dt = horizon / steps
     r2 = (dt / g.h) ** 2
     qv = q.values
+    a = 2.0 - 2.0 * r2 - dt * dt * qv[1:-1]
     tgrid = dt * np.arange(steps + 1)
     f0v = np.asarray(c.f0(tgrid), dtype=float)
     flv = np.asarray(c.fl(tgrid), dtype=float)
@@ -166,9 +212,12 @@ def leapfrog_loop_reference(c, q, horizon, cfl=0.5):
     z[-1] = flv[1]
     for m in range(2, steps + 1):
         z_next = np.empty(g.size)
-        z_next[1:-1] = (2.0 * z[1:-1] - z_prev[1:-1]
-                        + r2 * (z[2:] - 2.0 * z[1:-1] + z[:-2])
-                        - dt * dt * qv[1:-1] * z[1:-1])
+        if order == "factored":
+            z_next[1:-1] = a * z[1:-1] + r2 * (z[2:] + z[:-2]) - z_prev[1:-1]
+        else:
+            z_next[1:-1] = (2.0 * z[1:-1] - z_prev[1:-1]
+                            + r2 * (z[2:] - 2.0 * z[1:-1] + z[:-2])
+                            - dt * dt * qv[1:-1] * z[1:-1])
         z_next[0] = f0v[m]
         z_next[-1] = flv[m]
         z_prev, z = z, z_next
@@ -178,13 +227,16 @@ def leapfrog_loop_reference(c, q, horizon, cfl=0.5):
 @pytest.mark.parametrize("horizon, cfl", [(1.0, 0.5), (0.37, 0.9)])
 def test_fdtd_matches_array_loop_bit_for_bit(horizon, cfl):
     """The buffered leapfrog reproduces the one-expression loop exactly,
-    for a variable potential and data at both ends."""
+    for a variable potential and data at both ends; the expanded order
+    agrees with it to rounding."""
     q = potential(build_grid(1.0, 600), parse_expression("2 + cos(3)"))
     c = ControlSignal(bump(0.1, 0.1, 1.0, 6), bump(0.15, 0.1, -0.7, 6))
     want = leapfrog_loop_reference(c, q, horizon, cfl)
     got = fdtd_oracle(c, q, horizon=horizon, cfl=cfl)
     assert np.any(want[1:-1] != 0.0)
     assert np.array_equal(got.values.real, want) and not np.any(got.values.imag)
+    expanded = leapfrog_loop_reference(c, q, horizon, cfl, order="expanded")
+    assert np.max(np.abs(want - expanded)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_fdtd_rejects_bad_cfl(q_zero):

@@ -1,0 +1,78 @@
+"""Verification checks against the per-pair certificates they batch."""
+
+from itertools import combinations_with_replacement
+
+import numpy as np
+import pytest
+
+from slwave import verify
+from slwave.geometry import Atom, distance_profile, eikonal_metric
+from slwave.grid import sample
+from slwave.model import parseval_residual
+
+
+def eikonal_per_pair(ws):
+    """The eikonal check as one eikonal_metric call per pair and axiom."""
+    g = ws.grid
+    rng = np.random.default_rng(ws.seed)
+    ks = rng.integers(0, 513, size=(10, 2))
+    atoms = [(Atom(int(k1) / 1024.0 * g.l), Atom(int(k2) / 1024.0 * g.l))
+             for k1, k2 in ks]
+    measured = 0.0
+    for a1, a2 in atoms:
+        d = eikonal_metric(a1, a2, g)
+        sup = float(np.max(np.abs(distance_profile(a1, g) - distance_profile(a2, g))))
+        measured = max(measured, abs(sup - d))
+    pool = [a for pair in atoms for a in pair]
+    axioms = all(eikonal_metric(a, a, g) == 0.0 for a in pool)
+    for a in pool[:6]:
+        for b in pool[:6]:
+            axioms = axioms and (eikonal_metric(a, b, g) == eikonal_metric(b, a, g))
+            for c in pool[:6]:
+                axioms = axioms and (eikonal_metric(a, c, g)
+                                     <= eikonal_metric(a, b, g) + eikonal_metric(b, c, g))
+    return measured, 1.0 if axioms else 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_eikonal_matrix_matches_per_pair_loop(seed):
+    ws = verify.Workspace(seed=seed)
+    got = verify.check_eikonal_metric(ws)
+    measured, axioms = eikonal_per_pair(ws)
+    assert got.passed
+    assert got.measured == measured
+    assert got.extras["axioms_exact"] == axioms == 1.0
+
+
+def test_eikonal_fault_fails_the_check(acceptance_ws, monkeypatch):
+    """One atom's profile shifted by 2h makes run_all fail eikonal_metric
+    and nothing else."""
+    calls = []
+
+    def shifted(a, grid):
+        calls.append(a)
+        prof = distance_profile(a, grid)
+        return prof + 2.0 * grid.h if len(calls) == 4 else prof
+
+    monkeypatch.setattr(verify, "distance_profile", shifted)
+    report = verify.run_all(acceptance_ws)
+    failed = {c.name: c for c in report.checks if not c.passed}
+    assert list(failed) == ["eikonal_metric"]
+    assert failed["eikonal_metric"].detail.startswith("NumericalError: eikonal sup-norm")
+    assert len(calls) == 20
+
+
+def test_parseval_equals_pairwise_certificate(acceptance_ws):
+    """The batched check is exactly the max of parseval_residual over the
+    15 pairs of its battery."""
+    ws = acceptance_ws
+    es = ws.eigensystem("cosine")
+    gd = ws.gauge("cosine")
+    g = ws.grid
+    battery = [es.eigenfunction(0), es.eigenfunction(1),
+               sample(g, np.ones_like(g.x)),
+               sample(g, g.x * (g.l - g.x)),
+               gd.e.as_grid_function(g)]
+    want = max(parseval_residual(battery[i], battery[j], gd)
+               for i, j in combinations_with_replacement(range(len(battery)), 2))
+    assert verify.check_parseval(ws).measured == want

@@ -35,9 +35,6 @@ class ClosedForm:
     def deriv(self, t, k: int = 1):
         raise NotImplementedError
 
-    def value(self, t):
-        return self.deriv(t, 0)
-
     def __call__(self, t):
         return self.deriv(t, 0)
 

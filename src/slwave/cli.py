@@ -7,7 +7,8 @@ model-coefficient tables), `verify` (the full check suite), `recover`
 
 Config is INI-style with sections [problem], [numerics], [gauge],
 [controls], [tolerances]; every key has a default, so a missing file or
-empty section still yields a runnable configuration.  Outputs are
+empty section still yields a runnable configuration, and any other
+section or key is a configuration error.  Outputs are
 deterministic byte-for-byte for a fixed config and seed: floats print as
 %.17g in CSV and round-trip repr in JSON, keys are sorted, and no
 timestamps are embedded.  Every table, the wave field and the
@@ -108,71 +109,86 @@ def _parse_pair(text: str) -> tuple:
     return (complex(v[0], v[1]), complex(v[2], v[3]))
 
 
+def _as_bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+def _as_times(raw: str) -> tuple:
+    return tuple(float(p) for p in raw.split(",") if p.strip())
+
+
+def _gauge_kind(raw: str) -> str:
+    kind = raw.strip().lower()
+    if kind not in ("default", "custom"):
+        raise ConfigurationError(f"unknown gauge kind {kind!r}")
+    return kind
+
+
+# every config key: (section, key) -> (RunConfig field, parser); an absent
+# key keeps the field's default.  [gauge] gauge only names the frame kind:
+# the frame is the default one unless e, e1 or e2 is given.  [tolerances]
+# holds the two tolerances the program reads.
+_KEYS = {
+    ("problem", "l"): ("l", float),
+    ("problem", "potential"): ("potential_expr", str),
+    ("problem", "coefficients"): ("coefficients_path", str),
+    ("numerics", "grid_n"): ("grid_n", int),
+    ("numerics", "modes"): ("modes", int),
+    ("numerics", "horizon"): ("horizon", float),
+    ("numerics", "cfl"): ("cfl", float),
+    ("numerics", "shoot_tol"): ("shoot_tol", float),
+    ("numerics", "fdtd"): ("run_fdtd", _as_bool),
+    ("numerics", "seed"): ("seed", int),
+    ("gauge", "gauge"): (None, _gauge_kind),
+    ("gauge", "e"): ("gauge_e", _parse_pair),
+    ("gauge", "e1"): ("gauge_e1", _parse_pair),
+    ("gauge", "e2"): ("gauge_e2", _parse_pair),
+    ("controls", "f0"): ("f0_expr", str),
+    ("controls", "fl"): ("fl_expr", str),
+    ("controls", "times"): ("times", _as_times),
+    ("tolerances", "fdtd"): ("tolerances", float),
+    ("tolerances", "support"): ("tolerances", float),
+}
+
+
 def load_config(path: Optional[str], out_dir: str = ".", fmt: str = "csv",
                 seed: Optional[int] = None,
                 t_perturbation: float = 0.0) -> RunConfig:
+    """RunConfig from an INI file; an unknown section or key is a
+    ConfigurationError, so a misspelling never runs with a default."""
     cp = configparser.ConfigParser()
-    if path is not None:
-        read = cp.read(path)
-        if not read:
+    try:
+        if path is not None and not cp.read(path):
             raise ConfigurationError(f"cannot read config file {path}")
-
-    def get(section, key, default, cast):
-        try:
-            raw = cp.get(section, key)
-        except (configparser.NoSectionError, configparser.NoOptionError):
-            return default
-        try:
-            return cast(raw)
-        except (ValueError, TypeError):
-            raise ConfigurationError(
-                f"bad value for [{section}] {key}: {raw!r}") from None
-
-    def as_bool(raw):
-        try:
-            return cp.BOOLEAN_STATES[raw.strip().lower()]
-        except KeyError:
-            raise ValueError(f"not a boolean: {raw!r}") from None
-
-    def as_times(raw):
-        return tuple(float(p) for p in raw.split(",") if p.strip())
-
-    gauge_kind = get("gauge", "gauge", "default", str).strip().lower()
-    ge = ge1 = ge2 = None
-    if gauge_kind not in ("default", "custom"):
-        raise ConfigurationError(f"unknown gauge kind {gauge_kind!r}")
-    if gauge_kind == "custom" or cp.has_option("gauge", "e"):
-        ge = get("gauge", "e", None, _parse_pair)
-        ge1 = get("gauge", "e1", None, _parse_pair)
-        ge2 = get("gauge", "e2", None, _parse_pair)
-
-    tolerances = {}
-    if cp.has_section("tolerances"):
-        for key in cp.options("tolerances"):
-            tolerances[key] = get("tolerances", key, 0.0, float)
-
-    cfg_seed = get("numerics", "seed", 0, int)
-    cfg = RunConfig(
-        l=get("problem", "l", 1.0, float),
-        potential_expr=get("problem", "potential", "const(0)", str),
-        grid_n=get("numerics", "grid_n", 2000, int),
-        modes=get("numerics", "modes", 200, int),
-        horizon=get("numerics", "horizon", 0.5, float),
-        cfl=get("numerics", "cfl", 0.5, float),
-        shoot_tol=get("numerics", "shoot_tol", 1e-10, float),
-        gauge_e=ge, gauge_e1=ge1, gauge_e2=ge2,
-        f0_expr=get("controls", "f0", "bump(0.06, 0.1, 1.0, 6)", str),
-        fl_expr=get("controls", "fl", "const(0)", str),
-        times=get("controls", "times", (), as_times),
-        run_fdtd=get("numerics", "fdtd", True, as_bool),
-        coefficients_path=get("problem", "coefficients", None, str),
-        tolerances=tolerances,
-        seed=cfg_seed if seed is None else int(seed),
-        t_perturbation=float(t_perturbation),
-        out_dir=Path(out_dir),
-        fmt=fmt,
-    )
-    return cfg
+        items = {section: cp.items(section) for section in cp.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot parse config file {path}: {exc}") from None
+    known = {section for section, _ in _KEYS}
+    for section in list(items) + ([cp.default_section] if cp.defaults() else []):
+        if section not in known:
+            raise ConfigurationError(f"unknown config section [{section}]")
+    fields = {"tolerances": {}}
+    for section, pairs in items.items():
+        for key, raw in pairs:
+            if (section, key) not in _KEYS:
+                raise ConfigurationError(f"unknown config key [{section}] {key}")
+            name, cast = _KEYS[section, key]
+            try:
+                value = cast(raw)
+            except (ValueError, TypeError):
+                raise ConfigurationError(
+                    f"bad value for [{section}] {key}: {raw!r}") from None
+            if name == "tolerances":
+                fields["tolerances"][key] = value
+            elif name is not None:
+                fields[name] = value
+    if seed is not None:
+        fields["seed"] = int(seed)
+    return RunConfig(**fields, t_perturbation=float(t_perturbation),
+                     out_dir=Path(out_dir), fmt=fmt)
 
 
 def _out_path(cfg: RunConfig, name: str) -> Path:

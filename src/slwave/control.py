@@ -232,13 +232,9 @@ def fdtd_oracle(c: ControlSignal, q: Potential, horizon: float,
 class SupportReport:
     """L2 mass budget of a snapshot against the reachable set at time t."""
 
-    t: float
-    margin: float
-    region: tuple
     outside_mass: float
     total_mass: float
     ratio: float
-    tol: float
     passed: bool
 
 
@@ -251,21 +247,17 @@ def support_report(u: GridFunction, t: float, tol: float = 1e-6) -> SupportRepor
     dens = np.abs(u.values) ** 2
     total = quad(GridFunction(g, dens.astype(complex))).real
     if hi <= lo:
-        return SupportReport(t, eps, (lo, hi), 0.0, total, 0.0, tol, True)
+        return SupportReport(0.0, total, 0.0, True)
     mask = (g.x >= lo) & (g.x <= hi)
     outside = quad(GridFunction(g, np.where(mask, dens, 0.0).astype(complex))).real
     ratio = outside / total if total > 0.0 else 0.0
-    return SupportReport(t, eps, (lo, hi), float(outside), float(total),
-                         float(ratio), tol, bool(ratio <= tol))
+    return SupportReport(float(outside), float(total), float(ratio), bool(ratio <= tol))
 
 
 @dataclass(frozen=True)
 class SpanEstimate:
-    """Snapshot matrix on a coarse probe grid and its singular values."""
+    """Singular values of the snapshot matrix on a coarse probe grid."""
 
-    t: float
-    coarse_x: np.ndarray
-    snapshots: np.ndarray       # (samples, coarse_m)
     singular_values: np.ndarray
 
     @property
@@ -313,4 +305,4 @@ def reachable_span_estimate(t: float, es: EigenSystem, kb: KernelBasis,
     xq = g.l * (np.arange(1, _COARSE_M + 1)) / (_COARSE_M + 1.0)
     A = fields @ _probe_matrix(g, xq).T
     sv = np.linalg.svd(A, compute_uv=False)
-    return SpanEstimate(t, xq, A, sv)
+    return SpanEstimate(sv)

@@ -13,11 +13,15 @@ form, so G = rho T T* stays a checkable identity rather than a definition.
 
 All algebra in this layer runs in extended precision (the samples are cast
 once) because near the midpoint cond(G) grows like 1/det(T)^2 and double
-precision would eat the 1e-10 identity tolerances.
+precision would eat the 1e-10 identity tolerances.  default_gauge is the
+only producer of extended-precision fields, and it refuses to run where
+np.longdouble is plain double; every later layer takes its dtypes from the
+gauge.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -34,9 +38,8 @@ from .sturm import KernelBasis, Potential
 
 __all__ = [
     "KernelElement", "GaugeData", "SmoothFunction", "HatField",
-    "FormLimitReport", "ModelInnerReport", "default_gauge", "boundary_form",
-    "form_limit_check", "hat_value", "model_inner", "model_inner_report",
-    "parseval_residual", "smooth_from_closed_form",
+    "FormLimitReport", "default_gauge", "boundary_form", "form_limit_check",
+    "hat_value", "model_inner", "parseval_residual", "smooth_from_closed_form",
 ]
 
 _LD = np.longdouble
@@ -52,20 +55,10 @@ DET_FLOOR = 1e-8
 _FORM_TOL = 1e-4
 
 
-def _require_extended_precision(what: str) -> None:
-    if _LD_NMANT < 63:
-        raise NumericalError(
-            f"{what} needs np.longdouble with at least 63 mantissa bits, but "
-            f"it has {_LD_NMANT} here; the model algebra would silently lose "
-            "the accuracy its checks are calibrated for")
-
-
 @dataclass(frozen=True)
 class KernelElement:
     """Kernel solution c0 phi0 + cl phil with derivative samples."""
 
-    c0: complex
-    cl: complex
     u: np.ndarray
     du: np.ndarray
     d2u: np.ndarray
@@ -75,7 +68,7 @@ class KernelElement:
         u = _CLD(c0) * kb.phi0.u.values.astype(_CLD) + _CLD(cl) * kb.phil.u.values.astype(_CLD)
         du = _CLD(c0) * kb.phi0.du.values.astype(_CLD) + _CLD(cl) * kb.phil.du.values.astype(_CLD)
         d2u = kb.q.values.astype(_LD) * u
-        return cls(complex(c0), complex(cl), u, du, d2u)
+        return cls(u, du, d2u)
 
     def as_grid_function(self, grid: Grid) -> GridFunction:
         return GridFunction(grid, self.u.astype(complex))
@@ -94,9 +87,6 @@ class SmoothFunction:
     values: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-
-    def as_grid_function(self) -> GridFunction:
-        return GridFunction(self.grid, np.asarray(self.values, dtype=complex))
 
 
 def smooth_from_closed_form(grid: Grid, f: ClosedForm) -> SmoothFunction:
@@ -124,12 +114,26 @@ class GaugeData:
     d2T: np.ndarray
     G: np.ndarray
     detT: np.ndarray
-    admissible: np.ndarray
     band: np.ndarray
 
     @property
     def half(self) -> int:
         return self.grid.n // 2
+
+    @functools.cached_property
+    def admissible(self) -> np.ndarray:
+        """Nodes outside the guard band with |det T| > DET_FLOOR."""
+        return ~self.band & (np.abs(self.detT) > DET_FLOOR)
+
+    @functools.cached_property
+    def Ginv(self) -> np.ndarray:
+        """G^{-1} on the whole half grid (inf/nan where G is singular);
+        a singular G on an admissible node is an AdmissibilityError."""
+        detG = mat2.det2(self.G)
+        if np.any(np.abs(detG[self.admissible]) <= 1e-14 * float(np.max(np.abs(self.G)))):
+            raise AdmissibilityError("Gram matrix singular outside the guard band")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return mat2.inv2(self.G, det=detG)
 
 
 def _pair(values: np.ndarray, m: int) -> tuple:
@@ -152,7 +156,11 @@ def default_gauge(kb: KernelBasis,
     before the midpoint, where T degenerates (its columns coincide at l/2);
     nodes with |det T| <= DET_FLOOR are inadmissible as well.
     """
-    _require_extended_precision("default_gauge")
+    if _LD_NMANT < 63:
+        raise NumericalError(
+            f"default_gauge needs np.longdouble with at least 63 mantissa bits, but "
+            f"it has {_LD_NMANT} here; the model algebra would silently lose "
+            "the accuracy its checks are calibrated for")
     g = kb.grid
     if g.n % 4 != 0:
         raise ConfigurationError(
@@ -211,9 +219,8 @@ def default_gauge(kb: KernelBasis,
     detT = mat2.det2(T)
     half_x = g.x[: m + 1].astype(_LD)
     band = half_x > half_x[m] - GUARD_CELLS * _LD(g.h) + _LD(1e-12) * g.h
-    admissible = (~band) & (np.abs(detT) > DET_FLOOR)
     return GaugeData(g, kb.q, ke, ke1, ke2, half_x, rho, drho, d2rho,
-                     T, dT, d2T, G, detT, admissible, band)
+                     T, dT, d2T, G, detT, band)
 
 
 def boundary_form(u: GridFunction, v: GridFunction, x: float, gd: GaugeData) -> complex:
@@ -237,13 +244,8 @@ class FormLimitReport:
     """Small-radius limit of atom-projected mass ratios against the
     pointwise boundary form."""
 
-    x: float
-    radii: tuple
-    ratios: tuple
-    extrapolated: float
     target: float
     deviation: float
-    tol: float
     monotone: bool
     passed: bool
 
@@ -273,35 +275,28 @@ def form_limit_check(u: GridFunction, x: float, gd: GaugeData) -> FormLimitRepor
     floor = max(1e-10, 1e-8 * abs(target))
     monotone = all(d2 <= d1 * 2.0 + floor for d1, d2 in zip(devs, devs[1:]))
     passed = bool(deviation <= _FORM_TOL and monotone)
-    return FormLimitReport(x, radii, tuple(ratios), float(extrapolated),
-                           float(target), float(deviation), _FORM_TOL, monotone, passed)
+    return FormLimitReport(float(target), float(deviation), monotone, passed)
 
 
 @dataclass(frozen=True)
 class HatField:
     """Two-component image of a function under the gauge map, on the half
-    grid.  trace keeps the generating pair (u(x), u(l-x)) when known, which
-    lets integrals pass through the midpoint; d1/d2 are hat derivatives."""
+    grid.  trace keeps the generating pair (u(x), u(l-x)), which lets
+    integrals pass through the midpoint; d1/d2 are hat derivatives."""
 
     half_x: np.ndarray
     values: np.ndarray
-    trace: Optional[np.ndarray] = None
+    trace: np.ndarray
     d1: Optional[np.ndarray] = None
     d2: Optional[np.ndarray] = None
 
-    def has_derivatives(self) -> bool:
-        return self.d1 is not None and self.d2 is not None
-
 
 def _trace_pair(values: np.ndarray, m: int, sign: float = 1.0) -> np.ndarray:
-    w = np.empty((m + 1, 2), dtype=_CLD)
-    w[:, 0] = values[: m + 1]
-    w[:, 1] = sign * values[::-1][: m + 1]
-    return w
+    left, right = _pair(values, m)
+    return np.stack([left, sign * right], axis=1)
 
 
-def hat_value(u: Union[GridFunction, SmoothFunction, KernelElement],
-              gd: GaugeData) -> HatField:
+def hat_value(u: Union[GridFunction, SmoothFunction], gd: GaugeData) -> HatField:
     """Hat of u: u^(x) = T(x) (u(x), u(l-x)).
 
     The result is cross-checked against the boundary-form route
@@ -309,84 +304,47 @@ def hat_value(u: Union[GridFunction, SmoothFunction, KernelElement],
     internal error.  SmoothFunction input also fills the hat derivatives
     via the product rule with the analytic T', T''.
     """
+    if not isinstance(u, (GridFunction, SmoothFunction)):
+        raise ContractError(f"cannot hat a {type(u).__name__}")
     m = gd.half
-    if isinstance(u, KernelElement):
-        u = u.as_smooth(gd.grid)
+    w = _trace_pair(np.asarray(u.values, dtype=_CLD), m)
+    hat = mat2.apply2(gd.T, w)
+    d1 = d2 = None
     if isinstance(u, SmoothFunction):
-        vals = np.asarray(u.values, dtype=_CLD)
-        w = _trace_pair(vals, m)
         dw = _trace_pair(np.asarray(u.d1, dtype=_CLD), m, sign=-1.0)
         d2w = _trace_pair(np.asarray(u.d2, dtype=_CLD), m)
-        hat = mat2.apply2(gd.T, w)
         d1 = mat2.apply2(gd.dT, w) + mat2.apply2(gd.T, dw)
         d2 = (mat2.apply2(gd.d2T, w) + 2.0 * mat2.apply2(gd.dT, dw)
               + mat2.apply2(gd.T, d2w))
-    elif isinstance(u, GridFunction):
-        vals = u.values.astype(_CLD)
-        w = _trace_pair(vals, m)
-        hat = mat2.apply2(gd.T, w)
-        d1 = d2 = None
-    else:
-        raise ContractError(f"cannot hat a {type(u).__name__}")
-    res = _hat_form_residual(vals, hat, gd)
+    res = _hat_form_residual(w, hat, gd)
     scale = float(np.max(np.abs(hat))) + 1.0
     if res > 1e-12 * scale:
         raise InternalError(
             f"hat routes disagree by {res:.3e}; gauge data is inconsistent")
-    return HatField(gd.half_x, hat, trace=w, d1=d1, d2=d2)
+    return HatField(gd.half_x, hat, w, d1, d2)
 
 
-def _hat_form_residual(full_values: np.ndarray, hat: np.ndarray, gd: GaugeData) -> float:
-    m = gd.half
-    ul, ur = full_values[: m + 1], full_values[::-1][: m + 1]
-    e1l, e1r = gd.e1.u[: m + 1], gd.e1.u[::-1][: m + 1]
-    e2l, e2r = gd.e2.u[: m + 1], gd.e2.u[::-1][: m + 1]
-    alt0 = (ul * np.conj(e1l) + ur * np.conj(e1r)) / gd.rho
-    alt1 = (ul * np.conj(e2l) + ur * np.conj(e2r)) / gd.rho
-    return float(max(np.max(np.abs(hat[:, 0] - alt0)), np.max(np.abs(hat[:, 1] - alt1))))
+def _hat_form_residual(w: np.ndarray, hat: np.ndarray, gd: GaugeData) -> float:
+    """Largest distance of the hat from (<u,e1>_x, <u,e2>_x), w = (u(x), u(l-x))."""
+    alt = [(w[:, 0] * np.conj(el) + w[:, 1] * np.conj(er)) / gd.rho
+           for el, er in (_pair(gd.e1.u, gd.half), _pair(gd.e2.u, gd.half))]
+    return float(max(np.max(np.abs(hat[:, 0] - alt[0])), np.max(np.abs(hat[:, 1] - alt[1]))))
 
 
-@dataclass(frozen=True)
-class ModelInnerReport:
-    value: complex
-    excluded_estimate: float
-    through_midpoint: bool
-
-
-def model_inner_report(uh: HatField, vh: HatField, gd: GaugeData) -> ModelInnerReport:
+def model_inner(uh: HatField, vh: HatField, gd: GaugeData) -> complex:
     """Model inner product int_0^{l/2} (G^{-1} u^, v^) rho dx.
 
     On admissible nodes the integrand exercises the Gram algebra; on the
     guard band (and any degenerate interior node) it is replaced by the
-    algebraically equal trace form u(x) conj(v(x)) + u(l-x) conj(v(l-x))
-    when both hats carry traces, so Simpson runs through the midpoint.
-    Without traces the band is excluded and its contribution only bounded.
+    algebraically equal trace form u(x) conj(v(x)) + u(l-x) conj(v(l-x)),
+    so Simpson runs through the midpoint.
     """
-    m = gd.half
-    h = _LD(gd.grid.h)
-    ok = gd.admissible
-    detG = mat2.det2(gd.G)
-    if np.any(np.abs(detG[ok]) <= 1e-14 * float(np.max(np.abs(gd.G)))):
-        raise AdmissibilityError("Gram matrix singular outside the guard band")
     with np.errstate(divide="ignore", invalid="ignore"):
-        Ginv_u = mat2.apply2(mat2.inv2(gd.G, det=detG), uh.values)
+        Ginv_u = mat2.apply2(gd.Ginv, uh.values)
         integrand = np.einsum("ji,ji->j", Ginv_u, np.conj(vh.values)) * gd.rho
-    if uh.trace is not None and vh.trace is not None:
-        fallback = np.einsum("ji,ji->j", uh.trace, np.conj(vh.trace))
-        integrand = np.where(ok, integrand, fallback)
-        value = simpson_sum(integrand, h)
-        return ModelInnerReport(complex(value), 0.0, True)
-    run_end = int(np.argmin(ok)) if not ok.all() else m + 1
-    if run_end < 5:
-        raise ContractError("admissible prefix too short to integrate")
-    value = simpson_sum(integrand[:run_end], h)
-    tail_scale = float(np.max(np.abs(integrand[max(0, run_end - 3):run_end])))
-    excluded = float((m + 1 - run_end) * h) * tail_scale
-    return ModelInnerReport(complex(value), excluded, False)
-
-
-def model_inner(uh: HatField, vh: HatField, gd: GaugeData) -> complex:
-    return model_inner_report(uh, vh, gd).value
+    fallback = np.einsum("ji,ji->j", uh.trace, np.conj(vh.trace))
+    integrand = np.where(gd.admissible, integrand, fallback)
+    return complex(simpson_sum(integrand, _LD(gd.grid.h)))
 
 
 def parseval_residual(u: GridFunction, v: GridFunction, gd: GaugeData) -> float:

@@ -13,7 +13,9 @@ analytic derivatives:
 The combination S = Q^ + P^^2/4 - P^'/2 equals T Q T^{-1}, so the pair
 {q(x), q(l-x)} is recovered from model data alone as the eigenvalues of S.
 Everything here is restricted to the admissible half-grid nodes; inside
-the guard band T is too close to singular to invert.
+the guard band T is too close to singular to invert.  The arithmetic runs
+in the precision of the gauge fields (extended, see model.py) or, for
+tabulated coefficients, in double.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from . import mat2
 from .control import ControlSignal, control_to_kernel, smooth_wave
 from .errors import ContractError, InternalError, NumericalError
 from .grid import GridFunction, diff_samples
-from .model import (GaugeData, HatField, SmoothFunction, _require_extended_precision,
-                    hat_value)
+from .model import GaugeData, HatField, SmoothFunction, hat_value
 from .sturm import EigenSystem, KernelBasis
 
 __all__ = [
@@ -37,8 +38,6 @@ __all__ = [
     "smooth_from_samples", "recover_potential", "unordered_branch_error",
 ]
 
-_LD = np.longdouble
-_CLD = np.clongdouble
 # relative branch separation below which recover_potential flags a collision
 _COLLISION_TOL = 1e-6
 
@@ -67,7 +66,6 @@ def assemble_coefficients(gd: GaugeData) -> ModelCoefficients:
     P^ is computed both as 2 T' T^{-1} and as -2 T (T^{-1})'; the two must
     agree to 1e-10 or the gauge data is corrupt.
     """
-    _require_extended_precision("assemble_coefficients")
     m = gd.half
     idx = np.flatnonzero(gd.admissible)
     if idx.size == 0:
@@ -90,12 +88,12 @@ def assemble_coefficients(gd: GaugeData) -> ModelCoefficients:
     d2Tinv = -Tinv @ d2T @ Tinv + 2.0 * (A @ A @ Tinv)
     dPhat = 2.0 * (d2T @ Tinv) + 2.0 * (dT @ dTinv)
 
-    qv = gd.q.values.astype(_LD)
+    qv = gd.q.values.astype(gd.rho.dtype)
     qpair = np.stack([qv[idx], qv[::-1][idx]], axis=1)     # (q(x), q(l-x))
     Qhat = (T * qpair[:, None, :]) @ Tinv - T @ d2Tinv
 
     def _embed(block):
-        full = np.zeros((m + 1, 2, 2), dtype=_CLD)
+        full = np.zeros((m + 1, 2, 2), dtype=block.dtype)
         full[idx] = block
         return full
 
@@ -103,13 +101,12 @@ def assemble_coefficients(gd: GaugeData) -> ModelCoefficients:
                              _embed(dPhat), _embed(Qhat), gd.grid.h, route_res)
 
 
-def apply_model(uh: HatField, mc: ModelCoefficients) -> HatField:
+def apply_model(uh: HatField, mc: ModelCoefficients) -> np.ndarray:
     """-u^'' + P^ u^' + Q^ u^ on the admissible nodes (zero elsewhere)."""
-    if not uh.has_derivatives():
+    if uh.d1 is None or uh.d2 is None:
         raise ContractError("apply_model needs a hat with derivative data")
-    ok = mc.admissible[:, None]
     vals = -uh.d2 + mat2.apply2(mc.Phat, uh.d1) + mat2.apply2(mc.Qhat, uh.values)
-    return HatField(mc.half_x, np.where(ok, vals, 0.0))
+    return np.where(mc.admissible[:, None], vals, 0.0)
 
 
 def intertwine_residual(u: SmoothFunction, gd: GaugeData, mc: ModelCoefficients) -> float:
@@ -123,7 +120,7 @@ def intertwine_residual(u: SmoothFunction, gd: GaugeData, mc: ModelCoefficients)
     lstar = GridFunction(gd.grid, np.asarray(-u.d2 + gd.q.values * u.values,
                                              dtype=complex))
     rhs = hat_value(lstar, gd)
-    diff = np.abs(lhs.values - rhs.values)[mc.admissible]
+    diff = np.abs(lhs - rhs.values)[mc.admissible]
     return float(np.max(diff))
 
 
@@ -179,7 +176,6 @@ def recover_potential(mc: ModelCoefficients,
     by order-4 differencing of P^ along the admissible run, emulating an
     observer who only holds tabulated coefficients.
     """
-    _require_extended_precision("recover_potential")
     idx = np.flatnonzero(mc.admissible)
     if idx.size < 6:
         raise NumericalError("too few admissible nodes for recovery")

@@ -17,7 +17,6 @@ from slwave.analytic import Const
 from slwave.cli import load_config, main
 from slwave.errors import ConfigurationError, NumericalError, VerificationFailure
 from slwave.grid import build_grid
-from slwave.operator import assemble_coefficients, recover_potential
 from slwave.sturm import kernel_basis, potential
 from slwave.verify import CHECK_NAMES, CheckResult, VerificationReport
 
@@ -120,6 +119,40 @@ def test_exit_2_non_finite_value(tmp_path, capsys, section, line):
     assert main(["simulate", "--config", path, "--out", str(out)]) == 2
     capsys.readouterr()
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("body, named", [
+    ("[numerics]\ngrid = 400\n", "[numerics] grid"),
+    ("[problem]\npotental = 2 + cos(3)\n", "[problem] potental"),
+    ("[tolerances]\nfdtdd = 1e-9\n", "[tolerances] fdtdd"),
+    ("[numerics]\ngrid_n = 400\n[extra]\n", "[extra]"),
+    ("[DEFAULT]\ngrid_n = 400\n", "[DEFAULT]")])
+def test_exit_2_unknown_config_key(tmp_path, capsys, body, named):
+    """A misspelled key or a stray section is refused, never run on a default."""
+    path = ini(tmp_path / "typo.ini", body)
+    out = tmp_path / "out"
+    assert main(["eigs", "--config", path, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body", ["grid_n = 400\n",
+                                  "[numerics]\ngrid_n = 400\ngrid_n = 800\n",
+                                  "[problem]\npotential = 2 + 5%\n",
+                                  b"[problem]\npotential = \xff\n"])
+def test_exit_2_unparsable_config(tmp_path, capsys, body):
+    """A file configparser cannot read (no section header, a repeated key,
+    a bare % interpolation, bytes that are not text) is a configuration
+    error, not a traceback."""
+    path = tmp_path / "bad.ini"
+    if isinstance(body, bytes):
+        path.write_bytes(body)
+    else:
+        ini(path, body)
+    out = tmp_path / "out"
+    assert main(["eigs", "--config", str(path), "--out", str(out)]) == 2
+    assert "cannot parse config file" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_boolean_words(tmp_path, capsys):
@@ -533,23 +566,32 @@ def test_model_recover_bytes_are_pinned(tmp_path, capsys):
     assert digests == PINNED_DIGESTS
 
 
-def test_model_algebra_needs_extended_precision(tmp_path, capsys, monkeypatch,
-                                                example_gauge):
-    """Where np.longdouble is plain double the gauge and recovery algebra
-    loses its margins; the pipeline must refuse, not degrade silently."""
+def test_model_algebra_needs_extended_precision(tmp_path, capsys, monkeypatch):
+    """Where np.longdouble is plain double the gauge algebra loses its
+    margins; the pipeline must refuse, not degrade silently."""
     kb = kernel_basis(potential(build_grid(1.0, 400), Const(0.0)))
-    mc = assemble_coefficients(example_gauge)
     monkeypatch.setattr(model, "_LD_NMANT", 52)
     with pytest.raises(NumericalError, match="63 mantissa bits"):
         model.default_gauge(kb)
-    with pytest.raises(NumericalError, match="63 mantissa bits"):
-        assemble_coefficients(example_gauge)
-    with pytest.raises(NumericalError, match="63 mantissa bits"):
-        recover_potential(mc)
     path = ini(tmp_path / "m.ini", COSINE_SMALL)
     assert main(["model", "--config", path, "--out", str(tmp_path / "m")]) == 3
     assert "63 mantissa bits" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
+
+
+def test_table_recover_runs_in_double(tmp_path, capsys, monkeypatch):
+    """Recovery from a coefficient table never touches longdouble, so it
+    runs, byte for byte the same, where np.longdouble is plain double."""
+    path = ini(tmp_path / "m.ini", COSINE_SMALL)
+    assert main(["model", "--config", path, "--out", str(tmp_path / "m")]) == 0
+    table = ini(tmp_path / "t.ini", "[problem]\npotential = 2 + cos(3)\n"
+                f"coefficients = {tmp_path / 'm' / 'model.csv'}\n[numerics]\ngrid_n = 400\n")
+    assert main(["recover", "--config", table, "--out", str(tmp_path / "ext")]) == 0
+    monkeypatch.setattr(model, "_LD_NMANT", 52)
+    assert main(["recover", "--config", table, "--out", str(tmp_path / "dbl")]) == 0
+    capsys.readouterr()
+    for name in ("recovery.csv", "recovery_report.json"):
+        assert (tmp_path / "dbl" / name).read_bytes() == (tmp_path / "ext" / name).read_bytes()
 
 
 def test_verify_clean_run(tmp_path, capsys):

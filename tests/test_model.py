@@ -10,8 +10,7 @@ from slwave.errors import AdmissibilityError, ConfigurationError, InternalError
 from slwave.grid import GridFunction, build_grid, inner
 from slwave.model import (DET_FLOOR, GUARD_CELLS, boundary_form, default_gauge,
                           form_limit_check, hat_value, model_inner,
-                          model_inner_report, parseval_residual,
-                          smooth_from_closed_form)
+                          parseval_residual, smooth_from_closed_form)
 from slwave.sturm import kernel_basis, potential
 
 RHO0_Q1 = 2.0 * np.sinh(1.0) ** 2     # = 2.762195691083631
@@ -136,25 +135,18 @@ def test_model_inner_gauge_element(gauge_zero):
     assert abs(val - inner(e_gf, e_gf)) <= 1e-6
 
 
-def test_model_inner_report_through_midpoint(gauge_zero):
-    u = sine(gauge_zero.grid)
-    rep = model_inner_report(hat_value(u, gauge_zero), hat_value(u, gauge_zero),
-                             gauge_zero)
-    assert rep.through_midpoint
-    assert rep.excluded_estimate == 0.0
-
-
-def test_model_inner_prefix_fallback(gauge_zero):
-    """Hats without traces integrate the admissible prefix and bound the rest."""
-    gd = gauge_zero
-    u = sine(gd.grid)
-    uh = hat_value(u, gd)
-    from slwave.model import HatField
-    bare = HatField(uh.half_x, uh.values, None, None, None)
-    rep = model_inner_report(bare, bare, gd)
-    assert not rep.through_midpoint
-    assert rep.excluded_estimate > 0.0
-    assert abs(rep.value - 0.5) <= rep.excluded_estimate + 1e-6
+def test_model_inner_refuses_singular_gram(gauge_zero):
+    """A Gram matrix that is singular on one admissible node makes the
+    model inner product raise, not integrate through the node."""
+    import dataclasses
+    j = int(np.flatnonzero(gauge_zero.admissible)[len(gauge_zero.half_x) // 4])
+    G = gauge_zero.G.copy()
+    G[j, 1] = G[j, 0]
+    gd = dataclasses.replace(gauge_zero, G=G)
+    assert gd.admissible[j]
+    uh = hat_value(sine(gd.grid), gd)
+    with pytest.raises(AdmissibilityError, match="Gram matrix singular"):
+        model_inner(uh, uh, gd)
 
 
 def test_parseval_battery(gauge_zero, es_zero):

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from slwave import verify
+from slwave import mat2, verify
 from slwave.geometry import Atom, distance_profile, eikonal_metric
 from slwave.grid import sample
 from slwave.model import parseval_residual
@@ -76,3 +76,28 @@ def test_parseval_equals_pairwise_certificate(acceptance_ws):
     want = max(parseval_residual(battery[i], battery[j], gd)
                for i, j in combinations_with_replacement(range(len(battery)), 2))
     assert verify.check_parseval(ws).measured == want
+
+
+def test_parseval_forms_gram_inverse_once():
+    """The 15 inner products of check_parseval share one G^{-1}."""
+    calls = []
+
+    def counted(A, det=None):
+        calls.append(A)
+        return inv2(A, det)
+
+    inv2 = mat2.inv2
+    ws = verify.Workspace(grid_n=400, modes=60)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mat2, "inv2", counted)
+        verify.check_parseval(ws)
+    assert len(calls) == 1 and calls[0] is ws.gauge("cosine").G
+
+
+def test_checks_take_tolerance_and_sense_from_the_table(acceptance_ws):
+    """Every check reports the tolerance and sense of its _CHECKS entry;
+    eikonal_metric's tolerance is the grid step."""
+    report = verify.run_all(acceptance_ws)
+    for check, (name, tol, sense, _) in zip(report.checks, verify._CHECKS):
+        assert check.name == name and check.sense == sense
+        assert check.tolerance == (acceptance_ws.grid.h if tol is None else tol)

@@ -75,7 +75,7 @@ class ClosedForm:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Const(ClosedForm):
     c: float = 0.0
 
@@ -87,7 +87,7 @@ class Const(ClosedForm):
         return _piece(scale * self.c if k == 0 else 0.0, 0.0, t, t, 0.0, 1.0, (1.0,))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Poly(ClosedForm):
     """Polynomial sum_i coeffs[i] * t**i."""
 
@@ -104,7 +104,7 @@ class Poly(ClosedForm):
         return _piece(scale, 0.0, t, t, 0.0, 1.0, _derivative_coeffs(self.coeffs, k))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Trig(ClosedForm):
     """amp * cos(freq t) or amp * sin(freq t)."""
 
@@ -129,7 +129,7 @@ class Trig(ClosedForm):
         return [_TrigTerm(scale * self.amp * self.freq**k, self.freq, self._phase(k))]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class PiecewisePoly(ClosedForm):
     """Polynomial in u = (t - t0)/(t1 - t0) on [t0, t1], constants outside."""
 
@@ -173,6 +173,13 @@ class PiecewisePoly(ClosedForm):
         return terms
 
 
+# largest bump smoothness: (4 u (1-u))^p is summed in the monomial basis,
+# which cancels more digits as p grows; at amplitude 1 the largest error
+# over 200001 points of the support is 3.2e-8 at p = 10, 2.1e-6 at p = 12,
+# 1.1e-2 at p = 16 and 35 at p = 20
+_MAX_SMOOTHNESS = 10
+
+
 @functools.lru_cache(maxsize=None)
 def _bump_base(p: int) -> np.ndarray:
     """Ascending coefficients of (u - u^2)^p, shared read-only."""
@@ -186,13 +193,16 @@ def bump(center: float, width: float, amplitude: float = 1.0, smoothness: int = 
 
     The 2(p-1)-degree spline has p-1 continuous derivatives and a vanishing
     (p-1)-jet at the support edges; the default p=3 gives a C^2 bump of
-    degree 6.  Controls that get differentiated twice should use p >= 5.
+    degree 6.  Controls that get differentiated twice should use p >= 5;
+    p is an integer in [2, 10].
     """
     if width <= 0.0:
         raise ConfigurationError("bump width must be positive")
-    if smoothness < 2:
-        raise ConfigurationError("bump smoothness must be >= 2")
-    coeffs = tuple(float(amplitude) * 4.0**smoothness * _bump_base(smoothness))
+    if not (2 <= smoothness <= _MAX_SMOOTHNESS and smoothness == int(smoothness)):
+        raise ConfigurationError(
+            f"bump smoothness must be an integer in [2, {_MAX_SMOOTHNESS}], got {smoothness!r}")
+    p = int(smoothness)
+    coeffs = tuple(float(amplitude) * 4.0**p * _bump_base(p))
     return PiecewisePoly(center - width / 2.0, center + width / 2.0, coeffs)
 
 
@@ -201,7 +211,7 @@ def ramp(t0: float, t1: float) -> PiecewisePoly:
     return PiecewisePoly(t0, t1, (0.0, 0.0, 0.0, 10.0, -15.0, 6.0), left=0.0, right=1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Scaled(ClosedForm):
     c: float
     f: ClosedForm
@@ -216,7 +226,7 @@ class _Scaled(ClosedForm):
         return self.f._moment_terms(t, k, scale * self.c)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Sum(ClosedForm):
     parts: tuple
 
@@ -236,7 +246,7 @@ class _Sum(ClosedForm):
         return [term for p in self.parts for term in p._moment_terms(t, k, scale)]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Derivative(ClosedForm):
     f: ClosedForm
     shift: int
@@ -412,19 +422,26 @@ def _split_terms(text: str):
     return terms
 
 
+def _number(text: str, error: str) -> float:
+    """float(text) for a finite number; otherwise a ConfigurationError
+    with the message `error`."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigurationError(error) from None
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{error}: {text.strip()!r} is not finite")
+    return value
+
+
 def _parse_atom(chunk: str) -> ClosedForm:
     chunk = chunk.strip()
     m = _ATOM.match(chunk)
     if m is None:
-        try:
-            return Const(float(chunk))
-        except ValueError:
-            raise ConfigurationError(f"cannot parse expression atom {chunk!r}") from None
+        return Const(_number(chunk, f"cannot parse expression atom {chunk!r}"))
     name, argtext = m.group(1), m.group(2)
-    try:
-        args = [float(a) for a in argtext.split(",")] if argtext.strip() else []
-    except ValueError:
-        raise ConfigurationError(f"bad arguments in {chunk!r}") from None
+    args = ([_number(a, f"bad arguments in {chunk!r}") for a in argtext.split(",")]
+            if argtext.strip() else [])
     if name == "const" and len(args) == 1:
         return Const(args[0])
     if name in ("cos", "sin") and len(args) == 1:
@@ -433,7 +450,7 @@ def _parse_atom(chunk: str) -> ClosedForm:
         return Poly(tuple(args))
     if name == "bump" and 2 <= len(args) <= 4:
         a = args + [1.0, 3.0][len(args) - 2:]
-        return bump(a[0], a[1], a[2], int(a[3]))
+        return bump(*a)
     if name == "ramp" and len(args) == 2:
         return ramp(args[0], args[1])
     raise ConfigurationError(f"wrong argument count in {chunk!r}")
@@ -461,10 +478,7 @@ def parse_expression(text: str) -> ClosedForm:
                 star = i
                 break
         if star >= 0:
-            try:
-                coef = float(chunk[:star])
-            except ValueError:
-                raise ConfigurationError(f"bad coefficient in {chunk!r}") from None
+            coef = _number(chunk[:star], f"bad coefficient in {chunk!r}")
             atom = _parse_atom(chunk[star + 1:])
         else:
             coef = 1.0

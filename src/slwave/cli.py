@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,7 +51,7 @@ def _finite_positive(value: float) -> bool:
     return 0.0 < value < np.inf
 
 
-@dataclass
+@dataclass(eq=False)
 class RunConfig:
     """Resolved run parameters; every field validated on construction."""
 
@@ -106,6 +105,8 @@ def _parse_pair(text: str) -> tuple:
         v = [float(p) for p in parts]
     except ValueError:
         raise ConfigurationError(f"bad gauge coefficients {text!r}") from None
+    if not all(map(np.isfinite, v)):
+        raise ConfigurationError(f"gauge coefficients {text!r} must be finite")
     return (complex(v[0], v[1]), complex(v[2], v[3]))
 
 
@@ -392,8 +393,7 @@ def run_verify(cfg: RunConfig) -> list:
     """
     ws = Workspace(seed=cfg.seed, t_perturbation=cfg.t_perturbation)
     report = run_all(ws)
-    path = _write_json(cfg, "verification_report",
-                       json.loads(report.to_json()))
+    path = _write_json(cfg, "verification_report", report.to_dict())
     for c in report.checks:
         mark = "PASS" if c.passed else "FAIL"
         print(f"{mark} {c.name}: measured {c.measured:.3e} {c.sense} {c.tolerance:.3e}")

@@ -28,9 +28,9 @@ from .sturm import (EigenSystem, KernelBasis, Potential, check_lower_bound,
                     modal_coefficients)
 
 __all__ = [
-    "ControlSignal", "KernelControl", "SourceTerm", "SupportReport",
-    "SpanEstimate", "gamma1", "gamma2", "control_to_kernel", "smooth_wave",
-    "source_wave", "fdtd_oracle", "support_report", "reachable_span_estimate",
+    "ControlSignal", "KernelControl", "SourceTerm", "SupportReport", "gamma1",
+    "gamma2", "control_to_kernel", "smooth_wave", "source_wave", "fdtd_oracle",
+    "support_report", "reachable_span_estimate",
 ]
 
 _JET_TOL = 1e-9
@@ -41,15 +41,15 @@ _COARSE_M = 24
 
 
 def _check_admissible(f: ClosedForm, name: str):
-    """Vanishing 2-jet at t=0."""
+    """Vanishing 2-jet at t=0; a NaN in the jet fails too."""
     jet = np.abs(f.jet(2)).tolist()
-    if max(jet) > _JET_TOL:
+    if not all(v <= _JET_TOL for v in jet):
         raise ContractError(
             f"control {name} must vanish with its first two derivatives at t=0, "
             f"got 2-jet {jet}")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ControlSignal:
     """Endpoint control pair (f0 at x=0, fl at x=l) with analytic
     derivatives and a vanishing 2-jet at t=0."""
@@ -67,7 +67,7 @@ class ControlSignal:
         return ControlSignal(self.f0.differentiate(k), self.fl.differentiate(k))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class KernelControl:
     """Kernel-valued control h(t) = a(t) phi0 + b(t) phil."""
 
@@ -146,7 +146,7 @@ def smooth_wave(h: KernelControl, t: float, es: EigenSystem) -> GridFunction:
     return GridFunction(es.grid, vals)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class SourceTerm:
     """Separable interior source g(s) = signal(s) * profile."""
 
@@ -228,7 +228,7 @@ def fdtd_oracle(c: ControlSignal, q: Potential, horizon: float,
     return GridFunction(g, z)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class SupportReport:
     """L2 mass budget of a snapshot against the reachable set at time t."""
 
@@ -254,18 +254,6 @@ def support_report(u: GridFunction, t: float, tol: float = 1e-6) -> SupportRepor
     return SupportReport(float(outside), float(total), float(ratio), bool(ratio <= tol))
 
 
-@dataclass(frozen=True)
-class SpanEstimate:
-    """Singular values of the snapshot matrix on a coarse probe grid."""
-
-    singular_values: np.ndarray
-
-    @property
-    def ratio(self) -> float:
-        sv = self.singular_values
-        return float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
-
-
 def _probe_matrix(g: Grid, xq: np.ndarray) -> np.ndarray:
     """Cubic interpolation at xq as a matrix: row i holds the stencil
     weights of xq[i] on its four nodes."""
@@ -276,13 +264,13 @@ def _probe_matrix(g: Grid, xq: np.ndarray) -> np.ndarray:
 
 
 def reachable_span_estimate(t: float, es: EigenSystem, kb: KernelBasis,
-                            samples: int, seed: int = 0) -> SpanEstimate:
+                            samples: int, seed: int = 0) -> np.ndarray:
     """L2-density surrogate for the reachable set at time t.
 
     Draws `samples` random admissible bump controls acting from both ends,
     collects u^h(t) on a coarse probe grid of 24 interior points (cubic
-    interpolation of the snapshots), and returns the singular value profile
-    of the snapshot matrix.  Only spans in the L2 sense at fixed t are
+    interpolation of the snapshots), and returns the singular values of the
+    snapshot matrix, largest first.  Only spans in the L2 sense at fixed t are
     probed; no smooth-norm claim is made.
     """
     if samples < _COARSE_M:
@@ -304,5 +292,4 @@ def reachable_span_estimate(t: float, es: EigenSystem, kb: KernelBasis,
     fields = _batched_smooth_wave(controls, t, es)
     xq = g.l * (np.arange(1, _COARSE_M + 1)) / (_COARSE_M + 1.0)
     A = fields @ _probe_matrix(g, xq).T
-    sv = np.linalg.svd(A, compute_uv=False)
-    return SpanEstimate(sv)
+    return np.linalg.svd(A, compute_uv=False)

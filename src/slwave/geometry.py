@@ -35,7 +35,7 @@ def _merge(intervals: Iterable[tuple]) -> tuple:
     return tuple((a, b) for a, b in out)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class SymmetricSet:
     """Union of disjoint open intervals and isolated points in [0, l],
     closed under x -> l - x."""
@@ -64,8 +64,8 @@ class SymmetricSet:
             mirror = self.l - p
             if not any(abs(mirror - q) <= tol for q in pts):
                 raise ConfigurationError("point family is not reflection symmetric")
-        object.__setattr__(self, "intervals", ivs)
-        object.__setattr__(self, "points", pts)
+        self.intervals = ivs
+        self.points = pts
 
 
 def symmetric_set(l: float, intervals: Sequence = (), points: Sequence = ()) -> SymmetricSet:
@@ -145,7 +145,7 @@ def set_mass(u: GridFunction, s: SymmetricSet) -> float:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Atom:
     """Wave-spectrum atom parameterized by x in [0, l/2]; x = 0 is the
     boundary atom."""

@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Grid:
     """Uniform grid with n subintervals on [0, l].
 
@@ -48,7 +48,7 @@ class Grid:
             raise ConfigurationError(f"grid needs an even n >= 8, got {self.n}")
         nodes = np.linspace(0.0, self.l, self.n + 1)
         nodes.setflags(write=False)
-        object.__setattr__(self, "x", nodes)
+        self.x = nodes
 
     @property
     def h(self) -> float:
@@ -64,7 +64,7 @@ def build_grid(l: float, n: int) -> Grid:
     return Grid(float(l), int(n))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class GridFunction:
     """Complex samples on the nodes of a :class:`Grid`."""
 
@@ -77,7 +77,7 @@ class GridFunction:
             raise ConfigurationError(
                 f"value array of shape {v.shape} does not match grid with {self.grid.size} nodes")
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        self.values = v
 
     def _check(self, other: "GridFunction"):
         if other.grid.n != self.grid.n or other.grid.l != self.grid.l:

@@ -55,7 +55,7 @@ DET_FLOOR = 1e-8
 _FORM_TOL = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class KernelElement:
     """Kernel solution c0 phi0 + cl phil with derivative samples."""
 
@@ -78,7 +78,7 @@ class KernelElement:
                               self.du.astype(complex), self.d2u.astype(complex))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class SmoothFunction:
     """Grid samples of a smooth function together with analytic first and
     second derivative samples."""
@@ -96,7 +96,7 @@ def smooth_from_closed_form(grid: Grid, f: ClosedForm) -> SmoothFunction:
                           np.asarray(f.deriv(grid.x, 2), dtype=complex))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class GaugeData:
     """Half-interval gauge fields in extended precision."""
 
@@ -107,8 +107,6 @@ class GaugeData:
     e2: KernelElement
     half_x: np.ndarray
     rho: np.ndarray
-    drho: np.ndarray
-    d2rho: np.ndarray
     T: np.ndarray
     dT: np.ndarray
     d2T: np.ndarray
@@ -219,8 +217,7 @@ def default_gauge(kb: KernelBasis,
     detT = mat2.det2(T)
     half_x = g.x[: m + 1].astype(_LD)
     band = half_x > half_x[m] - GUARD_CELLS * _LD(g.h) + _LD(1e-12) * g.h
-    return GaugeData(g, kb.q, ke, ke1, ke2, half_x, rho, drho, d2rho,
-                     T, dT, d2T, G, detT, band)
+    return GaugeData(g, kb.q, ke, ke1, ke2, half_x, rho, T, dT, d2T, G, detT, band)
 
 
 def boundary_form(u: GridFunction, v: GridFunction, x: float, gd: GaugeData) -> complex:
@@ -239,7 +236,7 @@ def boundary_form(u: GridFunction, v: GridFunction, x: float, gd: GaugeData) -> 
     return complex((ux * np.conj(vx) + uxr * np.conj(vxr)) / rho)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class FormLimitReport:
     """Small-radius limit of atom-projected mass ratios against the
     pointwise boundary form."""
@@ -278,13 +275,12 @@ def form_limit_check(u: GridFunction, x: float, gd: GaugeData) -> FormLimitRepor
     return FormLimitReport(float(target), float(deviation), monotone, passed)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class HatField:
     """Two-component image of a function under the gauge map, on the half
     grid.  trace keeps the generating pair (u(x), u(l-x)), which lets
     integrals pass through the midpoint; d1/d2 are hat derivatives."""
 
-    half_x: np.ndarray
     values: np.ndarray
     trace: np.ndarray
     d1: Optional[np.ndarray] = None
@@ -321,7 +317,7 @@ def hat_value(u: Union[GridFunction, SmoothFunction], gd: GaugeData) -> HatField
     if res > 1e-12 * scale:
         raise InternalError(
             f"hat routes disagree by {res:.3e}; gauge data is inconsistent")
-    return HatField(gd.half_x, hat, w, d1, d2)
+    return HatField(hat, w, d1, d2)
 
 
 def _hat_form_residual(w: np.ndarray, hat: np.ndarray, gd: GaugeData) -> float:

@@ -42,7 +42,7 @@ __all__ = [
 _COLLISION_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ModelCoefficients:
     """P^, Q^ and the analytic P^' on the half grid.
 
@@ -149,7 +149,7 @@ def graph_sample(c: ControlSignal, t: float, es: EigenSystem, kb: KernelBasis,
     return hat1, hat2
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class RecoveryResult:
     """Potential pair recovered from model coefficients.
 

@@ -47,7 +47,7 @@ _BLOWUP = 1e120
 _BATCH_CELLS = 1 << 17
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Potential:
     """Real potential q on a grid, with optional closed form for off-node
     evaluation.  mid holds q at the half steps used by the integrator."""
@@ -64,14 +64,14 @@ class Potential:
         if not np.all(np.isfinite(v)):
             raise ConfigurationError("potential samples must be finite")
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        self.values = v
         xm = self.grid.x[:-1] + 0.5 * self.grid.h
         if self.fn is not None:
             qm = np.asarray(self.fn(xm), dtype=float)
         else:
             qm = interp_cubic(GridFunction(self.grid, v.astype(complex)), xm).real
         qm.setflags(write=False)
-        object.__setattr__(self, "mid", qm)
+        self.mid = qm
 
 
 def potential(grid: Grid, q: Union[str, float, ClosedForm, np.ndarray]) -> Potential:
@@ -88,11 +88,10 @@ def potential(grid: Grid, q: Union[str, float, ClosedForm, np.ndarray]) -> Poten
     return Potential(grid, np.asarray(q, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class OdeSolution:
     """Cauchy solution of -u'' + q u = lam u with derivative samples."""
 
-    lam: float
     u: GridFunction
     du: GridFunction
 
@@ -142,7 +141,7 @@ def _rk4_sweep(qn, qm, h, lam, v0, s0):
     return np.array(U), np.array(V)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Transfer:
     """The RK4 step matrices of one mesh as polynomials in lam, built once
     per solve; their values at a batch of lam are one matmul away.
@@ -347,11 +346,11 @@ def solve_ivp(q: Potential, lam: float, side: str = "left",
         uu, vv = U[::-1], -V[::-1]
     else:
         raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
-    return OdeSolution(float(lam), GridFunction(g, uu.astype(complex)),
+    return OdeSolution(GridFunction(g, uu.astype(complex)),
                        GridFunction(g, vv.astype(complex)))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class KernelBasis:
     """Basis of the defect kernel: phi0 (data at 0) and phil (data at l),
     both solving -u'' + q u = 0."""
@@ -389,7 +388,7 @@ def kernel_basis(q: Potential) -> KernelBasis:
     return KernelBasis(q, phi0, phil, p0l, pl0)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class EigenSystem:
     """First eigenvalues and L2-orthonormal eigenfunctions of the Dirichlet
     extension, eigenfunction sign fixed by phi_n'(0) > 0."""

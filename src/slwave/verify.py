@@ -27,7 +27,7 @@ from .control import (ControlSignal, control_to_kernel, fdtd_oracle,
                       reachable_span_estimate, smooth_wave, support_report)
 from .errors import NumericalError, SlwaveError, VerificationFailure
 from .geometry import Atom, distance_profile
-from .grid import GridFunction, build_grid, inner, json_text, quad, sample
+from .grid import GridFunction, build_grid, inner, quad, sample
 from .model import (DET_FLOOR, default_gauge, form_limit_check, hat_value,
                     model_inner, smooth_from_closed_form)
 from .operator import (apply_model, assemble_coefficients, graph_sample,
@@ -41,7 +41,7 @@ __all__ = ["CheckResult", "VerificationReport", "Workspace", "run_all",
 _FAILED_SENTINEL = 9e99
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class CheckResult:
     """One verification outcome: measured value against its tolerance."""
 
@@ -56,9 +56,9 @@ class CheckResult:
     def __post_init__(self):
         # a non-finite measurement has no JSON spelling and passes nothing
         if not np.isfinite(self.measured):
-            object.__setattr__(self, "detail", f"{self.detail} [measured {self.measured}]".strip())
-            object.__setattr__(self, "measured", _FAILED_SENTINEL)
-            object.__setattr__(self, "passed", False)
+            self.detail = f"{self.detail} [measured {self.measured}]".strip()
+            self.measured = _FAILED_SENTINEL
+            self.passed = False
 
     def to_dict(self) -> dict:
         return {"name": self.name, "measured": self.measured,
@@ -67,7 +67,7 @@ class CheckResult:
                 "extras": dict(sorted(self.extras.items()))}
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class VerificationReport:
     checks: tuple
     environment: dict
@@ -81,10 +81,9 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json(self) -> str:
-        payload = {"checks": [c.to_dict() for c in self.checks],
-                   "environment": self.environment}
-        return json_text(payload)
+    def to_dict(self) -> dict:
+        return {"checks": [c.to_dict() for c in self.checks],
+                "environment": self.environment}
 
 
 class Workspace:
@@ -99,43 +98,34 @@ class Workspace:
         self.seed = int(seed)
         self.t_perturbation = float(t_perturbation)
         self.grid = build_grid(1.0, self.grid_n)
-        self._forms = {}
-        self._potentials = {}
-        self._eigen = {}
-        self._kernels = {}
-        self._gauges = {}
-        self._coeffs = {}
+        self._built = {}
+
+    def _memo(self, kind: str, key: str, build):
+        """The artifact (kind, key), built by build() on first use."""
+        if (kind, key) not in self._built:
+            self._built[kind, key] = build()
+        return self._built[kind, key]
 
     def q_form(self, key: str):
-        if key not in self._forms:
-            self._forms[key] = parse_expression(self._Q_EXPR[key])
-        return self._forms[key]
+        return self._memo("q_form", key, lambda: parse_expression(self._Q_EXPR[key]))
 
     def potential(self, key: str):
-        if key not in self._potentials:
-            self._potentials[key] = potential(self.grid, self.q_form(key))
-        return self._potentials[key]
+        return self._memo("potential", key, lambda: potential(self.grid, self.q_form(key)))
 
     def eigensystem(self, key: str):
-        if key not in self._eigen:
-            self._eigen[key] = dirichlet_eigensystem(self.potential(key), self.modes)
-        return self._eigen[key]
+        return self._memo("eigensystem", key,
+                          lambda: dirichlet_eigensystem(self.potential(key), self.modes))
 
     def kernel(self, key: str):
-        if key not in self._kernels:
-            self._kernels[key] = kernel_basis(self.potential(key))
-        return self._kernels[key]
+        return self._memo("kernel", key, lambda: kernel_basis(self.potential(key)))
 
     def gauge(self, key: str):
-        if key not in self._gauges:
-            gd = default_gauge(self.kernel(key))
-            self._gauges[key] = _perturb_gauge(gd, self.t_perturbation)
-        return self._gauges[key]
+        return self._memo("gauge", key, lambda: _perturb_gauge(
+            default_gauge(self.kernel(key)), self.t_perturbation))
 
     def coefficients(self, key: str):
-        if key not in self._coeffs:
-            self._coeffs[key] = assemble_coefficients(self.gauge(key))
-        return self._coeffs[key]
+        return self._memo("coefficients", key,
+                          lambda: assemble_coefficients(self.gauge(key)))
 
 
 def _result(name: str, measured: float, detail: str, extras: dict = None,
@@ -221,8 +211,9 @@ def check_reachable_span(ws: Workspace) -> CheckResult:
     matrix has no numerically dead directions."""
     es = ws.eigensystem("zero")
     kb = ws.kernel("zero")
-    se = reachable_span_estimate(0.6 * ws.grid.l, es, kb, samples=96, seed=ws.seed)
-    return _result("reachable_span", se.ratio,
+    sv = reachable_span_estimate(0.6 * ws.grid.l, es, kb, samples=96, seed=ws.seed)
+    ratio = float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
+    return _result("reachable_span", ratio,
                    "sigma_min/sigma_max of 96 random-control snapshots at 24 probes")
 
 

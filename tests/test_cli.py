@@ -16,7 +16,7 @@ from slwave import cli, model
 from slwave.analytic import Const
 from slwave.cli import load_config, main
 from slwave.errors import ConfigurationError, NumericalError, VerificationFailure
-from slwave.grid import build_grid
+from slwave.grid import build_grid, json_text
 from slwave.sturm import kernel_basis, potential
 from slwave.verify import CHECK_NAMES, CheckResult, VerificationReport
 
@@ -152,6 +152,31 @@ def test_exit_2_unparsable_config(tmp_path, capsys, body):
     out = tmp_path / "out"
     assert main(["eigs", "--config", str(path), "--out", str(out)]) == 2
     assert "cannot parse config file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section, line", [
+    ("eigs", "problem", "potential = 1 + bump(0.5, 0.4, 1, 20)"),
+    ("eigs", "problem", "potential = 1 + bump(0.5, 0.4, 1, 1000)"),
+    ("eigs", "problem", "potential = 1 + bump(0.5, 0.4, 1, 2.5)"),
+    ("simulate", "controls", "f0 = nan*bump(0.1, 0.1, 1, 6)"),
+    ("simulate", "controls", "f0 = bump(0.1, 0.1, 1, 300)"),
+    ("model", "gauge", "e = nan, 0, 1, 0"),
+    ("eigs", "problem", "potential = 2 + cos(inf)"),
+], ids=["smoothness 20", "smoothness 1000", "smoothness 2.5", "nan coefficient",
+        "smoothness 300", "nan gauge", "cos(inf)"])
+def test_exit_2_bad_number(tmp_path, capsys, command, section, line):
+    """A non-finite number, or a bump smoothness outside the integers
+    2..10, exits 2 with one message line and writes nothing (warnings are
+    errors under pytest, so none was raised either)."""
+    path = ini(tmp_path / "bad.ini",
+               f"[numerics]\ngrid_n = 400\nmodes = 5\n[{section}]\n{line}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 
@@ -630,10 +655,11 @@ def _cr(name):
 
 def test_report_roundtrip_and_uniqueness():
     rep = VerificationReport((_cr("alpha"), _cr("beta")), {"numpy": "x"})
-    payload = json.loads(rep.to_json())
+    text = json_text(rep.to_dict())
+    payload = json.loads(text)
     assert payload == {"checks": [c.to_dict() for c in rep.checks],
                        "environment": {"numpy": "x"}}
-    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == rep.to_json()
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
     with pytest.raises(VerificationFailure):
         VerificationReport((_cr("alpha"), _cr("alpha")), {})
 
@@ -645,7 +671,7 @@ def test_non_finite_measurement_is_a_failed_check(measured, sense):
     c = CheckResult("probe", measured, 1e-6, sense, True, "probe")
     assert c.measured == 9e99 and not c.passed
     assert "probe" in c.detail
-    text = VerificationReport((c,), {}).to_json()
+    text = json_text(VerificationReport((c,), {}).to_dict())
     assert "NaN" not in text and "Infinity" not in text
     assert json.loads(text)["checks"][0] == c.to_dict()
 
@@ -655,7 +681,7 @@ def test_non_finite_report_value_is_refused(tmp_path, capsys, monkeypatch):
     tokens NaN/Infinity: verify exits 3 and leaves no report behind."""
     bad = CheckResult("probe", 1e-9, 1e-6, "<=", True, "probe", {"n": np.inf})
     with pytest.raises(NumericalError, match="non-finite"):
-        VerificationReport((bad,), {}).to_json()
+        json_text(VerificationReport((bad,), {}).to_dict())
     monkeypatch.setattr(cli, "run_all", lambda ws: VerificationReport((bad,), {}))
     out = tmp_path / "v"
     assert main(["verify", "--out", str(out)]) == 3

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import ConfigurationError
 
@@ -95,10 +94,7 @@ class Poly(ClosedForm):
 
     def deriv(self, t, k: int = 1):
         t = np.asarray(t, dtype=float)
-        c = np.asarray(self.coeffs, dtype=float)
-        if k:
-            c = P.polyder(c, k) if k < c.size else np.zeros(1)
-        return P.polyval(t, c)
+        return _polyval(t, _derivative_coeffs(self.coeffs, k))
 
     def _moment_terms(self, t, k, scale):
         return _piece(scale, 0.0, t, t, 0.0, 1.0, _derivative_coeffs(self.coeffs, k))
@@ -146,10 +142,8 @@ class PiecewisePoly(ClosedForm):
     def deriv(self, t, k: int = 1):
         t = np.asarray(t, dtype=float)
         u = (t - self.t0) / (self.t1 - self.t0)
-        c = np.asarray(self.coeffs, dtype=float)
-        if k:
-            c = P.polyder(c, k) if k < c.size else np.zeros(1)
-        inside = P.polyval(np.clip(u, 0.0, 1.0), c) / (self.t1 - self.t0) ** k
+        c = _derivative_coeffs(self.coeffs, k)
+        inside = _polyval(np.clip(u, 0.0, 1.0), c) / (self.t1 - self.t0) ** k
         if k == 0:
             out = np.where(u < 0.0, self.left, np.where(u > 1.0, self.right, inside))
         else:
@@ -183,7 +177,9 @@ _MAX_SMOOTHNESS = 10
 @functools.lru_cache(maxsize=None)
 def _bump_base(p: int) -> np.ndarray:
     """Ascending coefficients of (u - u^2)^p, shared read-only."""
-    base = P.polypow([0.0, 1.0, -1.0], p)
+    base = np.array([0.0, 1.0, -1.0])
+    for _ in range(p - 1):
+        base = np.convolve(base, [0.0, 1.0, -1.0])
     base.flags.writeable = False
     return base
 
@@ -285,6 +281,15 @@ def _derivative_coeffs(coeffs, k: int) -> tuple:
     if k >= len(coeffs):
         return (0.0,)
     return tuple(float(c) * math.perm(j, k) for j, c in enumerate(coeffs) if j >= k)
+
+
+def _polyval(t, coeffs):
+    """Horner evaluation of ascending coefficients at t, in the operation
+    order of numpy.polynomial.polynomial.polyval."""
+    out = coeffs[-1] + t * 0
+    for c in coeffs[-2::-1]:
+        out = c + out * t
+    return out
 
 
 def _piece(weight, lo, hi, t, origin, width, coeffs) -> list:

@@ -88,7 +88,8 @@ class RunConfig:
             if not _EPS_FLOOR <= val < np.inf:
                 raise ConfigurationError(
                     f"tolerance {key}={val:g} must be finite and at least 100x machine precision")
-        parse_expression(self.potential_expr)   # fail early if unresolvable
+        for expr in (self.potential_expr, self.f0_expr, self.fl_expr):
+            parse_expression(expr)               # fail early if unresolvable
         if self.fmt not in ("csv", "json"):
             raise ConfigurationError(f"unknown output format {self.fmt!r}")
 
@@ -285,7 +286,7 @@ def run_simulate(cfg: RunConfig) -> list:
         horizon = max(times)
         oracle = fdtd_oracle(c, q, horizon=horizon, cfl=cfg.cfl)
         diff = snaps[int(np.argmax(times))].values - oracle.values
-        l2 = float(np.sqrt(quad(GridFunction(grid, np.abs(diff) ** 2 + 0j)).real))
+        l2 = float(np.sqrt(quad(GridFunction(grid, np.abs(diff) ** 2)).real))
         payload["fdtd_l2"] = l2
         payload["fdtd_tol"] = cfg.tol("fdtd", 1e-3)
         payload["fdtd_passed"] = l2 <= cfg.tol("fdtd", 1e-3)

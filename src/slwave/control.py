@@ -23,7 +23,7 @@ import numpy as np
 
 from .analytic import ClosedForm, bump, sine_moments
 from .errors import ConfigurationError, ContractError, NumericalError
-from .grid import Grid, GridFunction, _cubic_stencil, quad
+from .grid import Grid, GridFunction, _cubic_stencil, inner, quad
 from .sturm import (EigenSystem, KernelBasis, Potential, check_lower_bound,
                     modal_coefficients)
 
@@ -90,8 +90,7 @@ def gamma2(u: GridFunction, lstar_u: GridFunction, kb: KernelBasis) -> tuple:
     Solves the 2x2 Gram system of (phi0, phil) against the inner products
     of lstar_u (samples of -u'' + q u) with the basis.
     """
-    p0, pl = kb.phi0.u, kb.phil.u
-    from .grid import inner
+    p0, pl = GridFunction(kb.grid, kb.phi0), GridFunction(kb.grid, kb.phil)
     g11 = inner(p0, p0).real
     g12 = inner(pl, p0).real
     g22 = inner(pl, pl).real
@@ -116,8 +115,8 @@ def _kernel_modal_coefficients(es: EigenSystem, kb: KernelBasis) -> tuple:
     """(phi0, phi_n) and (phil, phi_n) for all computed modes by Green's
     identity: lam_n (phi0, phi_n) = -phi0(l) phi_n'(l) and
     lam_n (phil, phi_n) = phil(0) phi_n'(0)."""
-    return (-kb.phi0_at_l * es.dphi[:, -1] / es.lam,
-            kb.phil_at_0 * es.dphi[:, 0] / es.lam)
+    return (-kb.phi0_at_l * es.dphil / es.lam,
+            kb.phil_at_0 * es.dphi0 / es.lam)
 
 
 def _batched_smooth_wave(controls: Sequence[KernelControl], t: float,
@@ -133,7 +132,7 @@ def _batched_smooth_wave(controls: Sequence[KernelControl], t: float,
     m = sine_moments([kc.a for kc in controls] + [kc.b for kc in controls], mu, t, 2)
     coeff = (m[:len(controls)] * c0 + m[len(controls):] * cl) / mu
     at = np.array([[float(kc.a.deriv(t, 0)), float(kc.b.deriv(t, 0))] for kc in controls])
-    kernel = np.stack([kb.phi0.u.values.real, kb.phil.u.values.real])
+    kernel = np.stack([kb.phi0, kb.phil])
     return coeff @ es.phi - at @ kernel
 
 
@@ -245,11 +244,11 @@ def support_report(u: GridFunction, t: float, tol: float = 1e-6) -> SupportRepor
     eps = _MARGIN_CELLS * g.h
     lo, hi = t + eps, g.l - t - eps
     dens = np.abs(u.values) ** 2
-    total = quad(GridFunction(g, dens.astype(complex))).real
+    total = quad(GridFunction(g, dens)).real
     if hi <= lo:
         return SupportReport(0.0, total, 0.0, True)
     mask = (g.x >= lo) & (g.x <= hi)
-    outside = quad(GridFunction(g, np.where(mask, dens, 0.0).astype(complex))).real
+    outside = quad(GridFunction(g, np.where(mask, dens, 0.0))).real
     ratio = outside / total if total > 0.0 else 0.0
     return SupportReport(float(outside), float(total), float(ratio), bool(ratio <= tol))
 

@@ -65,8 +65,8 @@ class KernelElement:
 
     @classmethod
     def build(cls, kb: KernelBasis, c0: complex, cl: complex) -> "KernelElement":
-        u = _CLD(c0) * kb.phi0.u.values.astype(_CLD) + _CLD(cl) * kb.phil.u.values.astype(_CLD)
-        du = _CLD(c0) * kb.phi0.du.values.astype(_CLD) + _CLD(cl) * kb.phil.du.values.astype(_CLD)
+        u = _CLD(c0) * kb.phi0.astype(_CLD) + _CLD(cl) * kb.phil.astype(_CLD)
+        du = _CLD(c0) * kb.dphi0.astype(_CLD) + _CLD(cl) * kb.dphil.astype(_CLD)
         d2u = kb.q.values.astype(_LD) * u
         return cls(u, du, d2u)
 

@@ -1,15 +1,15 @@
-"""Potentials, Cauchy solutions, the kernel basis, Dirichlet spectra and
-modal coefficients on [0, l].
+"""Potentials, the kernel basis, Dirichlet spectra and modal coefficients
+on [0, l].
 
 The second-order equation -u'' + q u = lam u is integrated as a first-order
 system with a fixed-step fourth-order Runge-Kutta scheme on the grid nodes,
 with q at the half steps taken from the closed form when available and from
 cubic interpolation otherwise.  One RK4 step is exactly a 2x2 matrix,
 (u, v)_{j+1} = M_j(lam) (u, v)_j, whose entries are quadratics in lam.
-Cauchy solutions (solve_ivp, kernel_basis) run the staged RK4 loop for a
-single lam on Python floats, bit for bit the float64 arithmetic of the
-scheme.  The eigensolver runs on the transfer matrices instead: once per
-solve it stores the coefficients of every step and the exact degree-8
+The kernel basis runs the staged RK4 loop for lam = 0 on Python floats,
+bit for bit the float64 arithmetic of the scheme, once from each end.
+The eigensolver runs on the transfer matrices instead: once per solve it
+stores the coefficients of every step and the exact degree-8
 products of every four consecutive steps, both independent of lam (the
 lam-independent precomputation of MATSLISE, Ledoux, Van Daele and Vanden
 Berghe 2005), so the matrices at a batch of lam are one matmul against the
@@ -31,11 +31,11 @@ import numpy as np
 
 from .analytic import ClosedForm, parse_expression
 from .errors import AdmissibilityError, ConfigurationError, NumericalError
-from .grid import Grid, GridFunction, _simpson_weights, interp_cubic
+from .grid import Grid, GridFunction, _cubic_apply, _cubic_stencil, _simpson_weights
 
 __all__ = [
-    "Potential", "OdeSolution", "KernelBasis", "EigenSystem",
-    "potential", "solve_ivp", "kernel_basis", "dirichlet_eigensystem",
+    "Potential", "KernelBasis", "EigenSystem",
+    "potential", "kernel_basis", "dirichlet_eigensystem",
     "check_lower_bound", "modal_coefficients",
 ]
 
@@ -69,7 +69,7 @@ class Potential:
         if self.fn is not None:
             qm = np.asarray(self.fn(xm), dtype=float)
         else:
-            qm = interp_cubic(GridFunction(self.grid, v.astype(complex)), xm).real
+            qm = _cubic_apply(v, *_cubic_stencil(xm, self.grid.x, self.grid.h))
         qm.setflags(write=False)
         self.mid = qm
 
@@ -86,14 +86,6 @@ def potential(grid: Grid, q: Union[str, float, ClosedForm, np.ndarray]) -> Poten
         vals = np.asarray(q(grid.x), dtype=float)
         return Potential(grid, vals, q)
     return Potential(grid, np.asarray(q, dtype=float))
-
-
-@dataclass(eq=False)
-class OdeSolution:
-    """Cauchy solution of -u'' + q u = lam u with derivative samples."""
-
-    u: GridFunction
-    du: GridFunction
 
 
 def _check_end_state(u, v):
@@ -316,50 +308,40 @@ def _tm_history_batch(tm, lam):
 
 
 def _tm_history(tm, lam):
-    """Node histories (U, V), each (n+1, K), of u(0) = 0, u'(0) = 1 for a
-    vector of lam: transposed views of fresh C-ordered (K, n+1) arrays, so
-    each row U.T[k] is the history of lam[k]."""
+    """Node history U, (n+1, K), of u(0) = 0, u'(0) = 1 for a vector of
+    lam, and the end slopes u'(l), (K,).  U is the transposed view of a
+    fresh C-ordered (K, n+1) array, so each row U.T[k] is the history of
+    lam[k]."""
     n, b, K = tm.n, tm.b, lam.shape[0]
     full = (tm.B - 1) * b              # nodes of the blocks before the last
     U = np.empty((K, n + 1))
-    V = np.empty_like(U)
+    v = np.empty(K)
     for cols in _batches(n, K):
-        for out, H in zip((U, V), _tm_history_batch(tm, lam[cols])):
-            blocks = out[cols, :full].reshape(H.shape[2], tm.B - 1, b)
-            blocks[...] = H[:, :-1].transpose(2, 1, 0)
-            out[cols, full:] = H[:n + 1 - full, -1].T
-    return U.T, V.T
-
-
-def solve_ivp(q: Potential, lam: float, side: str = "left",
-              value: float = 0.0, slope: float = 1.0) -> OdeSolution:
-    """Solve -u'' + q u = lam u from one endpoint with given Cauchy data.
-
-    side="left" imposes u(0)=value, u'(0)=slope; side="right" imposes the
-    data at x=l and integrates leftward.
-    """
-    g = q.grid
-    if side == "left":
-        uu, vv = _rk4_sweep(q.values, q.mid, g.h, lam, value, slope)
-    elif side == "right":
-        U, V = _rk4_sweep(q.values[::-1], q.mid[::-1], g.h, lam, value, -slope)
-        uu, vv = U[::-1], -V[::-1]
-    else:
-        raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
-    return OdeSolution(GridFunction(g, uu.astype(complex)),
-                       GridFunction(g, vv.astype(complex)))
+        H, V = _tm_history_batch(tm, lam[cols])
+        blocks = U[cols, :full].reshape(H.shape[2], tm.B - 1, b)
+        blocks[...] = H[:, :-1].transpose(2, 1, 0)
+        U[cols, full:] = H[:n + 1 - full, -1].T
+        v[cols] = V[n - full, -1]
+    return U.T, v
 
 
 @dataclass(eq=False)
 class KernelBasis:
     """Basis of the defect kernel: phi0 (data at 0) and phil (data at l),
-    both solving -u'' + q u = 0."""
+    both solving -u'' + q u = 0, as read-only node samples (n+1,) with
+    their derivatives dphi0 and dphil."""
 
     q: Potential
-    phi0: OdeSolution
-    phil: OdeSolution
+    phi0: np.ndarray
+    dphi0: np.ndarray
+    phil: np.ndarray
+    dphil: np.ndarray
     phi0_at_l: float
     phil_at_0: float
+
+    def __post_init__(self):
+        for a in (self.phi0, self.dphi0, self.phil, self.dphil):
+            a.setflags(write=False)
 
     @property
     def grid(self) -> Grid:
@@ -367,15 +349,18 @@ class KernelBasis:
 
 
 def kernel_basis(q: Potential) -> KernelBasis:
-    """Kernel solutions phi0(0)=0, phi0'(0)=1 and phil(l)=0, phil'(l)=1.
+    """Kernel solutions phi0(0)=0, phi0'(0)=1 and phil(l)=0, phil'(l)=1:
+    one RK4 sweep from each end, the one for phil on the reversed mesh.
 
     Degeneracy guard: zero must not be (numerically) a Dirichlet eigenvalue,
     i.e. |phi0(l)| stays above 1e-10 * l; same for |phil(0)|.
     """
-    phi0 = solve_ivp(q, 0.0, "left", 0.0, 1.0)
-    phil = solve_ivp(q, 0.0, "right", 0.0, 1.0)
-    p0l = float(phi0.u.values[-1].real)
-    pl0 = float(phil.u.values[0].real)
+    h = q.grid.h
+    phi0, dphi0 = _rk4_sweep(q.values, q.mid, h, 0.0, 0.0, 1.0)
+    U, V = _rk4_sweep(q.values[::-1], q.mid[::-1], h, 0.0, 0.0, -1.0)
+    phil, dphil = U[::-1], -V[::-1]
+    p0l = float(phi0[-1])
+    pl0 = float(phil[0])
     scale = 1e-10 * q.grid.l
     if abs(p0l) < scale or abs(pl0) < scale:
         raise AdmissibilityError(
@@ -385,23 +370,25 @@ def kernel_basis(q: Potential) -> KernelBasis:
     if abs(p0l + pl0) > 1e-8 * max(1.0, abs(p0l)):
         raise NumericalError(
             f"Wronskian drift: phi0(l)={p0l!r} vs -phil(0)={-pl0!r}; refine the grid")
-    return KernelBasis(q, phi0, phil, p0l, pl0)
+    return KernelBasis(q, phi0, dphi0, phil, dphil, p0l, pl0)
 
 
 @dataclass(eq=False)
 class EigenSystem:
     """First eigenvalues and L2-orthonormal eigenfunctions of the Dirichlet
-    extension, eigenfunction sign fixed by phi_n'(0) > 0."""
+    extension, eigenfunction sign fixed by phi_n'(0) > 0, with their slopes
+    at the two ends (the boundary traces Green's identity reads)."""
 
     q: Potential
     lam: np.ndarray
     phi: np.ndarray      # (count, n+1) node samples
-    dphi: np.ndarray     # (count, n+1) derivative samples
+    dphi0: np.ndarray    # (count,) phi_n'(0)
+    dphil: np.ndarray    # (count,) phi_n'(l)
 
     def __post_init__(self):
         if np.any(np.diff(self.lam) <= 0.0):
             raise NumericalError("eigenvalues are not strictly increasing")
-        for a in (self.lam, self.phi, self.dphi):
+        for a in (self.lam, self.phi, self.dphi0, self.dphil):
             np.asarray(a).setflags(write=False)
 
     @property
@@ -562,12 +549,11 @@ def dirichlet_eigensystem(q: Potential, count: int, rel_tol: float = 1e-10) -> E
         raise NumericalError(f"eigenvalue refinement did not reach rel_tol={rel_tol}")
 
     lam = 0.5 * (lo + hi)
-    U, V = _tm_history(tm, lam)
-    phi, dphi = U.T, V.T
-    nrm = np.sqrt((phi * phi) @ _simpson_weights(g.n, h))[:, None]
-    phi /= nrm
-    dphi /= nrm
-    return EigenSystem(q, lam, phi, dphi)
+    U, v = _tm_history(tm, lam)
+    phi = U.T
+    nrm = np.sqrt((phi * phi) @ _simpson_weights(g.n, h))
+    phi /= nrm[:, None]
+    return EigenSystem(q, lam, phi, 1.0 / nrm, v / nrm)
 
 
 def check_lower_bound(es: EigenSystem) -> float:

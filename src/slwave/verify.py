@@ -183,7 +183,7 @@ def check_fdtd_cross(ws: Workspace) -> CheckResult:
     u_spec = smooth_wave(control_to_kernel(c, kb), t, es)
     oracle = fdtd_oracle(c, q, horizon=t, cfl=0.5)
     diff = u_spec.values - oracle.values
-    measured = float(np.sqrt(quad(GridFunction(ws.grid, np.abs(diff) ** 2 + 0j)).real))
+    measured = float(np.sqrt(quad(GridFunction(ws.grid, np.abs(diff) ** 2)).real))
     return _result("fdtd_cross_check", measured,
                    "L2 distance between spectral and FDTD fields at t=l")
 

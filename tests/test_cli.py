@@ -7,7 +7,11 @@ its own workspace size by design and is exercised once per outcome.
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,12 +167,17 @@ def test_exit_2_unparsable_config(tmp_path, capsys, body):
     ("simulate", "controls", "f0 = bump(0.1, 0.1, 1, 300)"),
     ("model", "gauge", "e = nan, 0, 1, 0"),
     ("eigs", "problem", "potential = 2 + cos(inf)"),
+    ("eigs", "controls", "f0 = tanh(3)"),
+    ("model", "controls", "fl = tanh(3)"),
+    ("simulate", "controls", "f0 = tanh(3)"),
 ], ids=["smoothness 20", "smoothness 1000", "smoothness 2.5", "nan coefficient",
-        "smoothness 300", "nan gauge", "cos(inf)"])
+        "smoothness 300", "nan gauge", "cos(inf)", "eigs control", "model control",
+        "simulate control"])
 def test_exit_2_bad_number(tmp_path, capsys, command, section, line):
-    """A non-finite number, or a bump smoothness outside the integers
-    2..10, exits 2 with one message line and writes nothing (warnings are
-    errors under pytest, so none was raised either)."""
+    """A non-finite number, a bump smoothness outside the integers 2..10,
+    or a control expression that does not parse (even for a command that
+    never reads the controls) exits 2 with one message line and writes
+    nothing (warnings are errors under pytest, so none was raised either)."""
     path = ini(tmp_path / "bad.ini",
                f"[numerics]\ngrid_n = 400\nmodes = 5\n[{section}]\n{line}\n")
     out = tmp_path / "out"
@@ -207,6 +216,19 @@ def test_unknown_command_rejected(capsys):
 def test_exit_2_unparseable_potential(tmp_path):
     path = ini(tmp_path / "bad.ini", "[problem]\npotential = tanh(3)\n")
     assert main(["eigs", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    """numpy.polynomial and its eight submodules are not part of a CLI
+    process's start-up."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, slwave.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_exit_3_inadmissible_potential(tmp_path):

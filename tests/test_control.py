@@ -39,7 +39,7 @@ def test_gamma2_frozen_oracle_reproducible():
 def test_gamma1_is_minus_identity_on_kernel(kb_zero, q_zero):
     g = q_zero.grid
     # u = 2 phi0 - 3 phil; gamma1 returns the kernel coefficients of -u
-    u = GridFunction(g, 2.0 * kb_zero.phi0.u.values - 3.0 * kb_zero.phil.u.values)
+    u = GridFunction(g, 2.0 * kb_zero.phi0 - 3.0 * kb_zero.phil)
     a, b = gamma1(u, kb_zero)
     assert a == pytest.approx(-2.0, abs=1e-13)
     assert b == pytest.approx(3.0, abs=1e-13)
@@ -59,7 +59,7 @@ def test_control_dictionary_trace(kb_zero, q_zero):
     c = ControlSignal(bump(0.2, 0.3, 1.0, 6), bump(0.3, 0.4, -0.7, 6))
     kc = control_to_kernel(c, kb_zero)
     for t in (0.1, 0.25, 0.4):
-        h = (kc.a(t) * kb_zero.phi0.u.values + kc.b(t) * kb_zero.phil.u.values)
+        h = (kc.a(t) * kb_zero.phi0 + kc.b(t) * kb_zero.phil)
         assert abs(h[0] + c.f0.deriv(np.array([t]), 0)[0]) <= 1e-13
         assert abs(h[-1] + c.fl.deriv(np.array([t]), 0)[0]) <= 1e-13
 
@@ -128,8 +128,8 @@ def test_kernel_coefficients_green_identity(es_zero, kb_zero, q_cosine):
              (dirichlet_eigensystem(q_cosine, 10), kernel_basis(q_cosine))]
     for es, kb in cases:
         c0, cl = _kernel_modal_coefficients(es, kb)
-        for got, basis in ((c0, kb.phi0.u), (cl, kb.phil.u)):
-            want = modal_coefficients(es, basis).real[:10]
+        for got, basis in ((c0, kb.phi0), (cl, kb.phil)):
+            want = modal_coefficients(es, GridFunction(kb.grid, basis)).real[:10]
             assert np.max(np.abs(got[:10] - want) / np.abs(want)) <= 1e-9
 
 

@@ -15,11 +15,10 @@ from scipy.optimize import brentq
 from slwave.analytic import Const, parse_expression
 from slwave.errors import AdmissibilityError, ConfigurationError, NumericalError
 from slwave import sturm
-from slwave.grid import GridFunction, build_grid, inner
+from slwave.grid import GridFunction, _simpson_weights, build_grid, inner, interp_cubic
 from slwave.control import SourceTerm, source_wave
-from slwave.sturm import (check_lower_bound, dirichlet_eigensystem,
-                          kernel_basis, modal_coefficients, potential,
-                          solve_ivp)
+from slwave.sturm import (Potential, check_lower_bound, dirichlet_eigensystem,
+                          kernel_basis, modal_coefficients, potential)
 
 LAMBDA1_COSINE = 11.922697949810356   # DOP853 + brentq, frozen 2026-08
 
@@ -87,38 +86,39 @@ def test_fd_oracle_agrees_at_its_noise_floor():
     assert abs(fd_lambda1() - LAMBDA1_COSINE) <= 5e-8
 
 
+def sine_sweep(n):
+    """u(0) = 0, u'(0) = 1 at lam = pi^2 for q = 0: node samples of
+    sin(pi x)/pi, with the grid."""
+    g = build_grid(1.0, n)
+    q = potential(g, Const(0.0))
+    U, _ = sturm._rk4_sweep(q.values, q.mid, g.h, np.pi ** 2, 0.0, 1.0)
+    return U, g
+
+
 def test_ivp_zero_potential_linear():
     g = build_grid(1.0, 100)
-    q = potential(g, Const(0.0))
-    sol = solve_ivp(q, 0.0, "left", 0.0, 1.0)
-    assert np.max(np.abs(sol.u.values - g.x)) <= 1e-10
-    assert np.max(np.abs(sol.du.values - 1.0)) <= 1e-10
+    kb = kernel_basis(potential(g, Const(0.0)))
+    assert np.max(np.abs(kb.phi0 - g.x)) <= 1e-10
+    assert np.max(np.abs(kb.dphi0 - 1.0)) <= 1e-10
 
 
 def test_ivp_sine_solution():
-    g = build_grid(1.0, 1000)
-    q = potential(g, Const(0.0))
-    sol = solve_ivp(q, np.pi ** 2, "left", 0.0, 1.0)
-    assert np.max(np.abs(sol.u.values - np.sin(np.pi * g.x) / np.pi)) <= 1e-8
+    U, g = sine_sweep(1000)
+    assert np.max(np.abs(U - np.sin(np.pi * g.x) / np.pi)) <= 1e-8
 
 
 def test_ivp_rk4_convergence_order():
     errs = []
     for n in (200, 400):
-        g = build_grid(1.0, n)
-        q = potential(g, Const(0.0))
-        sol = solve_ivp(q, np.pi ** 2, "left", 0.0, 1.0)
-        errs.append(np.max(np.abs(sol.u.values - np.sin(np.pi * g.x) / np.pi)))
+        U, g = sine_sweep(n)
+        errs.append(np.max(np.abs(U - np.sin(np.pi * g.x) / np.pi)))
     assert np.log2(errs[0] / errs[1]) > 3.8
 
 
 def test_ivp_right_side_data():
     g = build_grid(1.0, 400)
-    q = potential(g, Const(0.0))
-    sol = solve_ivp(q, 0.0, "right", 0.0, 1.0)
-    assert np.max(np.abs(sol.u.values - (g.x - 1.0))) <= 1e-10
-    with pytest.raises(ConfigurationError):
-        solve_ivp(q, 0.0, "middle", 0.0, 1.0)
+    kb = kernel_basis(potential(g, Const(0.0)))
+    assert np.max(np.abs(kb.phil - (g.x - 1.0))) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [2000, 402])
@@ -126,7 +126,7 @@ def test_ivp_right_side_data():
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_scalar_sweep_matches_array_loop(n, lam, side):
     """The Python-float sweep reproduces the float64 array loop bit for bit,
-    for the left data and for the reversed right data of solve_ivp."""
+    for the left data and for the reversed right data of kernel_basis."""
     g = build_grid(1.0, n)
     q = potential(g, parse_expression("2 + cos(3)"))
     qn, qm, s0 = q.values, q.mid, 1.0
@@ -143,13 +143,13 @@ def test_ivp_blowup_raises():
     check must turn that into a NumericalError."""
     q = potential(build_grid(1.0, 400), Const(1e6))
     with pytest.raises(NumericalError):
-        solve_ivp(q, 0.0, "left", 0.0, 1.0)
+        kernel_basis(q)
 
 
 def test_kernel_basis_hyperbolic():
     g = build_grid(1.0, 2000)
     kb = kernel_basis(potential(g, Const(1.0)))
-    assert abs(kb.phi0.u.values[-1].real - np.sinh(1.0)) <= 1e-8
+    assert abs(kb.phi0[-1] - np.sinh(1.0)) <= 1e-8
     # phi0(l) = -phil(0), the control-dictionary pivot
     assert abs(kb.phi0_at_l + kb.phil_at_0) <= 1e-12
 
@@ -157,8 +157,7 @@ def test_kernel_basis_hyperbolic():
 def test_kernel_basis_wronskian_constant():
     g = build_grid(1.0, 800)
     kb = kernel_basis(potential(g, parse_expression("2 + cos(3)")))
-    w = (kb.phi0.u.values * kb.phil.du.values
-         - kb.phi0.du.values * kb.phil.u.values)
+    w = kb.phi0 * kb.dphil - kb.dphi0 * kb.phil
     assert np.max(np.abs(w - w[0])) <= 1e-9
 
 
@@ -213,8 +212,9 @@ def test_eigen_residual_and_orthonormality(es_zero, q_zero):
 
 
 def assert_transfer_matrices_match(expr, n, K):
-    """Pairwise four-step end values and blocked-scan histories run the RK4
-    scheme of the staged loop in another operation order, on the expanded
+    """Pairwise four-step end values and the blocked-scan history with its
+    end slopes run the RK4 scheme of the staged loop in another operation
+    order, on the expanded
     lam-polynomials, with lam up to the top of the n >= 6 count cap plus
     max q, where the expansion cancels most."""
     g = build_grid(1.0, n)
@@ -223,13 +223,13 @@ def assert_transfer_matrices_match(expr, n, K):
     lam = np.linspace(0.0, (n // 6 * np.pi / g.l) ** 2 + qhi, K)
     U0, V0 = staged_loop_reference(q.values, q.mid, g.h, lam, 0.0, 1.0)
     tm = sturm._transfer(q.values, q.mid, g.h)
-    U1, V1 = sturm._tm_history(tm, lam)
+    U1, vl = sturm._tm_history(tm, lam)
     u1, v1 = sturm._tm_end_values(tm, lam)
     su = np.max(np.abs(U0), axis=0)
     sv = np.max(np.abs(V0), axis=0)
-    assert U1.shape == U0.shape
+    assert U1.shape == U0.shape and vl.shape == (K,)
     assert np.all(np.abs(U1 - U0) <= 1e-12 * su)
-    assert np.all(np.abs(V1 - V0) <= 1e-12 * sv)
+    assert np.all(np.abs(vl - V0[-1]) <= 1e-12 * sv)
     assert np.all(np.abs(u1 - U0[-1]) <= 1e-12 * su)
     assert np.all(np.abs(v1 - V0[-1]) <= 1e-12 * sv)
 
@@ -251,6 +251,33 @@ def test_transfer_matrices_match_staged_loop_large_q(n, K, expr):
     matrices misses the 1e-12 bound on the steep one (1.5e-12 at n = 402,
     K = 300); the four-step route stays below 8e-13."""
     assert_transfer_matrices_match(expr, n, K)
+
+
+@pytest.mark.parametrize("n", [2000, 402])
+def test_eigensystem_end_slopes_match_staged_loop(n):
+    """dphi0 and dphil are u'(0) and u'(l) of the staged loop at each
+    eigenvalue, divided by the Simpson norm of its history."""
+    g = build_grid(1.0, n)
+    q = potential(g, parse_expression("2 + cos(3)"))
+    es = dirichlet_eigensystem(q, n // 10)
+    U0, V0 = staged_loop_reference(q.values, q.mid, g.h, es.lam, 0.0, 1.0)
+    nrm = np.sqrt(_simpson_weights(g.n, g.h) @ (U0 * U0))
+    assert es.dphi0.shape == es.dphil.shape == (es.count,)
+    for got, want in ((es.dphi0, V0[0] / nrm), (es.dphil, V0[-1] / nrm)):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2000, 402])
+def test_sampled_potential_mid_matches_complex_route(n):
+    """Half-step values of a sampled potential equal, bit for bit, the
+    real part of the cubic interpolation of its complex grid function."""
+    g = build_grid(1.0, n)
+    rng = np.random.default_rng(n)
+    v = 2.0 + np.cos(3.0 * g.x) + rng.standard_normal(g.size)
+    q = Potential(g, v)
+    xm = g.x[:-1] + 0.5 * g.h
+    want = interp_cubic(GridFunction(g, v.astype(complex)), xm).real
+    assert np.array_equal(q.mid.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("n", [8, 402, 2000])

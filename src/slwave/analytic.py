@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractError
 
 __all__ = ["ClosedForm", "Const", "Poly", "Trig", "PiecewisePoly",
            "bump", "ramp", "parse_expression", "sine_moments"]
@@ -143,7 +143,7 @@ class PiecewisePoly(ClosedForm):
         t = np.asarray(t, dtype=float)
         u = (t - self.t0) / (self.t1 - self.t0)
         c = _derivative_coeffs(self.coeffs, k)
-        inside = _polyval(np.clip(u, 0.0, 1.0), c) / (self.t1 - self.t0) ** k
+        inside = _polyval(np.minimum(np.maximum(u, 0.0), 1.0), c) / (self.t1 - self.t0) ** k
         if k == 0:
             out = np.where(u < 0.0, self.left, np.where(u > 1.0, self.right, inside))
         else:
@@ -278,6 +278,8 @@ class _TrigTerm(NamedTuple):
 
 def _derivative_coeffs(coeffs, k: int) -> tuple:
     """Ascending coefficients of the k-th derivative of a polynomial."""
+    if k == 0:
+        return coeffs
     if k >= len(coeffs):
         return (0.0,)
     return tuple(float(c) * math.perm(j, k) for j, c in enumerate(coeffs) if j >= k)
@@ -340,8 +342,9 @@ def _power_moments(x: np.ndarray, deg: int) -> np.ndarray:
     return H
 
 
-def _poly_moments(pieces: Sequence[_PolyPiece], mu: np.ndarray, t: float) -> np.ndarray:
-    """Sine moments of polynomial pieces, (len(pieces), len(mu)).
+def _poly_moments(pieces: Sequence[_PolyPiece], mu: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Sine moments of polynomial pieces, each up to its own time t[p]:
+    (len(pieces), len(mu)).
 
     On [mid - half, mid + half] the piece is sum_j e_j y^j in
     y = (s - mid)/half (Taylor coefficients at the centre, which keeps a
@@ -369,35 +372,39 @@ def _poly_moments(pieces: Sequence[_PolyPiece], mu: np.ndarray, t: float) -> np.
     return np.sin(phi) * even - np.cos(phi) * odd
 
 
-def _trig_moments(terms: Sequence[_TrigTerm], mu: np.ndarray, t: float) -> np.ndarray:
-    """int_0^t sin(mu (t - s)) cos(f s + phase) ds by product to sum, each
-    half in the form t sin(alpha + beta t/2) sinc(beta t/2): no special
-    case at the resonance f = mu."""
+def _trig_moments(terms: Sequence[_TrigTerm], mu: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """int_0^t sin(mu (t - s)) cos(f s + phase) ds, each term up to its own
+    time t[p], by product to sum, each half in the form
+    t sin(alpha + beta t/2) sinc(beta t/2): no special case at the
+    resonance f = mu."""
     w, f, ph = (np.array(col)[:, None] for col in zip(*terms))
+    t = t[:, None]
     return 0.5 * t * w * (np.sin(0.5 * (mu + f) * t + ph) * np.sinc((f - mu) * t / (2.0 * np.pi))
                           + np.sin(0.5 * (mu - f) * t - ph) * np.sinc((f + mu) * t / (2.0 * np.pi)))
 
 
-def sine_moments(forms: Sequence[ClosedForm], mu, t: float, k: int = 0) -> np.ndarray:
-    """Exact sine moments S[i, n] = int_0^t sin(mu_n (t - s)) f_i^(k)(s) ds
-    for frequencies mu_n >= 0.
+def sine_moments(forms: Sequence[ClosedForm], mu, t, k: int = 0) -> np.ndarray:
+    """Exact sine moments S[i, n] = int_0^t_i sin(mu_n (t_i - s)) f_i^(k)(s) ds
+    for frequencies mu_n >= 0; t is one time for every form or one per form.
 
     The pieces of all forms are evaluated together in one array pass;
     returns an array of shape (len(forms), len(mu)).
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    t = float(t)
-    if t < 0.0:
+    t = [float(t)] * len(forms) if np.ndim(t) == 0 else [float(ti) for ti in t]
+    if len(t) != len(forms):
+        raise ContractError(f"{len(t)} times for {len(forms)} forms")
+    if any(ti < 0.0 for ti in t):
         raise ConfigurationError("time must be nonnegative")
     out = np.zeros((len(forms), mu.size))
     polys, trigs = [], []
-    for i, f in enumerate(forms):
-        for term in f._moment_terms(t, k, 1.0):
-            (trigs if isinstance(term, _TrigTerm) else polys).append((i, term))
+    for i, (f, ti) in enumerate(zip(forms, t)):
+        for term in f._moment_terms(ti, k, 1.0):
+            (trigs if isinstance(term, _TrigTerm) else polys).append((i, ti, term))
     for found, evaluate in ((polys, _poly_moments), (trigs, _trig_moments)):
         if found:
-            owner, terms = zip(*found)
-            np.add.at(out, np.array(owner), evaluate(terms, mu, t))
+            owner, tt, terms = zip(*found)
+            np.add.at(out, np.array(owner), evaluate(terms, mu, np.array(tt)))
     return out
 
 

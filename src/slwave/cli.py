@@ -33,7 +33,7 @@ import numpy as np
 
 from .analytic import parse_expression
 from .control import (ControlSignal, control_to_kernel, fdtd_oracle,
-                      smooth_wave, support_report)
+                      smooth_waves, support_report)
 from .errors import (ConfigurationError, ContractError, NumericalError,
                      SlwaveError, VerificationFailure)
 from .grid import (GridFunction, build_grid, format_column, json_text, quad,
@@ -271,21 +271,22 @@ def run_simulate(cfg: RunConfig) -> list:
     c = _control(cfg)
     kc = control_to_kernel(c, kb)
     times = cfg.times if cfg.times else (cfg.horizon,)
-    snaps = [smooth_wave(kc, t, es) for t in times]
-    xs = _column(cfg, grid.x)
+    snaps = smooth_waves(kc, times, es)
+    # the waves are real: one shared zero column fills every im cell
+    xs, im = _column(cfg, grid.x), _column(cfg, np.zeros(grid.size))
     wf_path = _write_table(cfg, "wavefield", ["t", "x", "re", "im"],
-                           ([np.full(grid.size, t), xs, s.values.real, s.values.imag]
-                            for t, s in zip(times, snaps)))
+                           ([np.full(grid.size, t), xs, row, im]
+                            for t, row in zip(times, snaps)))
     support = []
-    for t, s in zip(times, snaps):
-        rep = support_report(s, t, tol=cfg.tol("support", 1e-6))
+    for t, row in zip(times, snaps):
+        rep = support_report(GridFunction(grid, row), t, tol=cfg.tol("support", 1e-6))
         support.append({"t": t, "ratio": rep.ratio, "outside_mass": rep.outside_mass,
                         "total_mass": rep.total_mass, "passed": rep.passed})
     payload = {"times": list(times), "support": support, "fdtd_l2": None}
     if cfg.run_fdtd:
         horizon = max(times)
         oracle = fdtd_oracle(c, q, horizon=horizon, cfl=cfg.cfl)
-        diff = snaps[int(np.argmax(times))].values - oracle.values
+        diff = snaps[int(np.argmax(times))] - oracle.values
         l2 = float(np.sqrt(quad(GridFunction(grid, np.abs(diff) ** 2)).real))
         payload["fdtd_l2"] = l2
         payload["fdtd_tol"] = cfg.tol("fdtd", 1e-3)

@@ -29,8 +29,8 @@ from .sturm import (EigenSystem, KernelBasis, Potential, check_lower_bound,
 
 __all__ = [
     "ControlSignal", "KernelControl", "SourceTerm", "SupportReport", "gamma1",
-    "gamma2", "control_to_kernel", "smooth_wave", "source_wave", "fdtd_oracle",
-    "support_report", "reachable_span_estimate",
+    "gamma2", "control_to_kernel", "smooth_wave", "smooth_waves", "source_wave",
+    "fdtd_oracle", "support_report", "reachable_span_estimate",
 ]
 
 _JET_TOL = 1e-9
@@ -38,6 +38,11 @@ _JET_TOL = 1e-9
 _MARGIN_CELLS = 2
 # interior probe points of reachable_span_estimate
 _COARSE_M = 24
+# bound on forms x modes per sine_moments call of _batched_smooth_wave,
+# so its work arrays stay near 2.5 MB whatever the snapshot count: the
+# largest, the power moments of _poly_moments, holds degree + 1 cells per
+# form and mode (9 for a smoothness-6 bump's second derivative)
+_MOMENT_CELLS = 1 << 15
 
 
 def _check_admissible(f: ClosedForm, name: str):
@@ -119,21 +124,48 @@ def _kernel_modal_coefficients(es: EigenSystem, kb: KernelBasis) -> tuple:
             kb.phil_at_0 * es.dphi0 / es.lam)
 
 
-def _batched_smooth_wave(controls: Sequence[KernelControl], t: float,
+def _batched_smooth_wave(controls: Sequence[KernelControl], times,
                          es: EigenSystem) -> np.ndarray:
     """Wave snapshots u^h(t) for several kernel controls sharing one
-    eigensystem; returns real values of shape (len(controls), n+1)."""
-    if t < 0.0:
+    eigensystem, each at every time; returns real values of shape
+    (len(controls) * len(times), n+1), control-major: row i len(times) + j
+    holds control i at times[j].
+
+    The sine moments are taken a chunk of times at a time (at most
+    _MOMENT_CELLS moment cells per call); the modal sum is one matrix
+    product over all rows."""
+    times = [float(t) for t in times]
+    if any(t < 0.0 for t in times):
         raise ConfigurationError("time must be nonnegative")
     check_lower_bound(es)
     kb = controls[0].kb
     mu = np.sqrt(es.lam)
     c0, cl = _kernel_modal_coefficients(es, kb)
-    m = sine_moments([kc.a for kc in controls] + [kc.b for kc in controls], mu, t, 2)
-    coeff = (m[:len(controls)] * c0 + m[len(controls):] * cl) / mu
-    at = np.array([[float(kc.a.deriv(t, 0)), float(kc.b.deriv(t, 0))] for kc in controls])
+    nc, nt = len(controls), len(times)
+    coeff = np.empty((nc, nt, es.count))
+    step = max(1, _MOMENT_CELLS // (2 * nc * es.count))
+    for s in range(0, nt, step):
+        ts = times[s:s + step]
+        forms = ([kc.a for kc in controls for _ in ts]
+                 + [kc.b for kc in controls for _ in ts])
+        m = sine_moments(forms, mu, ts * (2 * nc), 2)
+        half = nc * len(ts)
+        coeff[:, s:s + step] = ((m[:half] * c0 + m[half:] * cl) / mu).reshape(nc, len(ts), -1)
+    # a single time goes in as a scalar: numpy scalar arithmetic costs a
+    # fraction of the one-element array ufuncs, and one time with many
+    # controls is how reachable_span_estimate calls
+    tt = times[0] if nt == 1 else np.array(times)
+    at = np.array([(kc.a.deriv(tt, 0), kc.b.deriv(tt, 0)) for kc in controls])
+    at = at.reshape(nc, 2, nt).transpose(0, 2, 1).reshape(-1, 2)
     kernel = np.stack([kb.phi0, kb.phil])
-    return coeff @ es.phi - at @ kernel
+    return coeff.reshape(-1, es.count) @ es.phi - at @ kernel
+
+
+def smooth_waves(h: KernelControl, times: Sequence[float], es: EigenSystem) -> np.ndarray:
+    """Controlled waves u^h(t) at every time in `times`: real node values of
+    shape (len(times), n+1), row j at times[j].  The snapshots share one
+    moment pass and one matrix product (see smooth_wave)."""
+    return _batched_smooth_wave([h], times, es)
 
 
 def smooth_wave(h: KernelControl, t: float, es: EigenSystem) -> GridFunction:
@@ -141,8 +173,7 @@ def smooth_wave(h: KernelControl, t: float, es: EigenSystem) -> GridFunction:
     modes.  The Duhamel term is exact per mode: the sine moments of a''
     and b'' (analytic.sine_moments) times the modal coefficients of the
     kernel basis.  Needs lambda_1 > 0 (AdmissibilityError otherwise)."""
-    vals = _batched_smooth_wave([h], t, es)[0]
-    return GridFunction(es.grid, vals)
+    return GridFunction(es.grid, _batched_smooth_wave([h], (t,), es)[0])
 
 
 @dataclass(eq=False)
@@ -288,7 +319,7 @@ def reachable_span_estimate(t: float, es: EigenSystem, kb: KernelBasis,
             amp = float(rng.uniform(0.5, 1.5)) * (1.0 if rng.uniform() < 0.5 else -1.0)
             sig[end] = bump(center, wsup, amp)
         controls.append(control_to_kernel(ControlSignal(sig["f0"], sig["fl"]), kb))
-    fields = _batched_smooth_wave(controls, t, es)
+    fields = _batched_smooth_wave(controls, (t,), es)
     xq = g.l * (np.arange(1, _COARSE_M + 1)) / (_COARSE_M + 1.0)
     A = fields @ _probe_matrix(g, xq).T
     return np.linalg.svd(A, compute_uv=False)

@@ -9,7 +9,7 @@ from scipy.integrate import quad as scipy_quad
 from slwave.analytic import (ClosedForm, Const, PiecewisePoly, Poly, Trig,
                              _bump_base, bump, parse_expression, ramp,
                              sine_moments)
-from slwave.errors import ConfigurationError
+from slwave.errors import ConfigurationError, ContractError
 
 X = np.linspace(0.0, 1.0, 257)
 
@@ -213,6 +213,33 @@ def test_sine_moments_batch_matches_single_forms():
     for row, f in zip(batch, forms):
         single = f.sine_moments(mu, 0.45, 0)
         assert np.max(np.abs(row - single)) <= 1e-14 * max(1.0, np.max(np.abs(single)))
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_sine_moments_one_time_per_form_bit_for_bit(k):
+    """One time per form gives, bit for bit, the rows of the calls at one
+    time; the times fall before, inside and after the bump's support
+    (0.2, 0.4) and the ramp's (0.1, 0.4), the last on its right plateau."""
+    forms = [bump(0.3, 0.2, 1.0, 6), ramp(0.1, 0.4), Poly((0.5, -1.0, 0.0, 2.0)),
+             Const(1.5), Trig("sin", 7.0),
+             bump(0.5, 0.4, -0.7, 3) + 2.0 * Trig("cos", 5.0) + Poly((0.0, 1.0))]
+    times = [0.0, 0.05, 0.15, 0.3, 0.55, 0.9]
+    mu = np.array(MUS)
+    got = sine_moments([f for t in times for f in forms], mu,
+                       np.repeat(times, len(forms)), k)
+    want = np.concatenate([sine_moments(forms, mu, t, k) for t in times])
+    assert np.array_equal(got, want)
+    assert np.any(got != 0.0)
+
+
+def test_sine_moments_time_vector_checks():
+    """A negative time anywhere is a configuration error; a time vector
+    that does not match the forms is a contract error."""
+    forms = [bump(0.3, 0.2, 1.0, 6)] * 3
+    with pytest.raises(ConfigurationError):
+        sine_moments(forms, np.array(MUS), [0.2, -0.1, 0.3], 2)
+    with pytest.raises(ContractError):
+        sine_moments(forms, np.array(MUS), [0.2, 0.3], 2)
 
 
 def test_sine_moments_need_closed_form():

@@ -339,26 +339,39 @@ def test_simulate_json_wavefield(tmp_path, capsys):
 
 def test_wavefield_streams_one_block_per_snapshot(tmp_path, capsys):
     """One block of grid rows per snapshot time, in the configured order;
-    CSV and JSON hold the same floats."""
-    path = ini(tmp_path / "s.ini", """
-        [numerics]
-        grid_n = 200
-        modes = 20
-        fdtd = off
+    CSV and JSON hold the same floats, the rows of one-time runs agree to
+    1e-13 of sup|u|, and the waves are real: every im cell is exactly 0
+    (CSV) and 0.0 (JSON)."""
+    def run(name, times, fmt="csv"):
+        path = ini(tmp_path / f"{name}.ini", f"""
+            [numerics]
+            grid_n = 400
+            modes = 60
+            fdtd = off
 
-        [controls]
-        times = 0.2, 0.45, 0.3
-    """)
-    for fmt in ("csv", "json"):
-        assert main(["simulate", "--config", path, "--out", str(tmp_path / fmt),
+            [controls]
+            times = {times}
+        """)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / name),
                      "--format", fmt]) == 0
+        return tmp_path / name / f"wavefield.{fmt}"
+
+    lines = run("csv", "0.2, 0.45, 0.3").read_text().splitlines()
+    text = run("json", "0.2, 0.45, 0.3", "json").read_text()
+    single = np.concatenate([np.loadtxt(run(f"one{i}", t), delimiter=",", skiprows=1)
+                             for i, t in enumerate((0.2, 0.45, 0.3))])
     capsys.readouterr()
-    csv = np.loadtxt(tmp_path / "csv" / "wavefield.csv", delimiter=",", skiprows=1)
-    rows = np.array(json.loads((tmp_path / "json" / "wavefield.json").read_text())["rows"])
-    x = build_grid(1.0, 200).x
+    assert len(lines) == 1 + 3 * 401
+    assert all(line.endswith(",0") for line in lines[1:])
+    assert text.count("\n      0.0\n    ]") == 3 * 401
+    csv = np.loadtxt(lines[1:], delimiter=",")
+    rows = np.array(json.loads(text)["rows"])
+    x = build_grid(1.0, 400).x
     assert np.array_equal(csv[:, 0], np.repeat([0.2, 0.45, 0.3], x.size))
     assert np.array_equal(csv[:, 1], np.tile(x, 3))
     assert np.array_equal(rows.view(np.int64), csv.view(np.int64))
+    assert np.array_equal(csv[:, [0, 1, 3]], single[:, [0, 1, 3]])
+    assert np.max(np.abs(csv[:, 2] - single[:, 2])) <= 1e-13 * np.max(np.abs(single[:, 2]))
 
 
 def test_model_tables(tmp_path, capsys):

@@ -7,12 +7,13 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.integrate import simpson
 
+from slwave import control
 from slwave.analytic import Const, Poly, Trig, bump, parse_expression, ramp
-from slwave.control import (ControlSignal, SourceTerm,
+from slwave.control import (ControlSignal, SourceTerm, _batched_smooth_wave,
                             _kernel_modal_coefficients, control_to_kernel,
                             fdtd_oracle, gamma1, gamma2,
-                            reachable_span_estimate, smooth_wave, source_wave,
-                            support_report)
+                            reachable_span_estimate, smooth_wave, smooth_waves,
+                            source_wave, support_report)
 from slwave.errors import AdmissibilityError, ConfigurationError, ContractError
 from slwave.grid import GridFunction, build_grid, quad
 from slwave.sturm import (dirichlet_eigensystem, kernel_basis,
@@ -169,6 +170,69 @@ def test_time_shift_consistency(es_zero, kb_zero):
     ddt = (right.values - left.values) / (2 * eps)
     want = smooth_wave(kc1, t, es_zero)
     assert np.max(np.abs(ddt - want.values)) <= 1e-5
+
+
+# snapshot times of the batched-wave tests: unsorted, one before every
+# control's support, one past the zero system's first reflection
+BATCH_TIMES = (0.2, 0.45, 0.02, 0.3, 0.8, 0.6, 1.3)
+
+
+@pytest.fixture(scope="module")
+def wave_systems(es_zero, kb_zero, q_cosine):
+    """(eigensystem, kernel controls) on q = 0 and on q = 2 + cos(3)."""
+    out = []
+    for es, kb in ((es_zero, kb_zero),
+                   (dirichlet_eigensystem(q_cosine, 60), kernel_basis(q_cosine))):
+        signals = [ControlSignal(bump(0.2, 0.3, 1.0, 6), ramp(0.1, 0.3)),
+                   ControlSignal(bump(0.15, 0.2, -0.8, 6), Const(0.0)),
+                   ControlSignal(Const(0.0), bump(0.25, 0.3, 0.5, 6))]
+        out.append((es, [control_to_kernel(c, kb) for c in signals]))
+    return out
+
+
+def single_rows(kc, times, es):
+    return np.array([smooth_wave(kc, t, es).values.real for t in times])
+
+
+def assert_rows_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_smooth_waves_match_smooth_wave(wave_systems):
+    """All snapshots from one moment pass agree with one call per time."""
+    for es, controls in wave_systems:
+        for kc in controls:
+            assert_rows_close(smooth_waves(kc, BATCH_TIMES, es),
+                              single_rows(kc, BATCH_TIMES, es))
+
+
+def test_batched_rows_are_control_major(wave_systems):
+    """Row i len(times) + j holds control i at times[j], for one control at
+    many times, many controls at one time, and many at many."""
+    es, controls = wave_systems[1]
+    for kcs, times in (([controls[0]], BATCH_TIMES), (controls, (0.45,)),
+                       (controls, BATCH_TIMES)):
+        want = np.concatenate([single_rows(kc, times, es) for kc in kcs])
+        assert_rows_close(_batched_smooth_wave(kcs, times, es), want)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2, 3])
+def test_batched_wave_chunks_match_one_pass(wave_systems, monkeypatch, per_chunk):
+    """A time vector longer than one moment chunk gives the rows of one pass."""
+    es, controls = wave_systems[0]
+    whole = _batched_smooth_wave(controls, BATCH_TIMES, es)
+    monkeypatch.setattr(control, "_MOMENT_CELLS", 2 * len(controls) * es.count * per_chunk)
+    assert_rows_close(_batched_smooth_wave(controls, BATCH_TIMES, es), whole)
+
+
+@pytest.mark.parametrize("times", [(-0.1, 0.2, 0.3), (0.2, -0.1, 0.3), (0.2, 0.3, -1e-12)])
+def test_batched_wave_rejects_any_negative_time(wave_systems, times):
+    es, controls = wave_systems[0]
+    with pytest.raises(ConfigurationError):
+        smooth_waves(controls[0], times, es)
+    with pytest.raises(ConfigurationError):
+        _batched_smooth_wave(controls, times, es)
 
 
 def test_boundary_trace_identities(es_zero, kb_zero, q_zero):

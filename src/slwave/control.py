@@ -21,7 +21,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .analytic import ClosedForm, bump, sine_moments
+from .analytic import ClosedForm, bump, sine_moments, values
 from .errors import ConfigurationError, ContractError, NumericalError
 from .grid import Grid, GridFunction, _cubic_stencil, inner, quad
 from .sturm import (EigenSystem, KernelBasis, Potential, check_lower_bound,
@@ -132,7 +132,8 @@ def _batched_smooth_wave(controls: Sequence[KernelControl], times,
     holds control i at times[j].
 
     The sine moments are taken a chunk of times at a time (at most
-    _MOMENT_CELLS moment cells per call); the modal sum is one matrix
+    _MOMENT_CELLS moment cells per call); a(t) and b(t) of every control
+    come from one analytic.values pass; the modal sum is one matrix
     product over all rows."""
     times = [float(t) for t in times]
     if any(t < 0.0 for t in times):
@@ -151,12 +152,8 @@ def _batched_smooth_wave(controls: Sequence[KernelControl], times,
         m = sine_moments(forms, mu, ts * (2 * nc), 2)
         half = nc * len(ts)
         coeff[:, s:s + step] = ((m[:half] * c0 + m[half:] * cl) / mu).reshape(nc, len(ts), -1)
-    # a single time goes in as a scalar: numpy scalar arithmetic costs a
-    # fraction of the one-element array ufuncs, and one time with many
-    # controls is how reachable_span_estimate calls
-    tt = times[0] if nt == 1 else np.array(times)
-    at = np.array([(kc.a.deriv(tt, 0), kc.b.deriv(tt, 0)) for kc in controls])
-    at = at.reshape(nc, 2, nt).transpose(0, 2, 1).reshape(-1, 2)
+    at = values([kc.a for kc in controls] + [kc.b for kc in controls], times)
+    at = at.reshape(2, -1).T.copy()
     kernel = np.stack([kb.phi0, kb.phil])
     return coeff.reshape(-1, es.count) @ es.phi - at @ kernel
 

@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .analytic import ClosedForm, parse_expression
+from .analytic import ClosedForm, Const, parse_expression
 from .errors import AdmissibilityError, ConfigurationError, NumericalError
 from .grid import Grid, GridFunction, _cubic_apply, _cubic_stencil, _simpson_weights
 
@@ -80,7 +80,6 @@ def potential(grid: Grid, q: Union[str, float, ClosedForm, np.ndarray]) -> Poten
     if isinstance(q, str):
         q = parse_expression(q)
     if isinstance(q, (int, float)):
-        from .analytic import Const
         q = Const(float(q))
     if isinstance(q, ClosedForm):
         vals = np.asarray(q(grid.x), dtype=float)

@@ -1,6 +1,8 @@
 """Closed-form vocabulary: evaluation, derivatives, parser errors, and
 exact sine moments against QUADPACK."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -8,7 +10,7 @@ from scipy.integrate import quad as scipy_quad
 
 from slwave.analytic import (ClosedForm, Const, PiecewisePoly, Poly, Trig,
                              _bump_base, bump, parse_expression, ramp,
-                             sine_moments)
+                             sine_moments, values)
 from slwave.errors import ConfigurationError, ContractError
 
 X = np.linspace(0.0, 1.0, 257)
@@ -98,7 +100,8 @@ def test_bump_coefficients_from_shared_base():
     for p in (2, 3, 6):
         for amp in (1.0, -0.7, 1.3):
             direct = tuple(amp * 4.0 ** p * P.polypow([0.0, 1.0, -1.0], p))
-            assert bump(0.3, 0.2, amp, p).coeffs == direct
+            (piece,) = bump(0.3, 0.2, amp, p).terms
+            assert piece.coeffs == direct
     with pytest.raises(ValueError):
         _bump_base(6)[0] = 1.0
 
@@ -136,6 +139,86 @@ def test_jet_equals_deriv_at_zero(name, f):
     want = np.array([f.deriv(np.zeros(1), k)[0] for k in range(5)])
     assert np.array_equal(f.jet(4), want), name
     assert np.array_equal(f.jet(2), want[:3]), name
+
+
+# ------------------------------------------------------------ normal form
+
+NORMAL_FORMS = [
+    parse_expression("2.5 + bump(0.3, 0.2, 1, 6) - 0.7*cos(3) + sin(2) + poly(1, -2, 0.5)"),
+    parse_expression("0.5*ramp(0.05, 0.2) - 0.3*bump(0.1, 0.1, 1, 6) + poly(0, 0, 0, 0.1)"),
+    -1.7 * parse_expression("2*bump(0.12, 0.1, -0.4, 6) - 0.25*ramp(0.1, 0.3)"),
+    0.3 * (2.0 * (Trig("cos", 3.0, 0.7) + ramp(0.2, 0.6))) + Const(-1.25),
+    bump(0.45, 0.3, 0.8, 10).differentiate(1).differentiate(1),
+    (Trig("sin", 5.0) + 3.0 * ramp(0.3, 0.5)).differentiate(1).differentiate(1),
+    PiecewisePoly(0.2, 0.5, (1.0, 1.0), left=4.0, right=-2.0) + Poly((0.25, -3.0)),
+    Const(3.5),
+    ClosedForm(),
+]
+# the support edges (0.2, 0.4, 0.05, 0.15, 0.3, 0.5, 0.6), plateaus and
+# points outside [0, 1]
+EDGE_TIMES = np.array([-0.5, 0.0, 0.05, 0.07, 0.1, 0.15, 0.2, 0.25, 0.3, 0.31, 0.4,
+                       0.5, 0.6, 0.75, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_values_equal_deriv_bit_for_bit(k):
+    """One batched evaluation over many forms gives each form's deriv bit
+    for bit: pieces of different degrees share padded Horner passes and
+    trig terms one cos pass, whatever else is in the batch."""
+    t = np.concatenate([EDGE_TIMES, np.linspace(0.0, 1.0, 200)])
+    batch = values(NORMAL_FORMS, t, k)
+    assert batch.shape == (len(NORMAL_FORMS), t.size)
+    for row, f in zip(batch, NORMAL_FORMS):
+        assert np.array_equal(row, f.deriv(t, k), equal_nan=True)
+        assert np.array_equal(values([f], t.reshape(4, -1), k)[0], row.reshape(4, -1))
+    assert np.any(batch != 0.0)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_form_is_scale_times_terms_in_order(k):
+    """f^(k)(t) = scale * (term_1 + term_2 + ...), added left to right, each
+    term evaluated on its own; a scalar multiple of a sum of scale 1 (a
+    parsed expression, say) is applied after the sum."""
+    for f in NORMAL_FORMS[:-1]:
+        parts = [ClosedForm([term]).deriv(EDGE_TIMES, k) for term in f.terms]
+        total = parts[0]
+        for p in parts[1:]:
+            total = total + p
+        assert np.array_equal(f.deriv(EDGE_TIMES, k), f.scale * total)
+        if f.scale == 1.0:
+            assert np.array_equal((-2.3 * f).deriv(EDGE_TIMES, k), -2.3 * f.deriv(EDGE_TIMES, k))
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_terms_keep_their_operation_order(k):
+    """Each term evaluates bit for bit as the artefacts were written: a
+    piece as weight * (polyval(clip(u), coeffs^(k)) / width**k), its
+    constants outside the support (k = 0) or 0; a trig term as
+    weight * ((amp freq**k) cos(freq t + phase + k pi/2))."""
+    t = np.concatenate([EDGE_TIMES, np.linspace(0.0, 1.0, 200)])
+    for f in (0.7 * bump(0.3, 0.2, -1.3, 6), ramp(0.1, 0.4), -2.0 * Poly((0.5, -1.0, 0.0, 2.0)),
+              PiecewisePoly(0.2, 0.5, (1.0, 1.0, -3.0), left=4.0, right=-2.0), Const(-2.5)):
+        (p,) = f.terms
+        dc = [c * math.perm(j, k) for j, c in enumerate(p.coeffs) if j >= k] or [0.0]
+        u = (t - p.origin) / p.width
+        inside = P.polyval(np.clip(u, 0.0, 1.0) if p.lo > -np.inf else u, dc) / p.width ** k
+        want = np.where(u < 0.0, p.left if k == 0 else 0.0,
+                        np.where(u > 1.0, p.right if k == 0 else 0.0, inside)) \
+            if p.lo > -np.inf else inside
+        assert np.array_equal(f.deriv(t, k), f.scale * (p.weight * want))
+    for kind, freq, amp in (("cos", 3.0, 0.7), ("sin", 2.5, -1.3)):
+        phase = k * np.pi / 2.0 - (np.pi / 2.0 if kind == "sin" else 0.0)
+        want = (amp * freq ** k) * np.cos(freq * t + phase)
+        assert np.array_equal((1.7 * Trig(kind, freq, amp)).deriv(t, k), 1.7 * want)
+
+
+def test_empty_form_is_zero():
+    zero = ClosedForm()
+    assert np.array_equal(zero.deriv(EDGE_TIMES, 0), np.zeros(EDGE_TIMES.size))
+    assert np.array_equal(zero.jet(4), np.zeros(5))
+    assert np.array_equal(zero.sine_moments(np.array(MUS), 0.5, 2), np.zeros(len(MUS)))
+    assert np.array_equal((zero + bump(0.3, 0.2)).deriv(EDGE_TIMES, 1),
+                          bump(0.3, 0.2).deriv(EDGE_TIMES, 1))
 
 
 # ------------------------------------------------------------ sine moments
@@ -240,8 +323,3 @@ def test_sine_moments_time_vector_checks():
         sine_moments(forms, np.array(MUS), [0.2, -0.1, 0.3], 2)
     with pytest.raises(ContractError):
         sine_moments(forms, np.array(MUS), [0.2, 0.3], 2)
-
-
-def test_sine_moments_need_closed_form():
-    with pytest.raises(NotImplementedError):
-        ClosedForm().sine_moments(np.array([1.0]), 0.5)

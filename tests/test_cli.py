@@ -583,7 +583,8 @@ def test_artefacts_are_canonical(tmp_path, capsys):
 
 # SHA-256 of the gauge, model and recovery artefacts of q = 2 + x - x^2 on
 # 200 cells: analytic recover and recover from the written model.csv
-# ("table"), in both formats
+# ("table"), in both formats; under bump/ the same for q plus a
+# smoothness-6 bump of amplitude 0.4 on [0.2, 0.4]
 PINNED_DIGESTS = {
     "csv/model/gauge.csv": "d642c8c9a50345d3bc18ccf028ba6a4491d82beb6dac6d8c3500c64bca9e0f27",
     "csv/model/model.csv": "e80cae6c19ce5afcc7112ccbbae5e9a82b59b9710d61d6d2673e4f596a305244",
@@ -601,28 +602,57 @@ PINNED_DIGESTS = {
     "json/table/recovery.json": "8b7cccf10996c0f37edd20090c216c7241ba9cf31afcd098f9cd7c06f21b18f2",
     "json/table/recovery_report.json":
         "2d5672fc5dbc44346d301e4e1ad07da25f6cc6aebeedee16e66d0e7f36debc4d",
+    "bump/csv/model/gauge.csv": "604db4f2768ece3d6e39c7d5ad690c889b64f9f2155b4dbbdcec3d3407c2e4a0",
+    "bump/csv/model/model.csv":
+        "da6e8c8b3a362af5821994ec5aa1665b16127bc1d9632dc2e49d8575cc5f346a",
+    "bump/csv/recover/recovery.csv":
+        "e6b12ba4bf6132fc109cf0af79422a6110e1d9147bc3c99821fb5e49705822dd",
+    "bump/csv/recover/recovery_report.json":
+        "0b588c5c1a5136440d02d6bad759567171fd66e022d7fff2eea073b4e7690387",
+    "bump/csv/table/recovery.csv":
+        "24faaa99c1ca8d83e2a5e408124bb110ae998013ca9a1dd8d21dee92e3b7eaa5",
+    "bump/csv/table/recovery_report.json":
+        "780c56934c67e729e39a9b4068d4f86604feb261b64628cf02a332f2acad8e90",
+    "bump/json/model/gauge.json":
+        "d3297473adb98ec8a9f14301f98a88ed4f25756c3514dd458f4dcf6257db6276",
+    "bump/json/model/model.json":
+        "58e783d162029558c100a6cad5a9ea7cff83cc31ce818621ceb6c5dec2129485",
+    "bump/json/recover/recovery.json":
+        "39fb7e32a0476daf7fa8a703d11c2b8b531c25f04fda86e0fd862ea9ba24ae8c",
+    "bump/json/recover/recovery_report.json":
+        "0b588c5c1a5136440d02d6bad759567171fd66e022d7fff2eea073b4e7690387",
+    "bump/json/table/recovery.json":
+        "6053e7f2a2076b2c6d23660fab6a6a4178d564b6a77d934d70179102f6d19fcd",
+    "bump/json/table/recovery_report.json":
+        "780c56934c67e729e39a9b4068d4f86604feb261b64628cf02a332f2acad8e90",
 }
 
 
 def test_model_recover_bytes_are_pinned(tmp_path, capsys):
-    """The model and recover artefacts, byte for byte.  No BLAS call enters
-    them: only + and * on the potential, the scalar RK4 sweeps of the
-    kernel basis and longdouble arithmetic, so the digests do not depend
-    on the CPU (given 80-bit longdouble)."""
-    problem = "[problem]\npotential = 2 + poly(0, 1, -1)\n"
-    numerics = "[numerics]\ngrid_n = 200\n"
-    path = ini(tmp_path / "c.ini", problem + numerics)
-    table = tmp_path / "csv" / "model" / "model.csv"
-    follow = ini(tmp_path / "t.ini", problem + f"coefficients = {table}\n" + numerics)
-    runs = [("model", path, "model"), ("recover", path, "recover"),
-            ("recover", follow, "table")]
-    for fmt in ("csv", "json"):
-        for cmd, config, sub in runs:
-            assert main([cmd, "--config", config, "--out", str(tmp_path / fmt / sub),
-                         "--format", fmt]) == 0
+    """The model and recover artefacts, byte for byte, for a polynomial
+    potential and (under bump/) the same with a smoothness-6 bump added.
+    No BLAS call and no libm function enters them: only +, * and / on the
+    potential, the scalar RK4 sweeps of the kernel basis and longdouble
+    arithmetic, so the digests do not depend on the CPU (given 80-bit
+    longdouble)."""
+    for case, q in (("", "2 + poly(0, 1, -1)"),
+                    ("bump/", "2 + poly(0, 1, -1) + 0.4*bump(0.3, 0.2, 1.0, 6)")):
+        base = tmp_path / case
+        base.mkdir(exist_ok=True)
+        problem = f"[problem]\npotential = {q}\n"
+        numerics = "[numerics]\ngrid_n = 200\n"
+        path = ini(base / "c.ini", problem + numerics)
+        table = base / "csv" / "model" / "model.csv"
+        follow = ini(base / "t.ini", problem + f"coefficients = {table}\n" + numerics)
+        runs = [("model", path, "model"), ("recover", path, "recover"),
+                ("recover", follow, "table")]
+        for fmt in ("csv", "json"):
+            for cmd, config, sub in runs:
+                assert main([cmd, "--config", config, "--out", str(base / fmt / sub),
+                             "--format", fmt]) == 0
     capsys.readouterr()
     digests = {f.relative_to(tmp_path).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
-               for f in sorted(tmp_path.glob("*/*/*.*"))}
+               for f in sorted(tmp_path.rglob("*/*/*.*")) if f.suffix != ".ini"}
     assert digests == PINNED_DIGESTS
 
 

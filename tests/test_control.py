@@ -1,6 +1,5 @@
 """Boundary control dynamics: trace maps, smooth waves, sources, oracles."""
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -8,7 +7,8 @@ from scipy.integrate import quad as scipy_quad
 from scipy.integrate import simpson
 
 from slwave import control
-from slwave.analytic import Const, Poly, Trig, bump, parse_expression, ramp
+from slwave.analytic import (Const, PiecewisePoly, Poly, Trig, bump, parse_expression, ramp,
+                             values)
 from slwave.control import (ControlSignal, SourceTerm, _batched_smooth_wave,
                             _kernel_modal_coefficients, control_to_kernel,
                             fdtd_oracle, gamma1, gamma2,
@@ -78,7 +78,7 @@ def deriv_jet_message(f, name):
             f"got 2-jet {jet}")
 
 
-SHIFTED_RAMP = dataclasses.replace(ramp(0.3, 0.5), left=0.25)
+SHIFTED_RAMP = PiecewisePoly(0.3, 0.5, (0.0, 0.0, 0.0, 10.0, -15.0, 6.0), left=0.25, right=1.0)
 
 
 @pytest.mark.parametrize("f0, fl, bad", [
@@ -132,6 +132,27 @@ def test_kernel_coefficients_green_identity(es_zero, kb_zero, q_cosine):
         for got, basis in ((c0, kb.phi0), (cl, kb.phil)):
             want = modal_coefficients(es, GridFunction(kb.grid, basis)).real[:10]
             assert np.max(np.abs(got[:10] - want) / np.abs(want)) <= 1e-9
+
+
+def test_kernel_signals_scale_after_the_sum(kb_zero):
+    """The kernel term of the batched waves reads a(t) and b(t) of every
+    control from one values pass.  Each row is that control's own
+    evaluation, and equals the kernel scale times the endpoint signal
+    summed in parse order: the scale multiplies the sum, not each term."""
+    f0 = parse_expression("0.5*ramp(0.05, 0.2) - 0.3*bump(0.1, 0.1, 1, 6) + poly(0, 0, 0, 0.1)")
+    fl = parse_expression("2*bump(0.12, 0.1, -0.4, 6) - 0.25*ramp(0.1, 0.3)")
+    controls = [control_to_kernel(ControlSignal(f0, fl), kb_zero),
+                control_to_kernel(ControlSignal(bump(0.2, 0.1, -0.7, 6), Const(0.0)), kb_zero),
+                control_to_kernel(ControlSignal(Const(0.0), parse_expression("0.7*bump(0.3, 0.2)")),
+                                  kb_zero)]
+    times = np.linspace(0.0, 0.6, 241)
+    got = values([kc.a for kc in controls] + [kc.b for kc in controls], times)
+    for i, kc in enumerate(controls):
+        assert np.array_equal(got[i], kc.a(times))
+        assert np.array_equal(got[len(controls) + i], kc.b(times))
+    assert np.array_equal(got[0], (-1.0 / kb_zero.phi0_at_l) * fl(times))
+    assert np.array_equal(got[len(controls)], (-1.0 / kb_zero.phil_at_0) * f0(times))
+    assert np.array_equal(got[2], (-1.0 / kb_zero.phi0_at_l) * (0.7 * bump(0.3, 0.2)(times)))
 
 
 def test_smooth_wave_needs_positive_spectrum():

@@ -31,9 +31,9 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import parse_expression
-from .control import (ControlSignal, control_to_kernel, fdtd_oracle,
-                      smooth_waves, support_report)
+from .analytic import ClosedForm, parse_expression
+from .control import (LEAPFROG_CFL, ControlSignal, _leapfrog_steps, control_to_kernel,
+                      fdtd_oracle, smooth_waves, support_report)
 from .errors import (ConfigurationError, ContractError, NumericalError,
                      SlwaveError, VerificationFailure)
 from .grid import (GridFunction, build_grid, format_column, json_text, quad,
@@ -53,14 +53,16 @@ def _finite_positive(value: float) -> bool:
 
 @dataclass(eq=False)
 class RunConfig:
-    """Resolved run parameters; every field validated on construction."""
+    """Resolved run parameters; every field validated on construction.
+    The three expressions are parsed once, into `q_form`, `f0_form` and
+    `fl_form`, which every command reads."""
 
     l: float = 1.0
     potential_expr: str = "const(0)"
     grid_n: int = 2000
     modes: int = 200
     horizon: float = 0.5
-    cfl: float = 0.5
+    cfl: float = LEAPFROG_CFL
     shoot_tol: float = 1e-10
     gauge_e: Optional[tuple] = None
     gauge_e1: Optional[tuple] = None
@@ -75,6 +77,9 @@ class RunConfig:
     t_perturbation: float = 0.0
     out_dir: Path = Path(".")
     fmt: str = "csv"
+    q_form: ClosedForm = field(init=False, repr=False)
+    f0_form: ClosedForm = field(init=False, repr=False)
+    fl_form: ClosedForm = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("l", "horizon", "cfl", "shoot_tol"):
@@ -88,8 +93,8 @@ class RunConfig:
             if not _EPS_FLOOR <= val < np.inf:
                 raise ConfigurationError(
                     f"tolerance {key}={val:g} must be finite and at least 100x machine precision")
-        for expr in (self.potential_expr, self.f0_expr, self.fl_expr):
-            parse_expression(expr)               # fail early if unresolvable
+        self.q_form, self.f0_form, self.fl_form = map(
+            parse_expression, (self.potential_expr, self.f0_expr, self.fl_expr))
         if self.fmt not in ("csv", "json"):
             raise ConfigurationError(f"unknown output format {self.fmt!r}")
 
@@ -235,13 +240,12 @@ def _write_json(cfg: RunConfig, name: str, payload: dict) -> Path:
 
 def _problem(cfg: RunConfig):
     grid = build_grid(cfg.l, cfg.grid_n)
-    q = potential(grid, parse_expression(cfg.potential_expr))
+    q = potential(grid, cfg.q_form)
     return grid, q
 
 
 def _control(cfg: RunConfig) -> ControlSignal:
-    return ControlSignal(parse_expression(cfg.f0_expr),
-                         parse_expression(cfg.fl_expr))
+    return ControlSignal(cfg.f0_form, cfg.fl_form)
 
 
 def run_eigs(cfg: RunConfig) -> list:
@@ -263,14 +267,17 @@ def run_eigs(cfg: RunConfig) -> list:
 
 
 def run_simulate(cfg: RunConfig) -> list:
-    """Controlled waves at the requested times, support report, FDTD check."""
+    """Controlled waves at the requested times, support report, FDTD check.
+    An unstable leapfrog time step fails before any work or output."""
     grid, q = _problem(cfg)
+    times = cfg.times if cfg.times else (cfg.horizon,)
+    if cfg.run_fdtd:
+        _leapfrog_steps(q, max(times), cfg.cfl)
     es = dirichlet_eigensystem(q, cfg.modes, rel_tol=cfg.shoot_tol)
     check_lower_bound(es)
     kb = kernel_basis(q)
     c = _control(cfg)
     kc = control_to_kernel(c, kb)
-    times = cfg.times if cfg.times else (cfg.horizon,)
     snaps = smooth_waves(kc, times, es)
     # the waves are real: one shared zero column fills every im cell
     xs, im = _column(cfg, grid.x), _column(cfg, np.zeros(grid.size))
@@ -372,8 +379,7 @@ def run_recover(cfg: RunConfig) -> list:
         _, gd = _gauge_of(cfg)
         mc = assemble_coefficients(gd)
         rr = recover_potential(mc)
-        compare = unordered_branch_error(rr, parse_expression(cfg.potential_expr),
-                                         cfg.l)
+        compare = unordered_branch_error(rr, cfg.q_form, cfg.l)
     files = [_write_table(cfg, "recovery", ["x", "q1", "q2", "collision"],
                           [[rr.x, rr.q1, rr.q2, rr.collision]])]
     payload = {"branches": [rr.q1.tolist(), rr.q2.tolist()],

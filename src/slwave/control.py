@@ -43,6 +43,10 @@ _COARSE_M = 24
 # largest, the power moments of _poly_moments, holds degree + 1 cells per
 # form and mode (9 for a smoothness-6 bump's second derivative)
 _MOMENT_CELLS = 1 << 15
+# leapfrog CFL number dt/h of fdtd_oracle and every caller: the dispersion
+# error scales like 1 - cfl^2 and vanishes at cfl = 1 for q = 0 (the magic
+# time step); 0.9 keeps a margin to the von Neumann bound for q > 0
+LEAPFROG_CFL = 0.9
 
 
 def _check_admissible(f: ClosedForm, name: str):
@@ -202,25 +206,47 @@ def source_wave(g: Union[SourceTerm, Sequence[SourceTerm]], t: float,
     return GridFunction(es.grid, coeff @ es.phi)
 
 
-def fdtd_oracle(c: ControlSignal, q: Potential, horizon: float,
-                cfl: float = 0.5) -> GridFunction:
-    """Explicit leapfrog oracle for u_tt = u_xx - q u with endpoint data
-    written directly into the boundary nodes and zero initial data;
-    returns the field at the horizon.
+def _leapfrog_steps(q: Potential, horizon: float, cfl: float) -> tuple:
+    """(steps, dt, r2) of the leapfrog up to `horizon`, time step
+    dt <= cfl h and r2 = (dt / h)^2.
 
-    The first step is the Taylor start consistent with zero Cauchy data
-    (interior stays zero, boundaries take the signal values).  Blow-up
-    beyond 1e6 times the control scale raises a stability error.
+    Checks before any work that the scheme is stable: the von Neumann
+    bound r2 + dt^2 max(q, 0) / 4 <= 1.  A violation is a
+    ConfigurationError that names the largest cfl the bound allows.
     """
     if not (0.0 < cfl <= 0.98):
         raise ConfigurationError(f"leapfrog needs 0 < cfl <= 0.98, got {cfl}")
     if horizon <= 0.0:
         raise ConfigurationError("horizon must be positive")
-    g = q.grid
-    h = g.h
+    h = q.grid.h
     steps = max(1, int(math.ceil(horizon / (cfl * h))))
     dt = horizon / steps
     r2 = (dt / h) ** 2
+    qmax = max(float(np.max(q.values)), 0.0)
+    bound = r2 + 0.25 * dt * dt * qmax
+    if not bound <= 1.0:
+        # dt <= cfl h, so every cfl with cfl^2 (1 + h^2 qmax / 4) <= 1 is stable
+        stable = math.floor(1e4 / math.sqrt(1.0 + 0.25 * h * h * qmax)) / 1e4
+        raise ConfigurationError(
+            f"leapfrog unstable at cfl={cfl}: r2 + dt^2 max(q, 0)/4 = {bound:.6g} > 1; "
+            f"the largest stable cfl is {min(stable, 0.98):.4f}")
+    return steps, dt, r2
+
+
+def fdtd_oracle(c: ControlSignal, q: Potential, horizon: float,
+                cfl: float = LEAPFROG_CFL) -> GridFunction:
+    """Explicit leapfrog oracle for u_tt = u_xx - q u with endpoint data
+    written directly into the boundary nodes and zero initial data;
+    returns the field at the horizon.
+
+    The first step is the Taylor start consistent with zero Cauchy data
+    (interior stays zero, boundaries take the signal values).  A time
+    step beyond the von Neumann bound is a ConfigurationError before any
+    work; blow-up beyond 1e6 times the control scale still raises a
+    stability error.
+    """
+    steps, dt, r2 = _leapfrog_steps(q, horizon, cfl)
+    g = q.grid
     qv = q.values
     tgrid = dt * np.arange(steps + 1)
     f0v = np.asarray(c.f0(tgrid), dtype=float)

@@ -10,6 +10,7 @@ with zero imaginary part.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Union
@@ -401,15 +402,45 @@ def write_table(path, header, blocks) -> None:
                 fh.write(buf.tobytes().translate(None, b"\0"))
 
 
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _json_lines(obj, pad: str) -> str:
+    """`obj` as json.dumps(indent=2, sort_keys=True) writes it at indent
+    `pad`.  Dicts with string keys and non-empty lists are laid out here,
+    and a list of plain floats or of bools is joined one item a line
+    (float repr, true/false): with an indent, json.dumps runs its
+    pure-Python encoder item by item.  Everything else goes to json.dumps."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        items = (json.dumps(k) + ": " + _json_lines(obj[k], inner) for k in sorted(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            if not all(map(math.isfinite, obj)):
+                raise ValueError("Out of range float values are not JSON compliant")
+            items = map(float.__repr__, obj)
+        elif kinds == {bool}:
+            items = map(_JSON_BOOL.__getitem__, obj)
+        else:
+            items = (_json_lines(v, inner) for v in obj)
+    else:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        return text.replace("\n", "\n" + pad)
+    opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
+    return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + closing
+
+
 def json_text(payload) -> str:
-    """Canonical text of a JSON artefact: indent 2, sorted keys, newline.
+    """Canonical text of a JSON artefact: indent 2, sorted keys, newline,
+    byte for byte json.dumps(payload, indent=2, sort_keys=True) + "\n".
 
     NaN and infinities have no JSON spelling (Python would write the
     non-standard tokens NaN and Infinity), so they raise a NumericalError
     and nothing is written.
     """
     try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _json_lines(payload, "") + "\n"
     except ValueError as exc:
         raise NumericalError(f"non-finite value in a JSON artefact: {exc}") from None
 

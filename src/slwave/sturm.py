@@ -408,13 +408,14 @@ def _sign_change_counts(U: np.ndarray) -> np.ndarray:
 
     Including u(l) matters: just above an eigenvalue the new zero hugs
     the right end closer than any grid cell, so an interior-only count
-    would lag by one until lambda grows enough to pull it inside.
+    would lag by one until lambda grows enough to pull it inside.  A
+    change is a flip of u < 0 between neighbours, so 0.0 and -0.0 count
+    as nonnegative; _tm_history_batch has rejected non-finite histories.
     """
-    s = np.sign(U)
-    s[s == 0.0] = 1.0
-    within = np.sum(s[:-1] * s[1:] < 0.0, axis=(0, 1))
-    across = np.sum(s[-1, :-1] * s[0, 1:] < 0.0, axis=0)
-    return within + across - (s[0, 0] * s[1, 0] < 0.0)
+    neg = U < 0.0
+    within = np.count_nonzero(neg[:-1] != neg[1:], axis=(0, 1))
+    across = np.count_nonzero(neg[-1, :-1] != neg[0, 1:], axis=0)
+    return within + across - (neg[0, 0] != neg[1, 0])
 
 
 def _phase(sigma, w, u, v):

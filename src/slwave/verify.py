@@ -181,7 +181,7 @@ def check_fdtd_cross(ws: Workspace) -> CheckResult:
     c = ControlSignal(bump(0.12, 0.20, 1.0, smoothness=6), Const(0.0))
     t = ws.grid.l
     u_spec = smooth_wave(control_to_kernel(c, kb), t, es)
-    oracle = fdtd_oracle(c, q, horizon=t, cfl=0.5)
+    oracle = fdtd_oracle(c, q, horizon=t)
     diff = u_spec.values - oracle.values
     measured = float(np.sqrt(quad(GridFunction(ws.grid, np.abs(diff) ** 2)).real))
     return _result("fdtd_cross_check", measured,

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from slwave import cli, model
-from slwave.analytic import Const
+from slwave.analytic import Const, parse_expression
 from slwave.cli import load_config, main
 from slwave.errors import ConfigurationError, NumericalError, VerificationFailure
 from slwave.grid import build_grid, json_text
@@ -252,6 +252,50 @@ def test_exit_2_unstable_cfl(tmp_path):
         cfl = 1.2
     """)
     assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("q, grid_n, stable", [("1.55e5", 400, "0.8972"),
+                                               ("4e4", 200, "0.8944")])
+def test_unstable_leapfrog_exits_2_before_any_output(tmp_path, capsys, q, grid_n, stable):
+    """A default-cfl leapfrog past the von Neumann bound r2 + dt^2 max(q, 0)/4
+    <= 1 (1.004 and 1.005 here) exits 2 before the eigensolve, naming the
+    largest stable cfl, and writes nothing.  The grid-200 run used to
+    exit 0 with fdtd_l2 = 2.6e5 in its report."""
+    path = ini(tmp_path / "q.ini", f"""
+        [problem]
+        potential = const({q})
+
+        [numerics]
+        grid_n = {grid_n}
+        modes = 5
+        horizon = 1.0
+    """)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert f"largest stable cfl is {stable}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eigs", "simulate", "model", "recover", "table"])
+def test_each_expression_is_parsed_once(tmp_path, capsys, monkeypatch, command):
+    """The config parses the potential and both controls once; every
+    command reads those forms instead of parsing again."""
+    path = ini(tmp_path / "c.ini", COSINE_SMALL + "    horizon = 0.2\n")
+    if command == "table":
+        assert main(["model", "--config", path, "--out", str(tmp_path / "m")]) == 0
+        path = ini(tmp_path / "t.ini", COSINE_SMALL.replace(
+            "[problem]", f"[problem]\n    coefficients = {tmp_path / 'm' / 'model.csv'}"))
+        command = "recover"
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_expression(text)
+
+    monkeypatch.setattr(cli, "parse_expression", counting)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == sorted(["2 + cos(3)", "bump(0.06, 0.1, 1.0, 6)", "const(0)"])
 
 
 def test_eigs_artifacts_and_determinism(tmp_path, capsys):

@@ -1,14 +1,16 @@
 """Boundary control dynamics: trace maps, smooth waves, sources, oracles."""
 
+import inspect
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.integrate import simpson
 
-from slwave import control
+from slwave import control, verify
 from slwave.analytic import (Const, PiecewisePoly, Poly, Trig, bump, parse_expression, ramp,
                              values)
+from slwave.cli import RunConfig
 from slwave.control import (ControlSignal, SourceTerm, _batched_smooth_wave,
                             _kernel_modal_coefficients, control_to_kernel,
                             fdtd_oracle, gamma1, gamma2,
@@ -310,7 +312,7 @@ def leapfrog_loop_reference(c, q, horizon, cfl=0.5, order="factored"):
     return z
 
 
-@pytest.mark.parametrize("horizon, cfl", [(1.0, 0.5), (0.37, 0.9)])
+@pytest.mark.parametrize("horizon, cfl", [(1.0, 0.5), (0.37, 0.9), (1.0, 0.9)])
 def test_fdtd_matches_array_loop_bit_for_bit(horizon, cfl):
     """The buffered leapfrog reproduces the one-expression loop exactly,
     for a variable potential and data at both ends; the expanded order
@@ -329,6 +331,51 @@ def test_fdtd_rejects_bad_cfl(q_zero):
     c = ControlSignal(bump(0.1, 0.1, 1.0, 6), Const(0.0))
     with pytest.raises(ConfigurationError):
         fdtd_oracle(c, q_zero, horizon=0.2, cfl=1.2)
+
+
+def test_fdtd_refuses_an_unstable_step():
+    """r2 + dt^2 max(q, 0)/4 = 1.004 is a configuration error before any
+    step (the leapfrog used to blow up at t = 0.899), naming the largest
+    stable cfl; that cfl runs."""
+    q = potential(build_grid(1.0, 400), Const(1.55e5))
+    c = ControlSignal(bump(0.1, 0.1, 1.0, 6), Const(0.0))
+    with pytest.raises(ConfigurationError, match="largest stable cfl is 0.8972"):
+        fdtd_oracle(c, q, horizon=1.0, cfl=0.9)
+    assert np.all(np.isfinite(fdtd_oracle(c, q, horizon=1.0, cfl=0.8972).values))
+
+
+def test_default_cfl_cuts_the_leapfrog_error():
+    """On check_fdtd_cross's problem at grid 600, the leapfrog at the
+    default cfl is at most 0.4x as far from the spectral wave as at 0.5."""
+    q = potential(build_grid(1.0, 600), parse_expression("2 + cos(3)"))
+    es = dirichlet_eigensystem(q, 100)
+    c = ControlSignal(bump(0.12, 0.20, 1.0, smoothness=6), Const(0.0))
+    u = smooth_wave(control_to_kernel(c, kernel_basis(q)), 1.0, es)
+
+    def dist(oracle):
+        return np.sqrt(quad(GridFunction(q.grid, np.abs(u.values - oracle.values) ** 2)).real)
+
+    assert dist(fdtd_oracle(c, q, horizon=1.0)) <= 0.4 * dist(fdtd_oracle(c, q, 1.0, cfl=0.5))
+
+
+def test_one_leapfrog_cfl_everywhere(coarse_ws, monkeypatch):
+    """The simulate config, fdtd_oracle and the verify check all step at
+    control.LEAPFROG_CFL."""
+    assert control.LEAPFROG_CFL == 0.9
+    assert RunConfig().cfl == control.LEAPFROG_CFL
+    default = inspect.signature(fdtd_oracle).parameters["cfl"].default
+    assert default == control.LEAPFROG_CFL
+    seen = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(fdtd_oracle).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["cfl"])
+        return fdtd_oracle(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "fdtd_oracle", spy)
+    verify.check_fdtd_cross(coarse_ws)
+    assert seen == [control.LEAPFROG_CFL]
 
 
 def test_source_wave_single_mode(es_zero, q_zero):

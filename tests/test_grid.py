@@ -1,6 +1,7 @@
 """Quadrature, differencing and table round-trips on the uniform grid."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -334,3 +335,28 @@ def test_write_json_table_refuses_non_finite(tmp_path):
     with pytest.raises(NumericalError, match="non-finite"):
         write_json_table(p, ["a"], [[np.zeros(4)], [np.array([1.0, np.nan])]])
     assert list(tmp_path.iterdir()) == []
+
+
+JSON_PAYLOADS = [
+    {"branches": [[-0.0, 5e-324, 1e16, 0.1, -2.5e-300], [1.0]],
+     "collision_flags": [True, False, False],
+     "counts": [1, 2, 3], "mixed": [1.0, True, 2, None, "é"], "pair": (0.5, -0.5),
+     "nested": {"empty_list": [], "empty_dict": {}, "deep": [[[]], [{"z": [False]}]]},
+     "scalar": 1e16, "flag": True, "none": None, "text": "line\nbreak",
+     "numpy": np.float64(0.25), "int_keys": {2: "b", 1: "a"}},
+    [], {}, 0.0, [[1e-300, -1e300]], [{"b": 1, "a": [True]}],
+]
+
+
+@pytest.mark.parametrize("payload", JSON_PAYLOADS)
+def test_json_text_is_json_dumps(payload):
+    """The list fast path gives the bytes of json.dumps(indent=2,
+    sort_keys=True) plus a newline, at every nesting depth."""
+    assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", [[0.5, float("nan")], {"a": [[1.0, float("inf")]]},
+                                 {"a": -float("inf")}, [np.float64("nan")]])
+def test_json_text_refuses_non_finite(bad):
+    with pytest.raises(NumericalError, match="non-finite"):
+        json_text(bad)

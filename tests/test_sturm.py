@@ -297,6 +297,30 @@ def test_step_major_counts_match_node_order(n):
     assert want.max() >= n // 6
 
 
+def sign_product_counts(U):
+    """The sign-product count: np.sign with zeros made +1, a change where
+    neighbouring signs multiply to a negative number."""
+    s = np.sign(U)
+    s[s == 0.0] = 1.0
+    within = np.sum(s[:-1] * s[1:] < 0.0, axis=(0, 1))
+    across = np.sum(s[-1, :-1] * s[0, 1:] < 0.0, axis=0)
+    return within + across - (s[0, 0] * s[1, 0] < 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sign_bit_counts_match_sign_products(seed):
+    """Counting flips of u < 0 gives the sign-product counts on histories
+    with exact 0.0 and -0.0 nodes: both zeros count as nonnegative."""
+    rng = np.random.default_rng(seed)
+    U = np.cumsum(rng.standard_normal((12, 9, 33)), axis=0)
+    U[rng.random(U.shape) < 0.1] = 0.0
+    U[rng.random(U.shape) < 0.1] = -0.0
+    U[:, :, 0] = rng.choice([0.0, -0.0, -1.0, 1.0], size=U.shape[:2])
+    assert np.any(np.signbit(U) & (U == 0.0))
+    got = sturm._sign_change_counts(U)
+    assert np.array_equal(got, sign_product_counts(U)) and np.any(got > 0)
+
+
 def test_refinement_brackets_each_root_in_few_passes(q_cosine, monkeypatch):
     """The clamped Illinois secant closes every bracket: u_lam(l) changes
     sign across lam_k (1 +- rel_tol), within a dozen end-value passes."""

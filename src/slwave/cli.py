@@ -14,7 +14,10 @@ deterministic byte-for-byte for a fixed config and seed: floats print as
 timestamps are embedded.  Every table, the wave field and the
 eigenfunctions included, goes through `_write_table`, which streams it
 through `grid.write_table` (CSV) or `grid.write_json_table` one block at
-a time.
+a time.  A column repeated over many blocks (the grid nodes, the zero
+imaginary parts, the snapshot times) is formatted once per command by
+`_column`: in CSV its text cells are copied into each block's rows, and a
+snapshot's t column is a zero-stride view of its one cell.
 
 Exit codes: 0 all good, 2 configuration problems, 3 numerical failures
 (inadmissible potential or gauge, instability), 4 verification failures.
@@ -217,7 +220,7 @@ def _write_table(cfg: RunConfig, name: str, header: list, blocks) -> Path:
 
 
 def _column(cfg: RunConfig, values):
-    """A column repeated over many blocks: %.17g cells in CSV mode."""
+    """A column repeated over many blocks: text cells in CSV mode."""
     return values if cfg.fmt == "json" else format_column(values)
 
 
@@ -258,11 +261,11 @@ def run_eigs(cfg: RunConfig) -> list:
     files.append(_write_json(cfg, "eigs_summary",
                              {"kappa": kappa, "count": es.count,
                               "l": cfg.l, "grid_n": cfg.grid_n}))
-    xs = _column(cfg, es.grid.x)
+    # the eigenfunctions are real: one shared zero column fills every im cell
+    xs, im = _column(cfg, es.grid.x), _column(cfg, np.zeros(es.grid.size))
     for k in range(es.count):
-        f = es.eigenfunction(k)
         files.append(_write_table(cfg, f"eigenfunction_{k + 1:04d}", ["x", "re", "im"],
-                                  [[xs, f.values.real, f.values.imag]]))
+                                  [[xs, es.phi[k], im]]))
     return files
 
 
@@ -279,11 +282,12 @@ def run_simulate(cfg: RunConfig) -> list:
     c = _control(cfg)
     kc = control_to_kernel(c, kb)
     snaps = smooth_waves(kc, times, es)
-    # the waves are real: one shared zero column fills every im cell
-    xs, im = _column(cfg, grid.x), _column(cfg, np.zeros(grid.size))
+    # the waves are real: one shared zero column fills every im cell; the
+    # times are formatted once, and a block's t column repeats its own cell
+    xs, im, ts = (_column(cfg, v) for v in (grid.x, np.zeros(grid.size), np.array(times)))
     wf_path = _write_table(cfg, "wavefield", ["t", "x", "re", "im"],
-                           ([np.full(grid.size, t), xs, row, im]
-                            for t, row in zip(times, snaps)))
+                           ([np.broadcast_to(t, (grid.size, *np.shape(t))), xs, row, im]
+                            for t, row in zip(ts, snaps)))
     support = []
     for t, row in zip(times, snaps):
         rep = support_report(GridFunction(grid, row), t, tol=cfg.tol("support", 1e-6))

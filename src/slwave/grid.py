@@ -214,10 +214,13 @@ def interp_cubic(f: GridFunction, xq) -> np.ndarray:
 # error-free product, so its integer part and fraction are known to better
 # than 1e-14; a cell whose fraction is within _TIE of 1/2, a non-finite cell
 # and one whose k lies outside the table are formatted by Python's own
-# %.17g.  A cell is 48 bytes, six native uint64 words:
+# %.17g.  A float cell is 48 bytes, six native uint64 words:
 #   0 sign | 1-5 "0.000" | 6, 8, ..., 38 digits d0..d16, each followed by
-#   a slot for "." | 40-43 "e+dd" | 44 unused | 45 separator | 46-47 pad
-# Unused slots hold NUL and are dropped when a chunk is written.
+#   a slot for "." | 40-43 "e+dd" | 44-46 unused | 47 separator
+# A text cell (format_column) holds the same text left-aligned in w + 1
+# bytes, w the widest text of its column, the last byte the separator.
+# A row is the slots of its cells side by side; unused bytes hold NUL and
+# are dropped when a chunk is written.
 _FMT = "%.17g".__mod__
 _K_MIN, _K_MAX = -40, 40        # k handled in numpy; 10^(16 - k) is tabled for k +- 1
 _TIE = 1e-6
@@ -226,8 +229,9 @@ _CELL = 48
 _X_MIN = _K_MIN - 1             # exponents _K_MIN - 1 .. _K_MAX + 2 (fix-up, then carry)
 _N_X = _K_MAX + 3 - _X_MIN
 _tables = None
-# cells formatted per chunk of a block: bounds the bytes held at once
-_CHUNK_CELLS = 1 << 13
+# row-slot bytes per chunk of a block (8192 float cells): bounds the bytes
+# held at once
+_CHUNK_BYTES = _CELL << 13
 
 
 def _split(a):
@@ -293,7 +297,7 @@ def _scaled(y, k, tb):
 
 def _format_into(a: np.ndarray, out: np.ndarray) -> None:
     """The %.17g cells of the float64 vector a into out, an (n, 6) uint64
-    view; every byte is written, the separator slot 45 with NUL."""
+    view; every byte is written, the separator slot 47 with NUL."""
     global _tables
     if _tables is None:
         _tables = _build_tables()
@@ -344,27 +348,39 @@ def _format_into(a: np.ndarray, out: np.ndarray) -> None:
         out[bad] = cells.view(np.uint64)
 
 
-def format_column(values) -> np.ndarray:
-    """The %.17g cells of a float column, or of the columns of an (n, m)
-    array: uint8 of shape values.shape + (48,) whose bytes, NUL dropped,
-    are the text ("-0" for -0.0).  A column of one bit pattern is
-    formatted once."""
-    a = np.asarray(values, dtype=float)
-    cells = np.empty(a.shape + (_CELL,), np.uint8)
-    a2 = a if a.ndim == 2 else a[:, None]
-    words = cells.view(np.uint64).reshape(a2.shape + (_CELL // 8,))
-    bits = a2.view(np.int64)
-    same = (bits == bits[:1]).all(axis=0) & (len(a2) > 1)
+def _float_cells(a: np.ndarray) -> np.ndarray:
+    """The float cells of the columns of the (n, m) array a, rounded to
+    float64, as (n, m, 6) uint64 words.  A column of one bit pattern is
+    formatted once, and the rest in one _format_into call."""
+    a = np.asarray(a, dtype=float)
+    words = np.empty(a.shape + (_CELL // 8,), np.uint64)
+    bits = a.view(np.int64)
+    same = (bits == bits[:1]).all(axis=0) & (len(a) > 1)
     if same.any():
         one = np.empty((np.count_nonzero(same), _CELL // 8), np.uint64)
-        _format_into(a2[0, same], one)
+        _format_into(a[0, same], one)
         words[:, same] = one
     if not same.all():
-        rest = a2[:, ~same]
+        rest = a[:, ~same]
         out = np.empty(rest.shape + (_CELL // 8,), np.uint64)
         _format_into(rest.ravel(), out.reshape(-1, _CELL // 8))
         words[:, ~same] = out
-    return cells
+    return words
+
+
+def format_column(values) -> np.ndarray:
+    """The text cells of a float column, for a column written in many
+    blocks: uint8 of shape (n, w + 1), each %.17g text ("-0" for -0.0)
+    left-aligned and NUL-padded to the widest text, w, and a last NUL byte
+    that write_table fills with the separator."""
+    a = np.asarray(values)
+    cells = _float_cells(a[:, None]).view(np.uint8).reshape(len(a), _CELL)
+    size = np.count_nonzero(cells, axis=1)
+    text = np.zeros((len(a), int(size.max(initial=0)) + 1), np.uint8)
+    # a boolean mask fills row by row: the NUL-free text, left-aligned
+    text[np.arange(text.shape[1]) < size[:, None]] = np.frombuffer(
+        cells.tobytes().translate(None, b"\0"), np.uint8)
+    return text
 
 
 def _rows(block) -> int:
@@ -374,32 +390,47 @@ def _rows(block) -> int:
     return n
 
 
+def _chunk_text(cols, starts, ends) -> bytes:
+    """The CSV rows of equally long columns, float arrays or text cells,
+    laid into the row slots starts[j]:ends[j]; all float columns are
+    formatted in one call."""
+    buf = np.empty((len(cols[0]), ends[-1]), np.uint8)
+    floats = []
+    for j, c in enumerate(cols):
+        if np.ndim(c) == 2:
+            buf[:, starts[j]:ends[j]] = c
+        else:
+            floats.append(j)
+    if floats:
+        cells = _float_cells(np.column_stack([cols[j] for j in floats])).view(np.uint8)
+        for k, j in enumerate(floats):
+            buf[:, starts[j]:ends[j]] = cells[:, k]
+    buf[:, ends - 1] = ord(",")
+    buf[:, -1] = ord("\n")
+    return buf.tobytes().translate(None, b"\0")
+
+
 def write_table(path, header, blocks) -> None:
     """Write a CSV table: the header line, then the rows of each block.
 
-    A block is a list of equally long columns, each a float array or an
-    array of cells from :func:`format_column`.  Blocks are formatted in
-    chunks of bounded size, the float columns of a chunk together, into
-    one byte buffer per chunk, so a caller can stream a large table one
-    block at a time.
+    A block is a list of equally long columns, each a float array or the
+    text cells of :func:`format_column` (a zero-stride ``np.broadcast_to``
+    of one cell row repeats a value).  A row is laid out as one slot per
+    column, a text column's cell width or 48 bytes for a float column,
+    with the separator in each slot's last byte.  Blocks are written in
+    chunks of as many rows as fit in _CHUNK_BYTES (at least one), so a
+    caller can stream a large table one block at a time.
     """
     with Path(path).open("wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
         for block in blocks:
             n = _rows(block)
-            done = [j for j, c in enumerate(block) if np.ndim(c) == 2]
-            todo = [j for j in range(len(block)) if j not in done]
-            step = max(1, _CHUNK_CELLS // len(block))
+            widths = [c.shape[1] if np.ndim(c) == 2 else _CELL for c in block]
+            ends = np.cumsum(widths)
+            starts = ends - widths
+            step = max(1, _CHUNK_BYTES // int(ends[-1]))
             for i in range(0, n, step):
-                buf = np.empty((min(step, n - i), len(block), _CELL), np.uint8)
-                for j in done:
-                    buf[:, j] = block[j][i:i + step]
-                if todo:
-                    buf[:, todo] = format_column(
-                        np.column_stack([block[j][i:i + step] for j in todo]))
-                buf[:, :, 45] = ord(",")
-                buf[:, -1, 45] = ord("\n")
-                fh.write(buf.tobytes().translate(None, b"\0"))
+                fh.write(_chunk_text([c[i:i + step] for c in block], starts, ends))
 
 
 _JSON_BOOL = {True: "true", False: "false"}

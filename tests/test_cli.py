@@ -596,7 +596,7 @@ def test_artefacts_are_canonical(tmp_path, capsys):
     The CSV and JSON tables hold the same floats, bit for bit."""
     problem = "[problem]\npotential = 2 + cos(3)\n"
     rest = ("[numerics]\ngrid_n = 200\nmodes = 4\nfdtd = off\n"
-            "[controls]\ntimes = 0.2, 0.45\n")
+            "[controls]\ntimes = 0.2, 0.45, 0.25, 0.5\n")
     path = ini(tmp_path / "c.ini", problem + rest)
     table = tmp_path / "csv" / "model" / "model.csv"
     follow = ini(tmp_path / "r.ini", problem + f"coefficients = {table}\n" + rest)

@@ -192,6 +192,59 @@ def test_format_column_keeps_signed_zero_and_specials():
     assert text_of(format_column(np.array([]))) == []
 
 
+def test_format_column_sizes_cells_to_the_widest_text():
+    values = np.array([0.0, 0.25, -1 / 3, 1e-300, -0.0, 0.5])
+    texts = ["%.17g" % v for v in values.tolist()]
+    w = max(map(len, texts))
+    cells = format_column(values)
+    assert cells.dtype == np.uint8 and cells.shape == (values.size, w + 1)
+    assert not cells[:, -1].any()
+    assert [bytes(c) for c in cells] == [t.encode().ljust(w + 1, b"\0") for t in texts]
+    assert format_column(np.zeros(4)).shape == (4, 2)
+    assert format_column(np.array([])).shape == (0, 1)
+
+
+def test_write_table_mixes_text_and_float_columns(tmp_path):
+    """Text columns of different widths (a 1-byte "0" column, a zero-stride
+    view of one cell, the nodes) between float columns."""
+    rng = np.random.default_rng(8)
+    n = 37
+    ts = format_column(np.array([0.25, 0.2, -0.0, 0.5]))
+    xs = format_column(np.linspace(0.0, 1.0, n))
+    zero = format_column(np.zeros(n))
+    blocks = [[rng.standard_normal(n), np.broadcast_to(t, (n, t.size)), xs,
+               rng.standard_normal(n) * 1e20, zero, np.full(n, v)]
+              for t, v in zip(ts, (7.0, -0.0, 1 / 3, 0.1))]
+    blocks.append([np.array([]), ts[:0], xs[:0], np.array([]), zero[:0], np.array([])])
+    header = ["a", "t", "x", "b", "im", "c"]
+    p = tmp_path / "mixed.csv"
+    write_table(p, header, iter(blocks))
+    assert_same_text(p.read_text(), oracle_table(header, blocks))
+
+
+def test_write_table_sizes_chunks_by_row_bytes(tmp_path, monkeypatch):
+    """A chunk holds as many rows as fit _CHUNK_BYTES of row slots (at
+    least one), and one formatting call serves all its float columns."""
+    rng = np.random.default_rng(4)
+    n = 101
+    xs = format_column(np.arange(n) / 3.0)
+    zero = format_column(np.zeros(n))
+    cols = [rng.standard_normal(n), xs, zero, np.repeat(rng.standard_normal(n // 5 + 1), 5)[:n]]
+    row = 2 * grid_module._CELL + xs.shape[1] + zero.shape[1]
+    seen = []
+    cells = grid_module._float_cells
+    monkeypatch.setattr(grid_module, "_float_cells",
+                        lambda a: seen.append(a.shape) or cells(a))
+    for budget in (1000, row - 1):
+        monkeypatch.setattr(grid_module, "_CHUNK_BYTES", budget)
+        seen.clear()
+        p = tmp_path / "chunks.csv"
+        write_table(p, ["a", "x", "im", "b"], [cols])
+        assert_same_text(p.read_text(), oracle_table(["a", "x", "im", "b"], [cols]))
+        step = max(1, budget // row)
+        assert seen == [(min(step, n - i), 2) for i in range(0, n, step)]
+
+
 def test_write_table_matches_row_loop(tmp_path):
     rng = np.random.default_rng(3)
     x = np.linspace(0.0, 1.0, SPECIAL.size)
@@ -282,7 +335,7 @@ def test_write_table_edge_columns(tmp_path):
     assert_column_matches(tmp_path, np.full(3, -0.0))
     assert_column_matches(tmp_path, np.array([0.0, -0.0, 0.0, 5e-324, -0.0]))
     rng = np.random.default_rng(2)
-    n = grid_module._CHUNK_CELLS // 2 + 1
+    n = grid_module._CHUNK_BYTES // (2 * grid_module._CELL) + 1
     cols = [rng.standard_normal(n), np.full(n, 0.45), -np.abs(rng.standard_normal(n))]
     p = tmp_path / "straddle.csv"
     write_table(p, ["a", "b", "c"], [cols])

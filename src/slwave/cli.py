@@ -45,7 +45,6 @@ from .model import GUARD_CELLS, default_gauge
 from .operator import (ModelCoefficients, assemble_coefficients, recover_potential,
                        unordered_branch_error)
 from .sturm import check_lower_bound, dirichlet_eigensystem, kernel_basis, potential
-from .verify import Workspace, run_all
 
 _EPS_FLOOR = 100.0 * np.finfo(float).eps
 
@@ -401,8 +400,11 @@ def run_verify(cfg: RunConfig) -> list:
 
     The check tolerances are calibrated at a fixed workspace size, so the
     [numerics] grid/mode settings are ignored here; only the seed and the
-    fault-injection knob flow through.
+    fault-injection knob flow through.  The suite is imported here, so
+    the other commands never load it.
     """
+    from .verify import Workspace, run_all
+
     ws = Workspace(seed=cfg.seed, t_perturbation=cfg.t_perturbation)
     report = run_all(ws)
     path = _write_json(cfg, "verification_report", report.to_dict())

@@ -1,5 +1,5 @@
-"""Boundary control of the wave system: trace maps into the defect kernel,
-controlled smooth waves, separable interior source waves, an explicit
+"""Boundary control of the wave system: the dictionary from endpoint
+signals into the defect kernel, controlled smooth waves, an explicit
 time-stepping oracle, and reachability diagnostics.
 
 The control dictionary translates endpoint signals (f0, fl) into the
@@ -17,20 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .analytic import ClosedForm, bump, sine_moments, values
 from .errors import ConfigurationError, ContractError, NumericalError
-from .grid import Grid, GridFunction, _cubic_stencil, inner, quad
-from .sturm import (EigenSystem, KernelBasis, Potential, check_lower_bound,
-                    modal_coefficients)
+from .grid import Grid, GridFunction, _cubic_stencil, quad
+from .sturm import EigenSystem, KernelBasis, Potential, check_lower_bound
 
 __all__ = [
-    "ControlSignal", "KernelControl", "SourceTerm", "SupportReport", "gamma1",
-    "gamma2", "control_to_kernel", "smooth_wave", "smooth_waves", "source_wave",
-    "fdtd_oracle", "support_report", "reachable_span_estimate",
+    "ControlSignal", "KernelControl", "SupportReport", "control_to_kernel",
+    "smooth_wave", "smooth_waves", "fdtd_oracle", "support_report",
+    "reachable_span_estimate",
 ]
 
 _JET_TOL = 1e-9
@@ -83,34 +82,6 @@ class KernelControl:
     a: ClosedForm
     b: ClosedForm
     kb: KernelBasis
-
-
-def gamma1(u: GridFunction, kb: KernelBasis) -> tuple:
-    """Kernel coefficients of the first trace map,
-    (a, b) = (-u(l)/phi0(l), -u(0)/phil(0))."""
-    a = -complex(u.values[-1]) / kb.phi0_at_l
-    b = -complex(u.values[0]) / kb.phil_at_0
-    return a, b
-
-
-def gamma2(u: GridFunction, lstar_u: GridFunction, kb: KernelBasis) -> tuple:
-    """Kernel projection coefficients of the second trace map.
-
-    Solves the 2x2 Gram system of (phi0, phil) against the inner products
-    of lstar_u (samples of -u'' + q u) with the basis.
-    """
-    p0, pl = GridFunction(kb.grid, kb.phi0), GridFunction(kb.grid, kb.phil)
-    g11 = inner(p0, p0).real
-    g12 = inner(pl, p0).real
-    g22 = inner(pl, pl).real
-    r0 = inner(lstar_u, p0)
-    rl = inner(lstar_u, pl)
-    det = g11 * g22 - g12 * g12
-    if abs(det) < 1e-14 * max(1.0, g11 * g22):
-        raise NumericalError("kernel basis Gram matrix is numerically singular")
-    c0 = (g22 * r0 - g12 * rl) / det
-    cl = (g11 * rl - g12 * r0) / det
-    return complex(c0), complex(cl)
 
 
 def control_to_kernel(c: ControlSignal, kb: KernelBasis) -> KernelControl:
@@ -175,35 +146,6 @@ def smooth_wave(h: KernelControl, t: float, es: EigenSystem) -> GridFunction:
     and b'' (analytic.sine_moments) times the modal coefficients of the
     kernel basis.  Needs lambda_1 > 0 (AdmissibilityError otherwise)."""
     return GridFunction(es.grid, _batched_smooth_wave([h], (t,), es)[0])
-
-
-@dataclass(eq=False)
-class SourceTerm:
-    """Separable interior source g(s) = signal(s) * profile."""
-
-    profile: GridFunction
-    signal: ClosedForm
-
-
-def source_wave(g: Union[SourceTerm, Sequence[SourceTerm]], t: float,
-                es: EigenSystem) -> GridFunction:
-    """Source wave v^g(t) = int_0^t L^{-1/2} sin((t-s)L^{1/2}) g(s) ds of a
-    separable source (or a sum of them), exact in s through the sine
-    moments of the signals."""
-    if t < 0.0:
-        raise ConfigurationError("time must be nonnegative")
-    check_lower_bound(es)
-    if t == 0.0:
-        return GridFunction(es.grid, np.zeros(es.grid.size))
-    mu = np.sqrt(es.lam)
-    if isinstance(g, SourceTerm):
-        g = [g]
-    if not isinstance(g, Sequence):
-        raise ContractError("source must be a SourceTerm or a sequence of them")
-    m = sine_moments([term.signal for term in g], mu, t, 0)
-    cn = np.stack([modal_coefficients(es, term.profile) for term in g])
-    coeff = np.sum(cn * m, axis=0) / mu
-    return GridFunction(es.grid, coeff @ es.phi)
 
 
 def _leapfrog_steps(q: Potential, horizon: float, cfl: float) -> tuple:

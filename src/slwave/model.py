@@ -1,5 +1,4 @@
-"""Gauge data on the half interval, boundary forms, hats and the model
-inner product.
+"""Gauge data on the half interval, hats and the model inner product.
 
 A gauge is a triple (e, e1, e2) of kernel elements: e fixes the weight
 rho(x) = |e(x)|^2 + |e(l-x)|^2 and the coordinate matrix
@@ -31,15 +30,12 @@ from . import mat2
 from .analytic import ClosedForm
 from .errors import (AdmissibilityError, ConfigurationError, ContractError,
                      InternalError, NumericalError)
-from .geometry import atom_snapshot, Atom, set_mass
-from .grid import (Grid, GridFunction, _cubic_apply, _cubic_stencil, inner,
-                   interp_cubic, simpson_sum)
+from .grid import Grid, GridFunction, simpson_sum
 from .sturm import KernelBasis, Potential
 
 __all__ = [
     "KernelElement", "GaugeData", "SmoothFunction", "HatField",
-    "FormLimitReport", "default_gauge", "boundary_form", "form_limit_check",
-    "hat_value", "model_inner", "parseval_residual", "smooth_from_closed_form",
+    "default_gauge", "hat_value", "model_inner", "smooth_from_closed_form",
 ]
 
 _LD = np.longdouble
@@ -51,8 +47,6 @@ _LD_NMANT = np.finfo(_LD).nmant
 GUARD_CELLS = 3
 # |det T| at or below which a node outside the guard band is inadmissible
 DET_FLOOR = 1e-8
-# tolerance of form_limit_check
-_FORM_TOL = 1e-4
 
 
 @dataclass(eq=False)
@@ -220,61 +214,6 @@ def default_gauge(kb: KernelBasis,
     return GaugeData(g, kb.q, ke, ke1, ke2, half_x, rho, T, dT, d2T, G, detT, band)
 
 
-def boundary_form(u: GridFunction, v: GridFunction, x: float, gd: GaugeData) -> complex:
-    """Pointwise boundary form
-    <u, v>_x = (u(x) conj(v(x)) + u(l-x) conj(v(l-x))) / rho(x),
-    with cubic interpolation off the nodes."""
-    l = gd.grid.l
-    if not (0.0 <= x <= 0.5 * l * (1.0 + 1e-12)):
-        raise ConfigurationError(f"boundary form is defined for x in [0, l/2], got {x}")
-    ux = interp_cubic(u, x)
-    uxr = interp_cubic(u, l - x)
-    vx = interp_cubic(v, x)
-    vxr = interp_cubic(v, l - x)
-    stencil = _cubic_stencil(np.array([x]), gd.grid.x[: gd.half + 1], gd.grid.h)
-    rho = float(_cubic_apply(gd.rho, *stencil)[0])
-    return complex((ux * np.conj(vx) + uxr * np.conj(vxr)) / rho)
-
-
-@dataclass(eq=False)
-class FormLimitReport:
-    """Small-radius limit of atom-projected mass ratios against the
-    pointwise boundary form."""
-
-    target: float
-    deviation: float
-    monotone: bool
-    passed: bool
-
-
-def form_limit_check(u: GridFunction, x: float, gd: GaugeData) -> FormLimitReport:
-    """Ratio ||P_{omega_x(t)} u||^2 / ||P_{omega_x(t)} e||^2 for t = 0.08 l,
-    0.04 l and 0.02 l, Richardson-extrapolated in t^2 and compared with the
-    boundary form value at x; passes within 1e-4."""
-    l = gd.grid.l
-    radii = (0.08 * l, 0.04 * l, 0.02 * l)
-    if radii[0] >= min(x, l - x):
-        raise ConfigurationError("largest radius must stay inside (0, l)")
-    atom = Atom(min(x, l - x))
-    e_gf = gd.e.as_grid_function(gd.grid)
-    ratios = []
-    for t in radii:
-        snap = atom_snapshot(atom, t, l)
-        mu = set_mass(u, snap)
-        me = set_mass(e_gf, snap)
-        ratios.append(mu / me)
-    t1, t2 = radii[-2], radii[-1]
-    r1, r2 = ratios[-2], ratios[-1]
-    extrapolated = r2 + (r2 - r1) * t2 ** 2 / (t1 ** 2 - t2 ** 2)
-    target = boundary_form(u, u, x, gd).real
-    deviation = abs(extrapolated - target)
-    devs = [abs(r - target) for r in ratios]
-    floor = max(1e-10, 1e-8 * abs(target))
-    monotone = all(d2 <= d1 * 2.0 + floor for d1, d2 in zip(devs, devs[1:]))
-    passed = bool(deviation <= _FORM_TOL and monotone)
-    return FormLimitReport(float(target), float(deviation), monotone, passed)
-
-
 @dataclass(eq=False)
 class HatField:
     """Two-component image of a function under the gauge map, on the half
@@ -342,10 +281,3 @@ def model_inner(uh: HatField, vh: HatField, gd: GaugeData) -> complex:
     integrand = np.where(gd.admissible, integrand, fallback)
     return complex(simpson_sum(integrand, _LD(gd.grid.h)))
 
-
-def parseval_residual(u: GridFunction, v: GridFunction, gd: GaugeData) -> float:
-    """|(u, v)_{L2(0,l)} - model_inner(u^, v^)|; the unitary-equivalence
-    certificate for one pair."""
-    lhs = inner(u, v)
-    rhs = model_inner(hat_value(u, gd), hat_value(v, gd), gd)
-    return float(abs(lhs - rhs))

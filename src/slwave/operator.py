@@ -21,21 +21,18 @@ tabulated coefficients, in double.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from . import mat2
-from .control import ControlSignal, control_to_kernel, smooth_wave
 from .errors import ContractError, InternalError, NumericalError
 from .grid import GridFunction, diff_samples
 from .model import GaugeData, HatField, SmoothFunction, hat_value
-from .sturm import EigenSystem, KernelBasis
 
 __all__ = [
     "ModelCoefficients", "RecoveryResult", "assemble_coefficients",
-    "apply_model", "intertwine_residual", "graph_sample",
-    "smooth_from_samples", "recover_potential", "unordered_branch_error",
+    "apply_model", "intertwine_residual", "smooth_from_samples",
+    "recover_potential", "unordered_branch_error",
 ]
 
 # relative branch separation below which recover_potential flags a collision
@@ -131,22 +128,6 @@ def smooth_from_samples(u: GridFunction) -> SmoothFunction:
     d1 = diff_samples(u.values, u.grid.h, order=1)
     d2 = diff_samples(u.values, u.grid.h, order=2)
     return SmoothFunction(u.grid, u.values.copy(), d1, d2)
-
-
-def graph_sample(c: ControlSignal, t: float, es: EigenSystem, kb: KernelBasis,
-                 gd: GaugeData) -> Tuple[HatField, HatField]:
-    """Point (u^, (L u)^) of the model operator graph sampled from waves.
-
-    First component: hat of u^h(t) with differenced derivatives.  Second:
-    hat of -u^{h''}(t), which equals -d2/dt2 u^h(t) and therefore the
-    image under the operator.  No model coefficients enter; this is pure
-    dynamics data for consistency checks against apply_model.
-    """
-    u1 = smooth_wave(control_to_kernel(c, kb), t, es)
-    u2 = smooth_wave(control_to_kernel(c.differentiate(2), kb), t, es)
-    hat1 = hat_value(smooth_from_samples(u1), gd)
-    hat2 = hat_value(GridFunction(gd.grid, -u2.values), gd)
-    return hat1, hat2
 
 
 @dataclass(eq=False)

@@ -36,7 +36,7 @@ from .grid import Grid, GridFunction, _cubic_apply, _cubic_stencil, _simpson_wei
 __all__ = [
     "Potential", "KernelBasis", "EigenSystem",
     "potential", "kernel_basis", "dirichlet_eigensystem",
-    "check_lower_bound", "modal_coefficients",
+    "check_lower_bound",
 ]
 
 _BLOWUP = 1e120
@@ -568,10 +568,3 @@ def check_lower_bound(es: EigenSystem) -> float:
             f"operator is not positive definite: lambda_1 = {lam1:.6g} <= 0")
     return lam1
 
-
-def modal_coefficients(es: EigenSystem, g: GridFunction) -> np.ndarray:
-    """Quadrature inner products (g, phi_n) for all computed modes."""
-    grid = es.grid
-    if g.grid.n != grid.n or g.grid.l != grid.l:
-        raise ConfigurationError("grid mismatch between eigensystem and data")
-    return es.phi @ (_simpson_weights(grid.n, grid.h) * g.values)

@@ -7,6 +7,10 @@ CheckResult.  run_all executes the standard twelve in a fixed order and
 wraps them in a VerificationReport; checks share a Workspace so the
 expensive artifacts (eigensystems, gauges, coefficients) are built once.
 
+Helpers that only the checks call live here, not in the model layers:
+the pointwise boundary form and its small-radius limit
+(form_limit_check), and graph points sampled from waves (graph_sample).
+
 The t_perturbation knob scales the gauge matrix fields by (1 + eps) after
 assembly.  It exists for fault injection: a corrupted T must make the
 identity, Parseval and intertwining checks fail loudly, never silently.
@@ -25,20 +29,25 @@ from . import mat2
 from .analytic import Const, Poly, Trig, bump, parse_expression
 from .control import (ControlSignal, control_to_kernel, fdtd_oracle,
                       reachable_span_estimate, smooth_wave, support_report)
-from .errors import NumericalError, SlwaveError, VerificationFailure
-from .geometry import Atom, distance_profile
-from .grid import GridFunction, build_grid, inner, quad, sample
-from .model import (DET_FLOOR, default_gauge, form_limit_check, hat_value,
-                    model_inner, smooth_from_closed_form)
-from .operator import (apply_model, assemble_coefficients, graph_sample,
-                       intertwine_residual, recover_potential,
+from .errors import (ConfigurationError, NumericalError, SlwaveError,
+                     VerificationFailure)
+from .geometry import Atom, atom_snapshot, distance_profile, set_mass
+from .grid import (GridFunction, _cubic_apply, _cubic_stencil, build_grid, inner,
+                   interp_cubic, quad, sample)
+from .model import (DET_FLOOR, GaugeData, default_gauge, hat_value, model_inner,
+                    smooth_from_closed_form)
+from .operator import (apply_model, assemble_coefficients, intertwine_residual,
+                       recover_potential, smooth_from_samples,
                        unordered_branch_error)
-from .sturm import dirichlet_eigensystem, kernel_basis, potential
+from .sturm import (EigenSystem, KernelBasis, dirichlet_eigensystem, kernel_basis,
+                    potential)
 
 __all__ = ["CheckResult", "VerificationReport", "Workspace", "run_all",
            "CHECK_NAMES"]
 
 _FAILED_SENTINEL = 9e99
+# tolerance of form_limit_check
+_FORM_TOL = 1e-4
 
 
 @dataclass(eq=False)
@@ -284,8 +293,8 @@ def check_eikonal_metric(ws: Workspace) -> CheckResult:
     """Eikonal differences realize |x1 - x2|; metric axioms exact.
 
     The profiles of the 20 drawn atoms are built once, and the grid sup of
-    every pairwise difference is held against D = |x_i - x_j| to within h,
-    as geometry.eikonal_metric does for one pair.  Atom positions are
+    every pairwise difference is held against D = |x_i - x_j| to within h:
+    the eikonal differences realize the atom metric.  Atom positions are
     dyadic rationals, so distances, their sums and the axiom comparisons
     on D are exact float arithmetic, not tolerance checks.
     """
@@ -334,6 +343,61 @@ def check_potential_recovery(ws: Workspace) -> CheckResult:
                    {"observer_error": err_o}, also=err_o <= 1e-3)
 
 
+def boundary_form(u: GridFunction, v: GridFunction, x: float, gd: GaugeData) -> complex:
+    """Pointwise boundary form
+    <u, v>_x = (u(x) conj(v(x)) + u(l-x) conj(v(l-x))) / rho(x),
+    with cubic interpolation off the nodes."""
+    l = gd.grid.l
+    if not (0.0 <= x <= 0.5 * l * (1.0 + 1e-12)):
+        raise ConfigurationError(f"boundary form is defined for x in [0, l/2], got {x}")
+    ux = interp_cubic(u, x)
+    uxr = interp_cubic(u, l - x)
+    vx = interp_cubic(v, x)
+    vxr = interp_cubic(v, l - x)
+    stencil = _cubic_stencil(np.array([x]), gd.grid.x[: gd.half + 1], gd.grid.h)
+    rho = float(_cubic_apply(gd.rho, *stencil)[0])
+    return complex((ux * np.conj(vx) + uxr * np.conj(vxr)) / rho)
+
+
+@dataclass(eq=False)
+class FormLimitReport:
+    """Small-radius limit of atom-projected mass ratios against the
+    pointwise boundary form."""
+
+    target: float
+    deviation: float
+    monotone: bool
+    passed: bool
+
+
+def form_limit_check(u: GridFunction, x: float, gd: GaugeData) -> FormLimitReport:
+    """Ratio ||P_{omega_x(t)} u||^2 / ||P_{omega_x(t)} e||^2 for t = 0.08 l,
+    0.04 l and 0.02 l, Richardson-extrapolated in t^2 and compared with the
+    boundary form value at x; passes within 1e-4."""
+    l = gd.grid.l
+    radii = (0.08 * l, 0.04 * l, 0.02 * l)
+    if radii[0] >= min(x, l - x):
+        raise ConfigurationError("largest radius must stay inside (0, l)")
+    atom = Atom(min(x, l - x))
+    e_gf = gd.e.as_grid_function(gd.grid)
+    ratios = []
+    for t in radii:
+        snap = atom_snapshot(atom, t, l)
+        mu = set_mass(u, snap)
+        me = set_mass(e_gf, snap)
+        ratios.append(mu / me)
+    t1, t2 = radii[-2], radii[-1]
+    r1, r2 = ratios[-2], ratios[-1]
+    extrapolated = r2 + (r2 - r1) * t2 ** 2 / (t1 ** 2 - t2 ** 2)
+    target = boundary_form(u, u, x, gd).real
+    deviation = abs(extrapolated - target)
+    devs = [abs(r - target) for r in ratios]
+    floor = max(1e-10, 1e-8 * abs(target))
+    monotone = all(d2 <= d1 * 2.0 + floor for d1, d2 in zip(devs, devs[1:]))
+    passed = bool(deviation <= _FORM_TOL and monotone)
+    return FormLimitReport(float(target), float(deviation), monotone, passed)
+
+
 def check_form_limit(ws: Workspace) -> CheckResult:
     """Projected-mass ratios converge to the boundary form value."""
     gd = ws.gauge("zero")
@@ -350,6 +414,22 @@ def check_form_limit(ws: Workspace) -> CheckResult:
             worst = max(worst, _FAILED_SENTINEL)
     return _result("form_limit", worst,
                    "Richardson limit of mass ratios vs boundary form, u=1", extras)
+
+
+def graph_sample(c: ControlSignal, t: float, es: EigenSystem, kb: KernelBasis,
+                 gd: GaugeData) -> tuple:
+    """Point (u^, (L u)^) of the model operator graph sampled from waves.
+
+    First component: hat of u^h(t) with differenced derivatives.  Second:
+    hat of -u^{h''}(t), which equals -d2/dt2 u^h(t) and therefore the
+    image under the operator.  No model coefficients enter; this is pure
+    dynamics data for consistency checks against apply_model.
+    """
+    u1 = smooth_wave(control_to_kernel(c, kb), t, es)
+    u2 = smooth_wave(control_to_kernel(c.differentiate(2), kb), t, es)
+    hat1 = hat_value(smooth_from_samples(u1), gd)
+    hat2 = hat_value(GridFunction(gd.grid, -u2.values), gd)
+    return hat1, hat2
 
 
 def check_graph_consistency(ws: Workspace) -> CheckResult:

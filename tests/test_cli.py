@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slwave import cli, model
+from slwave import cli, model, verify
 from slwave.analytic import Const, parse_expression
 from slwave.cli import load_config, main
 from slwave.errors import ConfigurationError, NumericalError, VerificationFailure
@@ -218,17 +218,38 @@ def test_exit_2_unparseable_potential(tmp_path):
     assert main(["eigs", "--config", path, "--out", str(tmp_path)]) == 2
 
 
-def test_cli_import_leaves_numpy_polynomial_unloaded():
+def test_cli_import_leaves_numpy_polynomial_unloaded(tmp_path):
     """numpy.polynomial and its eight submodules are not part of a CLI
-    process's start-up."""
+    process's start-up, and `model`, analytic `recover` and table
+    `recover` runs never load the verification suite or the atom
+    geometry."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = ("import sys, slwave.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    cfg = ini(tmp_path / "p.ini", "[numerics]\ngrid_n = 200\nmodes = 10\n")
+    table = ini(tmp_path / "t.ini", f"""
+        [problem]
+        coefficients = {tmp_path / "m" / "model.csv"}
+
+        [numerics]
+        grid_n = 200
+        modes = 10
+    """)
+    code = textwrap.dedent(f"""
+        import sys, slwave.cli
+        print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))
+        for argv in (["model", "--config", {cfg!r}, "--out", {str(tmp_path / "m")!r}],
+                     ["recover", "--config", {cfg!r}, "--out", {str(tmp_path / "a")!r}],
+                     ["recover", "--config", {table!r}, "--out", {str(tmp_path / "t")!r}]):
+            assert slwave.cli.main(argv) == 0, argv
+        print(sorted(m for m in ("slwave.verify", "slwave.geometry") if m in sys.modules))
+    """)
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout == "[]\n"
+    assert run.stdout.splitlines()[0] == "[]"
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "a" / "recovery.csv").exists()
+    assert (tmp_path / "t" / "recovery.csv").exists()
 
 
 def test_exit_3_inadmissible_potential(tmp_path):
@@ -791,7 +812,7 @@ def test_non_finite_report_value_is_refused(tmp_path, capsys, monkeypatch):
     bad = CheckResult("probe", 1e-9, 1e-6, "<=", True, "probe", {"n": np.inf})
     with pytest.raises(NumericalError, match="non-finite"):
         json_text(VerificationReport((bad,), {}).to_dict())
-    monkeypatch.setattr(cli, "run_all", lambda ws: VerificationReport((bad,), {}))
+    monkeypatch.setattr(verify, "run_all", lambda ws: VerificationReport((bad,), {}))
     out = tmp_path / "v"
     assert main(["verify", "--out", str(out)]) == 3
     assert "non-finite" in capsys.readouterr().err

@@ -1,60 +1,21 @@
-"""Boundary control dynamics: trace maps, smooth waves, sources, oracles."""
+"""Boundary control dynamics: the control dictionary, smooth waves, oracles."""
 
 import inspect
 
 import numpy as np
 import pytest
-from scipy.integrate import quad as scipy_quad
-from scipy.integrate import simpson
 
 from slwave import control, verify
 from slwave.analytic import (Const, PiecewisePoly, Poly, Trig, bump, parse_expression, ramp,
                              values)
 from slwave.cli import RunConfig
-from slwave.control import (ControlSignal, SourceTerm, _batched_smooth_wave,
+from slwave.control import (ControlSignal, _batched_smooth_wave,
                             _kernel_modal_coefficients, control_to_kernel,
-                            fdtd_oracle, gamma1, gamma2,
-                            reachable_span_estimate, smooth_wave, smooth_waves,
-                            source_wave, support_report)
+                            fdtd_oracle, reachable_span_estimate, smooth_wave,
+                            smooth_waves, support_report)
 from slwave.errors import AdmissibilityError, ConfigurationError, ContractError
-from slwave.grid import GridFunction, build_grid, quad
-from slwave.sturm import (dirichlet_eigensystem, kernel_basis,
-                          modal_coefficients, potential)
-
-# frozen quadrature oracle for gamma2(sin pi x), q=0:
-# projection of pi^2 sin(pi x) onto (x, x-1) in the L2(0,1) Gram sense
-GAMMA2_SINE = (2 * np.pi, -2 * np.pi)
-
-
-def test_gamma2_frozen_oracle_reproducible():
-    g11 = scipy_quad(lambda x: x * x, 0, 1)[0]
-    g12 = scipy_quad(lambda x: x * (x - 1), 0, 1)[0]
-    g22 = scipy_quad(lambda x: (x - 1) ** 2, 0, 1)[0]
-    r0 = scipy_quad(lambda x: np.pi ** 2 * np.sin(np.pi * x) * x, 0, 1)[0]
-    rl = scipy_quad(lambda x: np.pi ** 2 * np.sin(np.pi * x) * (x - 1), 0, 1)[0]
-    det = g11 * g22 - g12 ** 2
-    c0 = (g22 * r0 - g12 * rl) / det
-    cl = (g11 * rl - g12 * r0) / det
-    assert c0 == pytest.approx(GAMMA2_SINE[0], abs=1e-10)
-    assert cl == pytest.approx(GAMMA2_SINE[1], abs=1e-10)
-
-
-def test_gamma1_is_minus_identity_on_kernel(kb_zero, q_zero):
-    g = q_zero.grid
-    # u = 2 phi0 - 3 phil; gamma1 returns the kernel coefficients of -u
-    u = GridFunction(g, 2.0 * kb_zero.phi0 - 3.0 * kb_zero.phil)
-    a, b = gamma1(u, kb_zero)
-    assert a == pytest.approx(-2.0, abs=1e-13)
-    assert b == pytest.approx(3.0, abs=1e-13)
-
-
-def test_gamma2_sine(kb_zero, q_zero):
-    g = q_zero.grid
-    u = GridFunction(g, np.sin(np.pi * g.x).astype(complex))
-    lstar = GridFunction(g, (np.pi ** 2 * np.sin(np.pi * g.x)).astype(complex))
-    c0, cl = gamma2(u, lstar, kb_zero)
-    assert abs(c0 - GAMMA2_SINE[0]) <= 1e-6
-    assert abs(cl - GAMMA2_SINE[1]) <= 1e-6
+from slwave.grid import GridFunction, _simpson_weights, build_grid, quad
+from slwave.sturm import dirichlet_eigensystem, kernel_basis, potential
 
 
 def test_control_dictionary_trace(kb_zero, q_zero):
@@ -132,7 +93,7 @@ def test_kernel_coefficients_green_identity(es_zero, kb_zero, q_cosine):
     for es, kb in cases:
         c0, cl = _kernel_modal_coefficients(es, kb)
         for got, basis in ((c0, kb.phi0), (cl, kb.phil)):
-            want = modal_coefficients(es, GridFunction(kb.grid, basis)).real[:10]
+            want = es.phi[:10] @ (_simpson_weights(kb.grid.n, kb.grid.h) * basis)
             assert np.max(np.abs(got[:10] - want) / np.abs(want)) <= 1e-9
 
 
@@ -376,51 +337,6 @@ def test_one_leapfrog_cfl_everywhere(coarse_ws, monkeypatch):
     monkeypatch.setattr(verify, "fdtd_oracle", spy)
     verify.check_fdtd_cross(coarse_ws)
     assert seen == [control.LEAPFROG_CFL]
-
-
-def test_source_wave_single_mode(es_zero, q_zero):
-    """g(s) = sin(sqrt(lam1) s) phi1 resonates:
-    v(t) = (sin(mu t) - mu t cos(mu t)) / (2 lam1) * phi1."""
-    g = q_zero.grid
-    mu = np.sqrt(es_zero.lam[0])
-    phi1 = GridFunction(g, es_zero.phi[0].astype(complex))
-    term = SourceTerm(phi1, parse_expression(f"sin({mu})"))
-    t = 0.6
-    v = source_wave(term, t, es_zero)
-    amp = (np.sin(mu * t) - mu * t * np.cos(mu * t)) / (2 * es_zero.lam[0])
-    assert np.max(np.abs(v.values - amp * phi1.values)) <= 1e-6
-
-
-def test_source_wave_callable_matches_separable(es_zero, q_zero):
-    """The exact sine moments of a separable source agree with Simpson's
-    rule in s over the sampled source s -> signal(s) * profile, with step
-    at most min(t/64, 1/(10 sqrt(lam_max)))."""
-    g = q_zero.grid
-    prof = GridFunction(g, bump(0.5, 0.2, 1.0, 6).deriv(g.x, 0).astype(complex))
-    signal = parse_expression("bump(0.1, 0.16, 1.0, 6)")
-    t = 0.15
-    exact = source_wave(SourceTerm(prof, signal), t, es_zero)
-    mu = np.sqrt(es_zero.lam)
-    m = int(np.ceil(t / min(t / 64.0, 1.0 / (10.0 * mu[-1]))))
-    s = np.linspace(0.0, t, m + m % 2 + 1)
-    kernel = simpson(np.sin(np.outer(t - s, mu)) * signal(s)[:, None], x=s, axis=0)
-    sampled = (kernel * modal_coefficients(es_zero, prof) / mu) @ es_zero.phi
-    assert np.max(np.abs(sampled - exact.values)) <= 1e-8 * np.max(np.abs(exact.values))
-
-
-def test_source_wave_finite_speed(es_zero, q_zero):
-    """Mass of v(t) stays inside the metric neighborhood of the source support."""
-    g = q_zero.grid
-    prof = GridFunction(g, bump(0.5, 0.2, 1.0, 6).deriv(g.x, 0).astype(complex))
-    term = SourceTerm(prof, parse_expression("bump(0.1, 0.16, 1.0, 6)"))
-    t = 0.15
-    v = source_wave(term, t, es_zero)
-    # support (0.4, 0.6) expanded by t plus a safety margin
-    lo, hi = 0.4 - t - 0.01, 0.6 + t + 0.01
-    outside = (g.x < lo) | (g.x > hi)
-    num = np.sqrt(quad(GridFunction(g, np.where(outside, np.abs(v.values) ** 2, 0.0) + 0j)).real)
-    den = np.sqrt(quad(GridFunction(g, np.abs(v.values) ** 2 + 0j)).real)
-    assert num <= 1e-4 * den
 
 
 def test_support_report_cone(es_zero, kb_zero):

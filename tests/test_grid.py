@@ -14,8 +14,9 @@ from slwave.errors import ConfigurationError, NumericalError
 from slwave.grid import (GridFunction, build_grid, diff_samples, format_column,
                          inner, interp_cubic, json_text, quad, sample, simpson_sum,
                          write_json_table, write_table)
-from slwave.model import boundary_form, default_gauge
+from slwave.model import default_gauge
 from slwave.sturm import kernel_basis, potential
+from slwave.verify import boundary_form
 
 
 def f_of(grid, fn):

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from slwave import mat2
-from slwave.analytic import Const, Poly, bump
+from slwave.analytic import Const
 from slwave.errors import AdmissibilityError, ConfigurationError, InternalError
 from slwave.grid import GridFunction, build_grid, inner
-from slwave.model import (DET_FLOOR, GUARD_CELLS, boundary_form, default_gauge,
-                          form_limit_check, hat_value, model_inner,
-                          parseval_residual, smooth_from_closed_form)
+from slwave.model import DET_FLOOR, GUARD_CELLS, default_gauge, hat_value, model_inner
 from slwave.sturm import kernel_basis, potential
+from slwave.verify import boundary_form, form_limit_check
 
 RHO0_Q1 = 2.0 * np.sinh(1.0) ** 2     # = 2.762195691083631
 
@@ -147,6 +146,10 @@ def test_model_inner_refuses_singular_gram(gauge_zero):
     uh = hat_value(sine(gd.grid), gd)
     with pytest.raises(AdmissibilityError, match="Gram matrix singular"):
         model_inner(uh, uh, gd)
+
+
+def parseval_residual(u, v, gd):
+    return abs(inner(u, v) - model_inner(hat_value(u, gd), hat_value(v, gd), gd))
 
 
 def test_parseval_battery(gauge_zero, es_zero):

@@ -12,10 +12,10 @@ from slwave.grid import GridFunction, build_grid
 from slwave.model import (GUARD_CELLS, SmoothFunction, default_gauge, hat_value,
                           smooth_from_closed_form)
 from slwave.operator import (RecoveryResult, apply_model, assemble_coefficients,
-                             graph_sample, intertwine_residual,
-                             recover_potential, smooth_from_samples,
-                             unordered_branch_error)
+                             intertwine_residual, recover_potential,
+                             smooth_from_samples, unordered_branch_error)
 from slwave.sturm import kernel_basis, potential
+from slwave.verify import graph_sample
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,28 @@ import numpy as np
 import pytest
 
 from slwave import mat2, verify
-from slwave.geometry import Atom, distance_profile, eikonal_metric
-from slwave.grid import sample
-from slwave.model import parseval_residual
+from slwave.errors import NumericalError
+from slwave.geometry import Atom, distance_profile
+from slwave.grid import inner, sample
+from slwave.model import hat_value, model_inner
+
+
+def eikonal_metric(a1, a2, g):
+    """Distance |x1 - x2| between two atoms, cross-checked against the
+    sup-norm of the eikonal difference on the grid (the per-pair form of
+    the eikonal check)."""
+    exact = abs(a1.x - a2.x)
+    sup = float(np.max(np.abs(distance_profile(a1, g) - distance_profile(a2, g))))
+    if abs(sup - exact) > g.h:
+        raise NumericalError(
+            f"eikonal sup-norm {sup} disagrees with |x1-x2| = {exact} beyond h")
+    return exact
+
+
+def parseval_residual(u, v, gd):
+    """|(u, v)_{L2(0,l)} - model_inner(u^, v^)|; the unitary-equivalence
+    certificate for one pair."""
+    return float(abs(inner(u, v) - model_inner(hat_value(u, gd), hat_value(v, gd), gd)))
 
 
 def eikonal_per_pair(ws):

@@ -16,9 +16,11 @@ Berghe 2005), so the matrices at a batch of lam are one matmul against the
 powers of lam.  End values come from a log-depth pairwise product of the
 n/4 four-step matrices, node histories from a two-level blocked scan
 (blocks of about sqrt(n) steps, a multiple of 4).  Eigenvalues come from
-shooting: separators with exactly k oscillations, counted once each,
-bracket the roots of u_lam(l), and a safeguarded secant on the Prufer
-phase of (u, u')(l) refines them.  Matrix eigensolvers are deliberately
+shooting: separators with exactly k oscillations bracket the roots of
+u_lam(l), and a safeguarded secant on the Prufer phase of (u, u')(l)
+refines them.  The separators are certified by the signs of u_lam(l) and
+the counts at the two outer ones; they are counted one by one, and
+bisected, only when that fails.  Matrix eigensolvers are deliberately
 not used here; they serve as independent oracles in the tests.
 """
 
@@ -160,19 +162,22 @@ _REV3 = np.array([0, 4, 2, 6, 1, 5, 3, 7])
 
 
 def _polymul2(R, L):
-    """Stacked 2x2 products R L of polynomial matrices: entry arrays
-    (4, m, dR) and (4, m, dL) of coefficients in increasing degree."""
-    dl = L.shape[2]
-    P = np.zeros(R.shape[:2] + (R.shape[2] + dl - 1,))
+    """Stacked 2x2 products R L of polynomial matrices, coefficient-major:
+    entry arrays (4, dR, m) and (4, dL, m), coefficients in increasing
+    degree, so every update is on whole (dL, m) planes."""
+    dl = L.shape[1]
+    P = np.zeros((4, R.shape[1] + dl - 1, R.shape[2]))
     for i, (r, l) in enumerate(((0, 0), (0, 1), (2, 0), (2, 1))):
         for a, c in ((r, l), (r + 1, l + 2)):
-            for k in range(R.shape[2]):
-                P[i, :, k:k + dl] += R[a, :, k, None] * L[c]
+            for k in range(R.shape[1]):
+                P[i, k:k + dl] += R[a, k] * L[c]
     return P
 
 
-def _transfer(qn, qm, h):
-    """Step-matrix polynomials of the mesh (qn at nodes, qm at half steps).
+def _step_polynomials(qn, qm, h, steps):
+    """Coefficients (4, 3, steps), coefficient-major, of the RK4 step
+    matrices of the mesh (qn at nodes, qm at half steps), steps past the n
+    of the mesh being identities.
 
     With c = q - lam at x_j, x_j + h/2 and x_{j+1} (cj, cm, c1), the four
     stages of the scheme expand exactly to
@@ -193,22 +198,32 @@ def _transfer(qn, qm, h):
         (1.0 + h2 * (2.0 * qm + q1) / 6.0 + h4 * (q1 * qm) / 24.0,
          -0.5 * h2 - h4 * (q1 + qm) / 24.0, h4 / 24.0),
     )
+    C1 = np.zeros((4, 3, steps))
+    for e, entry in zip(C1, coefficients):
+        for d, c in enumerate(entry):
+            e[d, :n] = c
+    C1[(0, 3), 0, n:] = 1.0
+    return C1
+
+
+def _transfer(qn, qm, h):
+    """Step-matrix polynomials of the mesh (qn at nodes, qm at half steps);
+    the four-step products are built coefficient-major, on contiguous
+    copies of the odd and even steps."""
+    n = qm.shape[0]
     b = max(4, 4 * round(np.sqrt(n) / 4.0))
     B = n // b + 1
-    C1b = np.zeros((4, B * b, 3))      # C1 (4, n, 3), then identity steps
-    for e, entry in zip(C1b, coefficients):
-        for d, c in enumerate(entry):
-            e[:n, d] = c
-    C1b[(0, 3), n:, 0] = 1.0
-    C1 = C1b[:, :-(-n // 4) * 4]
-    C2 = _polymul2(C1[:, 1::2], C1[:, 0::2])
-    C4 = _polymul2(C2[:, 1::2], C2[:, 0::2])
+    C1b = _step_polynomials(qn, qm, h, B * b)
+    C1 = C1b[:, :, :-(-n // 4) * 4]
+    C2 = _polymul2(C1[:, :, 1::2].copy(), C1[:, :, 0::2].copy())
+    C4 = _polymul2(C2[:, :, 1::2].copy(), C2[:, :, 0::2].copy())
+    C4 = np.ascontiguousarray(C4.transpose(0, 2, 1))
     j = np.arange(C4.shape[1])
     Q = -(-j.size // 8)
     C4h = np.zeros((4, 8 * Q, 9))
     C4h[(0, 3), :, 0] = 1.0
     C4h[:, _REV3[j % 8] * Q + j // 8] = C4
-    C1s = C1b.reshape(4, B, b, 3)[:, :, :-1].transpose(2, 0, 1, 3).copy()
+    C1s = C1b.reshape(4, 3, B, b)[..., :-1].transpose(3, 0, 2, 1).copy()
     for a in (C4, C4h, C1s):
         a.setflags(write=False)
     return _Transfer(n, b, B, C4, C4h, C1s)
@@ -418,6 +433,21 @@ def _sign_change_counts(U: np.ndarray) -> np.ndarray:
     return within + across - (neg[0, 0] != neg[1, 0])
 
 
+def _separators_certified(ends, u):
+    """Whether separators s_0 < ... < s_count hold k oscillations each,
+    read from the counts `ends` at s_0 and s_count and the end values u(l)
+    at every s_k, without counting the others.
+
+    The count rises by one at each root of u_lam(l).  With counts 0 and
+    count at the ends there are count roots in (s_0, s_count); if u(l) at
+    each s_k has the strict sign (-1)^k, each of the count brackets holds
+    an odd number of them, so exactly one, and s_k has k oscillations.
+    """
+    count = u.shape[0] - 1
+    sign = (-1.0) ** np.arange(count + 1)
+    return ends[0] == 0 and ends[1] == count and bool(np.all(sign * u > 0.0))
+
+
 def _phase(sigma, w, u, v):
     """Prufer phase atan2(sigma w u, sigma v) of the end state (u, v)(l),
     w = sqrt(lam - shift): its sign is that of sigma u(l)."""
@@ -428,13 +458,18 @@ def dirichlet_eigensystem(q: Potential, count: int, rel_tol: float = 1e-10) -> E
     """First `count` Dirichlet eigenpairs by shooting on RK4 transfer matrices.
 
     Comparison bounds (k pi / l)^2 + [min q, max q], padded, place
-    count + 1 separators s_0 < s_1 < ... < s_count, each counted once on a
-    blocked-scan history and required to hold exactly k oscillations: s_0
-    is mode 1's lower bound, s_k starts between the intervals of modes k
-    and k+1, and a separator with the wrong count is bisected between
-    points with counts <= k and >= k.  Mode k's root of u_lam(l) is then
-    isolated in [s_{k-1}, s_k], and the counting histories give (u, u')(l)
-    at both ends.  Each root is refined on the Prufer phase
+    count + 1 separators s_0 < s_1 < ... < s_count, each required to hold
+    exactly k oscillations: s_0 is mode 1's lower bound and s_k starts
+    between the intervals of modes k and k+1.  One end-value pass gives
+    (u, u')(l) at every separator, and one blocked-scan history counts the
+    oscillations at s_0 and s_count.  Counts 0 and count there, with u(l)
+    of sign (-1)^k at each s_k, certify every separator (each bracket then
+    holds exactly one root).  Otherwise, as when the comparison intervals
+    overlap for steep or tunnelling potentials, every separator is counted,
+    one with the wrong count is bisected between points with counts <= k
+    and >= k, and the end values are taken again at the final separators.
+    Mode k's root of u_lam(l) is then isolated in [s_{k-1}, s_k], with
+    (u, u')(l) at both ends.  Each root is refined on the Prufer phase
     F_k = atan2(sigma w u(l), sigma u'(l)), sigma = (-1)^k,
     w = sqrt(lam - q_lo + 1) with q_lo the smaller of min q and s_0.  F_k has
     the sign of sigma u(l), is continuous on the bracket (its branch cut
@@ -470,17 +505,18 @@ def dirichlet_eigensystem(q: Potential, count: int, rel_tol: float = 1e-10) -> E
     b = base + qhi + pad
 
     def counts(lams):
-        """Oscillation counts and end states (u, u')(l) from blocked-scan histories."""
-        UV = [_tm_history_batch(tm, lams[cols])
-              for cols in _batches(g.n, lams.shape[0])]
-        end = divmod(g.n, tm.b)[::-1]
-        return (np.concatenate([_sign_change_counts(U) for U, _ in UV]),
-                np.concatenate([U[end] for U, _ in UV]),
-                np.concatenate([V[end] for _, V in UV]))
+        """Oscillation counts from blocked-scan histories, one batch at a time."""
+        return np.concatenate([_sign_change_counts(_tm_history_batch(tm, lams[cols])[0])
+                               for cols in _batches(g.n, lams.shape[0])])
 
     target = np.arange(count + 1)
     s = np.concatenate(([a[0]], np.maximum(b[:-1], 0.5 * (b[:-1] + a[1:]))))
-    c, u, v = counts(s)
+    u, v = _tm_end_values(tm, s)
+    ends = counts(s[[0, -1]])
+    if _separators_certified(ends, u):
+        c = target
+    else:
+        c = counts(s)
     # comparison: lam_j lies below b_j and at or above a_j, so
     # #{b_j <= s} <= count(s) <= #{a_j < s}; the upper bound is known only
     # where a_{count+1} >= s
@@ -495,13 +531,15 @@ def dirichlet_eigensystem(q: Potential, count: int, rel_tol: float = 1e-10) -> E
         if bad.size == 0:
             break
         mid = 0.5 * (lo + hi)
-        cm, um, vm = counts(mid)
+        cm = counts(mid)
         hit = cm == bad
-        s[bad[hit]], u[bad[hit]], v[bad[hit]] = mid[hit], um[hit], vm[hit]
+        s[bad[hit]] = mid[hit]
         lo, hi = np.where(cm < bad, mid, lo), np.where(cm > bad, mid, hi)
         bad, lo, hi = bad[~hit], lo[~hit], hi[~hit]
     if bad.size or np.any(np.diff(s) <= 0.0):
         raise NumericalError("oscillation counting failed to isolate eigenvalue brackets")
+    if np.any(c != target):            # separators moved: end values again
+        u, v = _tm_end_values(tm, s)
 
     ulo, uhi = u[:-1], u[1:]
     if np.any(ulo * uhi > 0.0):

@@ -334,11 +334,8 @@ def test_refinement_brackets_each_root_in_few_passes(q_cosine, monkeypatch):
     rel_tol = 1e-10
     es = dirichlet_eigensystem(q_cosine, 300, rel_tol=rel_tol)
     assert len(passes) <= 12
-    g = q_cosine.grid
-    tm = sturm._transfer(q_cosine.values, q_cosine.mid, g.h)
-    lo, _ = end_values(tm, es.lam * (1 - rel_tol))
-    hi, _ = end_values(tm, es.lam * (1 + rel_tol))
-    assert np.all(lo * hi < 0.0)
+    monkeypatch.undo()
+    assert_roots_bracketed(q_cosine, es, rel_tol)
 
 
 def count_columns(monkeypatch):
@@ -360,17 +357,99 @@ def count_columns(monkeypatch):
 
 
 def test_shooting_column_budget(q_cosine, monkeypatch):
-    """Oscillations are counted once per separator, not at both ends of
-    every bracket, and the phase secant needs about three end-value passes:
-    on 2 + cos 3x every separator starts with the right count, so counting
-    takes count + 1 history columns, and refinement at most 4 * count
-    end-value columns."""
+    """Oscillations are counted at two separators, not at all count + 1,
+    and the phase secant needs about three end-value passes: on 2 + cos 3x
+    the signs of u(l) and the two end counts certify every separator, so
+    counting takes 2 history columns, one end-value pass covers the
+    count + 1 separators, and refinement at most 4 * count end-value
+    columns."""
     history, ends = count_columns(monkeypatch)
     count = 300
     dirichlet_eigensystem(q_cosine, count)
     counting = sum(history) - count          # the rest are the eigenfunctions
-    assert counting <= count + 1
-    assert sum(ends) <= 4 * count
+    assert counting <= 2
+    assert ends[0] == count + 1
+    assert sum(ends[1:]) <= 4 * count
+
+
+def assert_roots_bracketed(q, es, rel_tol):
+    """u_lam(l) changes sign across every lam_k (1 +- rel_tol)."""
+    tm = sturm._transfer(q.values, q.mid, q.grid.h)
+    lo, _ = sturm._tm_end_values(tm, es.lam * (1 - rel_tol))
+    hi, _ = sturm._tm_end_values(tm, es.lam * (1 + rel_tol))
+    assert np.all(lo * hi < 0.0)
+
+
+@pytest.mark.parametrize("l, expr, count", [(1.0, "2 + cos(3)", 300), (np.pi, "0", 10),
+                                             (1.0, "2 + cos(3)", 1)])
+def test_counted_route_matches_certified_route(l, expr, count, monkeypatch):
+    """With the certificate refused, every separator is counted; where all
+    counts are already right, the eigenpairs are those of the certified
+    route bit for bit, because both feed the secant the same end values."""
+    q = potential(build_grid(l, 2000), parse_expression(expr))
+    certified = dirichlet_eigensystem(q, count)
+    history, _ = count_columns(monkeypatch)
+    monkeypatch.setattr(sturm, "_separators_certified", lambda ends, u: False)
+    counted = dirichlet_eigensystem(q, count)
+    assert sum(history) - count == 2 + (count + 1)     # the ends, then every separator
+    for f in ("lam", "phi", "dphi0", "dphil"):
+        got, want = getattr(counted, f), getattr(certified, f)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_tunnelling_potential_takes_counted_route(monkeypatch):
+    """A tall barrier makes the comparison intervals overlap, so u(l)
+    signs cannot certify the separators: they are counted and bisected,
+    and every root is still bracketed to rel_tol."""
+    q = potential(build_grid(1.0, 2000), parse_expression("5000*bump(0.5, 0.2, 1.0, 3)"))
+    history, _ = count_columns(monkeypatch)
+    count, rel_tol = 40, 1e-10
+    es = dirichlet_eigensystem(q, count, rel_tol=rel_tol)
+    assert sum(history) - count > count + 1
+    assert_roots_bracketed(q, es, rel_tol)
+
+
+def test_certificate_refuses_wrong_counts_and_signs():
+    u = np.array([0.5, -2.0, 1e-300, -3.0])
+    assert sturm._separators_certified(np.array([0, 3]), u)
+    for ends in ([1, 3], [0, 2], [0, 4]):
+        assert not sturm._separators_certified(np.array(ends), u)
+    for k in range(u.size):
+        flipped = u.copy()
+        flipped[k] = -flipped[k]
+        assert not sturm._separators_certified(np.array([0, 3]), flipped)
+    zero = u.copy()
+    zero[2] = 0.0
+    assert not sturm._separators_certified(np.array([0, 3]), zero)
+
+
+def m_major_polymul2(R, L):
+    """_polymul2 as the loop over (4, m, d) entry arrays that it replaced:
+    the same accumulation order, on strided coefficient columns."""
+    dl = L.shape[2]
+    P = np.zeros(R.shape[:2] + (R.shape[2] + dl - 1,))
+    for i, (r, l) in enumerate(((0, 0), (0, 1), (2, 0), (2, 1))):
+        for a, c in ((r, l), (r + 1, l + 2)):
+            for k in range(R.shape[2]):
+                P[i, :, k:k + dl] += R[a, :, k, None] * L[c]
+    return P
+
+
+@pytest.mark.parametrize("n", [8, 402, 2000])
+def test_four_step_polynomials_match_m_major_loop(n):
+    """The coefficient-major four-step products, and their reordered copy
+    for the end values, equal the step-major loop's bit for bit."""
+    g = build_grid(1.0, n)
+    q = potential(g, parse_expression("2 + cos(3)"))
+    tm = sturm._transfer(q.values, q.mid, g.h)
+    C1 = sturm._step_polynomials(q.values, q.mid, g.h, -(-n // 4) * 4).transpose(0, 2, 1)
+    C2 = m_major_polymul2(C1[:, 1::2], C1[:, 0::2])
+    C4 = m_major_polymul2(C2[:, 1::2], C2[:, 0::2])
+    j = np.arange(C4.shape[1])
+    Q = tm.C4h.shape[1] // 8
+    assert np.array_equal(tm.C4.view(np.int64), C4.view(np.int64))
+    assert np.array_equal(tm.C4h[:, sturm._REV3[j % 8] * Q + j // 8].view(np.int64),
+                          C4.view(np.int64))
 
 
 def rk4_dirichlet_roots(c, l, n, count):
@@ -397,7 +476,7 @@ def test_spectrum_matches_exact_discrete_roots(c, monkeypatch):
     (the RK4 phase drift is in both), which pins the separators and the
     refinement over the whole spectrum.  The drift pad of the comparison
     bounds depends on the oscillation of q, not its size, so every
-    separator starts with the right count even at q = 1e6."""
+    separator is certified without counting it, even at q = 1e6."""
     history, _ = count_columns(monkeypatch)
     g = build_grid(1.0, 2000)
     rel_tol = 1e-10
@@ -405,7 +484,7 @@ def test_spectrum_matches_exact_discrete_roots(c, monkeypatch):
     es = dirichlet_eigensystem(potential(g, Const(c)), count, rel_tol=rel_tol)
     want = rk4_dirichlet_roots(c, g.l, g.n, count)
     assert np.all(np.abs(es.lam - want) <= 2 * rel_tol * np.maximum(1.0, np.abs(want)))
-    assert sum(history) - count <= count + 1
+    assert sum(history) - count <= 2
 
 
 def test_grid_too_coarse_for_modes():

@@ -20,7 +20,9 @@ imaginary parts, the snapshot times) is formatted once per command by
 snapshot's t column is a zero-stride view of its one cell.
 
 Exit codes: 0 all good, 2 configuration problems, 3 numerical failures
-(inadmissible potential or gauge, instability), 4 verification failures.
+(inadmissible potential or gauge, instability), 4 verification failures
+(a verify check, or a support or FDTD check of simulate, reported after
+the artefacts are written).
 """
 
 from __future__ import annotations
@@ -270,7 +272,8 @@ def run_eigs(cfg: RunConfig) -> list:
 
 def run_simulate(cfg: RunConfig) -> list:
     """Controlled waves at the requested times, support report, FDTD check.
-    An unstable leapfrog time step fails before any work or output."""
+    An unstable leapfrog time step fails before any work or output; a
+    failed support or FDTD check fails after both artefacts are written."""
     grid, q = _problem(cfg)
     times = cfg.times if cfg.times else (cfg.horizon,)
     if cfg.run_fdtd:
@@ -302,6 +305,11 @@ def run_simulate(cfg: RunConfig) -> list:
         payload["fdtd_tol"] = cfg.tol("fdtd", 1e-3)
         payload["fdtd_passed"] = l2 <= cfg.tol("fdtd", 1e-3)
     files = [wf_path, _write_json(cfg, "simulate_report", payload)]
+    failed = [f"support at t={s['t']!r}" for s in support if not s["passed"]]
+    if not payload.get("fdtd_passed", True):
+        failed.append(f"fdtd_l2 {payload['fdtd_l2']:.3e} > {payload['fdtd_tol']:.3e}")
+    if failed:
+        raise VerificationFailure("simulate checks failed: " + ", ".join(failed))
     return files
 
 

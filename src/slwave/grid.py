@@ -433,26 +433,39 @@ def write_table(path, header, blocks) -> None:
                 fh.write(_chunk_text([c[i:i + step] for c in block], starts, ends))
 
 
-_JSON_BOOL = {True: "true", False: "false"}
+def _json_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return float.__repr__(x)
+
+
+# the text of a scalar leaf by its exact type, as json.dumps writes it (a
+# str through json's own ASCII escaper)
+_JSON_STR = json.encoder.encode_basestring_ascii
+_JSON_LEAF = {float: _json_float, bool: {True: "true", False: "false"}.__getitem__,
+              int: int.__repr__, type(None): lambda _: "null", str: _JSON_STR}
 
 
 def _json_lines(obj, pad: str) -> str:
     """`obj` as json.dumps(indent=2, sort_keys=True) writes it at indent
-    `pad`.  Dicts with string keys and non-empty lists are laid out here,
-    and a list of plain floats or of bools is joined one item a line
-    (float repr, true/false): with an indent, json.dumps runs its
-    pure-Python encoder item by item.  Everything else goes to json.dumps."""
+    `pad`.  Scalar leaves (float, bool, int, None, str), dicts with string
+    keys and non-empty lists are written here, a list of one leaf type
+    one item a line: with an indent, json.dumps runs its pure-Python
+    encoder item by item.  Everything else goes to json.dumps."""
+    leaf = _JSON_LEAF.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
     inner = pad + "  "
     if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
-        items = (json.dumps(k) + ": " + _json_lines(obj[k], inner) for k in sorted(obj))
+        items = (_JSON_STR(k) + ": " + _json_lines(obj[k], inner) for k in sorted(obj))
     elif isinstance(obj, (list, tuple)) and obj:
         kinds = set(map(type, obj))
         if kinds == {float}:
             if not all(map(math.isfinite, obj)):
                 raise ValueError("Out of range float values are not JSON compliant")
             items = map(float.__repr__, obj)
-        elif kinds == {bool}:
-            items = map(_JSON_BOOL.__getitem__, obj)
+        elif len(kinds) == 1 and kinds <= _JSON_LEAF.keys():
+            items = map(_JSON_LEAF[kinds.pop()], obj)
         else:
             items = (_json_lines(v, inner) for v in obj)
     else:

@@ -15,13 +15,16 @@ lam-independent precomputation of MATSLISE, Ledoux, Van Daele and Vanden
 Berghe 2005), so the matrices at a batch of lam are one matmul against the
 powers of lam.  End values come from a log-depth pairwise product of the
 n/4 four-step matrices, node histories from a two-level blocked scan
-(blocks of about sqrt(n) steps, a multiple of 4).  Eigenvalues come from
-shooting: separators with exactly k oscillations bracket the roots of
-u_lam(l), and a safeguarded secant on the Prufer phase of (u, u')(l)
-refines them.  The separators are certified by the signs of u_lam(l) and
-the counts at the two outer ones; they are counted one by one, and
-bisected, only when that fails.  Matrix eigensolvers are deliberately
-not used here; they serve as independent oracles in the tests.
+(blocks of about sqrt(n) steps, a multiple of 4): one sequential pass over
+the blocks gives the block starts of every lam of a call, then single
+steps fill in the blocks, storing u alone and keeping the slope as one
+rolling slab.  Eigenvalues come from shooting: separators with exactly k
+oscillations bracket the roots of u_lam(l), and a safeguarded secant on
+the Prufer phase of (u, u')(l) refines them.  The separators are
+certified by the signs of u_lam(l) and the counts at the two outer ones;
+they are counted one by one, and bisected, only when that fails.  Matrix
+eigensolvers are deliberately not used here; they serve as independent
+oracles in the tests.
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ __all__ = [
 
 _BLOWUP = 1e120
 # node cells (steps x lam columns) per batch of the transfer-matrix kernels:
-# a batch holds its two step-major histories and its four-step matrices,
-# about n K cells each, so its working set stays near 3 MB whatever the
-# mode count
+# a batch holds its four-step matrices (4 entries of n/4 steps) and its
+# step-major history of u, about n K cells each, so its working set stays
+# near 3 MB whatever the mode count
 _BATCH_CELLS = 1 << 17
 
 
@@ -286,39 +289,76 @@ def _tm_end_values(tm, lam):
     return u, v
 
 
-def _tm_history_batch(tm, lam):
-    """Node histories (U, V) of u(0) = 0, u'(0) = 1 by a two-level blocked
-    scan, step-major: U[i, k] is node k b + i, each (b, B, K).
+def _block_matrices(tm, lam):
+    """Matrices (4, B-1, K) of the blocks before the last, each the
+    pairwise product of its b/4 four-step matrices."""
+    b, B = tm.b, tm.B
+    C4 = tm.C4[:, :(B - 1) * b // 4]
+    T = _evaluate(C4, _powers(lam, 9)).reshape(4, B - 1, b // 4, lam.shape[0])
+    return _pairwise_product(T.swapaxes(1, 2))
 
-    The n steps are split into B blocks of b ~ sqrt(n) steps, b a multiple
-    of 4, the last one padded with identities, so nodes past n repeat node
-    n.  Pairwise products of the four-step matrices give each block's
-    matrix, a sequential pass over the blocks gives their start states, and
+
+def _block_starts(T):
+    """States (u, u'), (2, B, K), of u(0) = 0, u'(0) = 1 at the first node
+    of each block, from the block matrices T (4, B-1, K): one sequential
+    pass over the blocks."""
+    S = np.empty((2, T.shape[1] + 1, T.shape[2]))
+    u, v = S
+    u[0] = 0.0
+    v[0] = 1.0
+    for k in range(T.shape[1]):
+        u[k + 1] = T[0, k] * u[k] + T[1, k] * v[k]
+        v[k + 1] = T[2, k] * u[k] + T[3, k] * v[k]
+    return S
+
+
+def _block_steps(tm, lam, S):
+    """Step-major history U (b, B, K) from the block starts S (2, B, K),
+    U[i, k] being node k b + i, and the end slopes u'(l), (K,).
+
     b - 1 single steps advance all blocks at once on contiguous (B, K)
-    slabs: about B + b Python steps, not n.
+    slabs.  Only U is stored; the slope is one rolling slab, read at the
+    step that reaches node n.
     """
     b, B, K = tm.b, tm.B, lam.shape[0]
-    C4 = tm.C4[:, :(B - 1) * b // 4]   # the blocks before the last
-    T = _evaluate(C4, _powers(lam, 9)).reshape(4, B - 1, b // 4, K)
-    T = _pairwise_product(T.swapaxes(1, 2))
+    r = tm.n - (B - 1) * b             # node n is node r of the last block
     U = np.empty((b, B, K))
-    V = np.empty((b, B, K))
-    U[0, 0] = 0.0
-    V[0, 0] = 1.0
-    for k in range(B - 1):
-        U[0, k + 1] = T[0, k] * U[0, k] + T[1, k] * V[0, k]
-        V[0, k + 1] = T[2, k] * U[0, k] + T[3, k] * V[0, k]
+    U[0] = S[0]
+    v = S[1].copy()
+    vl = v[-1].copy()
     t = np.empty((B, K))
     powers = _powers(lam, 3)
     for i, C1 in enumerate(tm.C1s):
         E = _evaluate(C1, powers)
         np.multiply(E[0], U[i], out=U[i + 1])
-        U[i + 1] += np.multiply(E[1], V[i], out=t)
-        np.multiply(E[2], U[i], out=V[i + 1])
-        V[i + 1] += np.multiply(E[3], V[i], out=t)
-    end = divmod(tm.n, b)[::-1]
-    _check_end_state(U[end], V[end])
-    return U, V
+        U[i + 1] += np.multiply(E[1], v, out=t)
+        np.multiply(E[3], v, out=t)
+        np.multiply(E[2], U[i], out=v)
+        v += t
+        if i + 1 == r:
+            vl = v[-1].copy()
+    _check_end_state(U[r, -1], vl)
+    return U, vl
+
+
+def _tm_scan(tm, lam):
+    """Node histories of u(0) = 0, u'(0) = 1 for a vector of lam by a
+    two-level blocked scan, one batch of lam at a time: yields the columns
+    of each batch, its step-major history U (b, B, K) and its end slopes
+    u'(l).
+
+    The n steps are split into B blocks of b ~ sqrt(n) steps, b a multiple
+    of 4, the last one padded with identities, so nodes past n repeat node
+    n.  Pairwise products of the four-step matrices give each block's
+    matrix, batch by batch; one sequential pass over the blocks gives the
+    start states of every lam; then b - 1 single steps per batch fill in
+    the blocks: about B + b Python steps, not n.
+    """
+    batches = _batches(tm.n, lam.shape[0])
+    S = _block_starts(np.concatenate([_block_matrices(tm, lam[cols]) for cols in batches],
+                                     axis=2))
+    for cols in batches:
+        yield (cols, *_block_steps(tm, lam[cols], S[:, :, cols]))
 
 
 def _tm_history(tm, lam):
@@ -330,12 +370,11 @@ def _tm_history(tm, lam):
     full = (tm.B - 1) * b              # nodes of the blocks before the last
     U = np.empty((K, n + 1))
     v = np.empty(K)
-    for cols in _batches(n, K):
-        H, V = _tm_history_batch(tm, lam[cols])
+    for cols, H, vl in _tm_scan(tm, lam):
+        v[cols] = vl
         blocks = U[cols, :full].reshape(H.shape[2], tm.B - 1, b)
         blocks[...] = H[:, :-1].transpose(2, 1, 0)
         U[cols, full:] = H[:n + 1 - full, -1].T
-        v[cols] = V[n - full, -1]
     return U.T, v
 
 
@@ -425,7 +464,7 @@ def _sign_change_counts(U: np.ndarray) -> np.ndarray:
     the right end closer than any grid cell, so an interior-only count
     would lag by one until lambda grows enough to pull it inside.  A
     change is a flip of u < 0 between neighbours, so 0.0 and -0.0 count
-    as nonnegative; _tm_history_batch has rejected non-finite histories.
+    as nonnegative; _block_steps has rejected non-finite histories.
     """
     neg = U < 0.0
     within = np.count_nonzero(neg[:-1] != neg[1:], axis=(0, 1))
@@ -506,8 +545,10 @@ def dirichlet_eigensystem(q: Potential, count: int, rel_tol: float = 1e-10) -> E
 
     def counts(lams):
         """Oscillation counts from blocked-scan histories, one batch at a time."""
-        return np.concatenate([_sign_change_counts(_tm_history_batch(tm, lams[cols])[0])
-                               for cols in _batches(g.n, lams.shape[0])])
+        c = np.empty(lams.shape[0], dtype=int)
+        for cols, U, _ in _tm_scan(tm, lams):
+            c[cols] = _sign_change_counts(U)
+        return c
 
     target = np.arange(count + 1)
     s = np.concatenate(([a[0]], np.maximum(b[:-1], 0.5 * (b[:-1] + a[1:]))))

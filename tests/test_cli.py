@@ -300,8 +300,13 @@ def test_unstable_leapfrog_exits_2_before_any_output(tmp_path, capsys, q, grid_n
 @pytest.mark.parametrize("command", ["eigs", "simulate", "model", "recover", "table"])
 def test_each_expression_is_parsed_once(tmp_path, capsys, monkeypatch, command):
     """The config parses the potential and both controls once; every
-    command reads those forms instead of parsing again."""
-    path = ini(tmp_path / "c.ini", COSINE_SMALL + "    horizon = 0.2\n")
+    command reads those forms instead of parsing again.  simulate runs at
+    the default grid and mode count, where its support and FDTD checks
+    pass (at five modes they fail, and it exits 4)."""
+    body = COSINE_SMALL + "    horizon = 0.2\n"
+    if command == "simulate":
+        body = body.replace("    grid_n = 400\n    modes = 5\n", "")
+    path = ini(tmp_path / "c.ini", body)
     if command == "table":
         assert main(["model", "--config", path, "--out", str(tmp_path / "m")]) == 0
         path = ini(tmp_path / "t.ini", COSINE_SMALL.replace(
@@ -384,13 +389,52 @@ def test_simulate_report(tmp_path, capsys):
     assert wf[0].split(",")[0] == "t" and len(wf) == 1 + 401
 
 
+MIXED_CONTROLS = """
+    [numerics]
+    grid_n = 400
+    modes = 60
+
+    [controls]
+    f0 = 0.5*ramp(0.05, 0.2) - 0.3*bump(0.1, 0.1, 1, 6) + poly(0, 0, 0, 0.1)
+    fl = 2*bump(0.12, 0.1, -0.4, 6) - 0.25*ramp(0.1, 0.3)
+    times = 0.2, 0.45
+"""
+
+
+def test_simulate_failed_checks_exit_4_after_writing(tmp_path, capsys):
+    """Mixed-form controls at 60 modes on grid 400 miss the FDTD tolerance
+    and the support check at t = 0.2: both artefacts are written, the
+    report says which checks failed, and the exit code is 4 as for
+    verify."""
+    out = tmp_path / "mixed"
+    assert main(["simulate", "--config", ini(tmp_path / "m.ini", MIXED_CONTROLS),
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "verification failure" in err and "support at t=0.2" in err and "fdtd_l2" in err
+    rep = json.loads((out / "simulate_report.json").read_text())
+    assert rep["fdtd_passed"] is False and rep["fdtd_l2"] > rep["fdtd_tol"]
+    assert [s["passed"] for s in rep["support"]] == [False, True]
+    assert len((out / "wavefield.csv").read_text().splitlines()) == 1 + 2 * 401
+
+
+def test_simulate_default_config_exits_0(tmp_path, capsys):
+    out = tmp_path / "default"
+    assert main(["simulate", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rep = json.loads((out / "simulate_report.json").read_text())
+    assert rep["fdtd_passed"] and all(s["passed"] for s in rep["support"])
+
+
 def test_simulate_json_wavefield(tmp_path, capsys):
     path = ini(tmp_path / "s.ini", """
         [numerics]
-        grid_n = 200
-        modes = 20
+        grid_n = 400
+        modes = 60
         horizon = 0.2
         fdtd = off
+
+        [controls]
+        f0 = bump(0.12, 0.2, 1.0, 6)
     """)
     out = tmp_path / "simj"
     assert main(["simulate", "--config", path, "--out", str(out),
@@ -399,7 +443,7 @@ def test_simulate_json_wavefield(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
     table = json.loads((out / "wavefield.json").read_text())
     assert table["columns"] == ["t", "x", "re", "im"]
-    assert len(table["rows"]) == 201
+    assert len(table["rows"]) == 401
 
 
 def test_wavefield_streams_one_block_per_snapshot(tmp_path, capsys):
@@ -415,6 +459,7 @@ def test_wavefield_streams_one_block_per_snapshot(tmp_path, capsys):
             fdtd = off
 
             [controls]
+            f0 = bump(0.12, 0.2, 1.0, 6)
             times = {times}
         """)
         assert main(["simulate", "--config", path, "--out", str(tmp_path / name),
@@ -614,7 +659,9 @@ def _oracle_csv(text: str) -> str:
 def test_artefacts_are_canonical(tmp_path, capsys):
     """Every artefact reads back to its own bytes: a CSV table under a
     per-value %.17g oracle, a JSON file under json.dumps of what it loads.
-    The CSV and JSON tables hold the same floats, bit for bit."""
+    The CSV and JSON tables hold the same floats, bit for bit.  At four
+    modes simulate fails its support check and exits 4, after writing
+    both artefacts."""
     problem = "[problem]\npotential = 2 + cos(3)\n"
     rest = ("[numerics]\ngrid_n = 200\nmodes = 4\nfdtd = off\n"
             "[controls]\ntimes = 0.2, 0.45, 0.25, 0.5\n")
@@ -626,7 +673,7 @@ def test_artefacts_are_canonical(tmp_path, capsys):
     for fmt in ("csv", "json"):
         for cmd, config, sub in runs:
             assert main([cmd, "--config", config, "--out", str(tmp_path / fmt / sub),
-                         "--format", fmt]) == 0
+                         "--format", fmt]) == (4 if cmd == "simulate" else 0)
     capsys.readouterr()
     files = sorted((tmp_path / "csv").rglob("*.*"))
     assert len(files) == 14

@@ -414,3 +414,27 @@ def test_json_text_is_json_dumps(payload):
 def test_json_text_refuses_non_finite(bad):
     with pytest.raises(NumericalError, match="non-finite"):
         json_text(bad)
+
+
+LEAF_PAYLOADS = [
+    {"f": -0.0, "t": True, "i": -7, "n": None, "s": "ünï\u2014\"q\"\\", "e": [], "d": {},
+     "list": [0.5, False, 3, None, "é", [], {}, [-0.0], {"k": "ß"}],
+     "deep": {"a": {"b": [{"c": 1e300, "d": [None, None], "e": ["x", "ÿ"]}]}}},
+    [-0.0, 1, "a", None, True, 2.5e-310],
+    [[None], [3, 4], ["é", "e"], [{}], {"": 0}],
+    -0.0, 12345678901234567890, "Ω", None, False,
+]
+
+
+@pytest.mark.parametrize("payload", LEAF_PAYLOADS)
+def test_json_text_scalar_leaves_are_json_dumps(payload):
+    """Scalar leaves written directly, in dicts, mixed lists and
+    one-type lists, give the bytes of json.dumps at every depth."""
+    assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", [{"a": float("nan")}, {"a": {"b": float("inf")}},
+                                 [1, "x", -float("inf")], {"a": [None, float("nan")]}])
+def test_json_text_refuses_non_finite_leaf(bad):
+    with pytest.raises(NumericalError, match="non-finite"):
+        json_text(bad)

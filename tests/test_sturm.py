@@ -291,7 +291,7 @@ def test_step_major_counts_match_node_order(n):
     s = np.sign(U0[1:])
     s[s == 0.0] = 1.0
     want = np.sum(s[:-1] * s[1:] < 0.0, axis=0)
-    U, _ = sturm._tm_history_batch(sturm._transfer(q.values, q.mid, g.h), lam)
+    [(_, U, _)] = sturm._tm_scan(sturm._transfer(q.values, q.mid, g.h), lam)
     assert np.array_equal(sturm._sign_change_counts(U), want)
     assert want.max() >= n // 6
 
@@ -339,19 +339,19 @@ def test_refinement_brackets_each_root_in_few_passes(q_cosine, monkeypatch):
 
 
 def count_columns(monkeypatch):
-    """Record the lam-columns of every history and end-value batch."""
+    """Record the lam-columns of every blocked-scan and end-value call."""
     history, ends = [], []
-    history_batch, end_values = sturm._tm_history_batch, sturm._tm_end_values
+    scan, end_values = sturm._tm_scan, sturm._tm_end_values
 
     def counted_history(tm, lam):
         history.append(lam.size)
-        return history_batch(tm, lam)
+        return scan(tm, lam)
 
     def counted_ends(tm, lam):
         ends.append(lam.size)
         return end_values(tm, lam)
 
-    monkeypatch.setattr(sturm, "_tm_history_batch", counted_history)
+    monkeypatch.setattr(sturm, "_tm_scan", counted_history)
     monkeypatch.setattr(sturm, "_tm_end_values", counted_ends)
     return history, ends
 
@@ -421,6 +421,82 @@ def test_certificate_refuses_wrong_counts_and_signs():
     zero = u.copy()
     zero[2] = 0.0
     assert not sturm._separators_certified(np.array([0, 3]), zero)
+
+
+def history_batch_reference(tm, lam):
+    """The blocked scan of one batch as the loop that _tm_scan replaced:
+    the block starts by a sequential pass per batch, and a stored
+    step-major slope history V beside U, each (b, B, K)."""
+    b, B, K = tm.b, tm.B, lam.shape[0]
+    C4 = tm.C4[:, :(B - 1) * b // 4]
+    T = sturm._evaluate(C4, sturm._powers(lam, 9)).reshape(4, B - 1, b // 4, K)
+    T = sturm._pairwise_product(T.swapaxes(1, 2))
+    U = np.empty((b, B, K))
+    V = np.empty((b, B, K))
+    U[0, 0] = 0.0
+    V[0, 0] = 1.0
+    for k in range(B - 1):
+        U[0, k + 1] = T[0, k] * U[0, k] + T[1, k] * V[0, k]
+        V[0, k + 1] = T[2, k] * U[0, k] + T[3, k] * V[0, k]
+    t = np.empty((B, K))
+    powers = sturm._powers(lam, 3)
+    for i, C1 in enumerate(tm.C1s):
+        E = sturm._evaluate(C1, powers)
+        np.multiply(E[0], U[i], out=U[i + 1])
+        U[i + 1] += np.multiply(E[1], V[i], out=t)
+        np.multiply(E[2], U[i], out=V[i + 1])
+        V[i + 1] += np.multiply(E[3], V[i], out=t)
+    return U, V
+
+
+def scan_reference(tm, lam):
+    """What _tm_scan yields, batch by batch, from history_batch_reference:
+    the columns, U and u'(l), read at node n = (B - 1) b + r."""
+    r = tm.n - (tm.B - 1) * tm.b
+    for cols in sturm._batches(tm.n, lam.shape[0]):
+        U, V = history_batch_reference(tm, lam[cols])
+        yield cols, U, V[r, -1]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("expr", ["2 + cos(3)", "0", "2000*cos(7) + 1500*sin(2)"])
+@pytest.mark.parametrize("n", [8, 10, 402, 1002, 2000])
+@pytest.mark.parametrize("K", [1, 2, 65, 66, 300])
+def test_scan_matches_per_batch_loop(expr, n, K):
+    """One block-start pass over all lam and a rolling slope slab give the
+    histories and end slopes of the per-batch loop bit for bit: node n
+    ends a block at n = 8 and falls inside one otherwise, and K = 65, 66
+    and 300 split into several batches at n = 2000."""
+    g = build_grid(1.0, n)
+    q = potential(g, parse_expression(expr))
+    tm = sturm._transfer(q.values, q.mid, g.h)
+    lam = np.linspace(-5.0, ((n // 6 + 1) * np.pi) ** 2 + q.values.max(), K)
+    got, want = list(sturm._tm_scan(tm, lam)), list(scan_reference(tm, lam))
+    assert len(got) == len(want) >= 1 + (n == 2000 and K > 65)
+    for (cols, U, v), (cols0, U0, v0) in zip(got, want):
+        assert cols == cols0 and same_bits(U, U0) and same_bits(v, v0)
+
+
+def test_counted_route_matches_per_batch_loop(monkeypatch):
+    """On the tunnelling barrier every separator is counted and bisected;
+    through the per-batch loop the eigenpairs are the same bit for bit."""
+    q = potential(build_grid(1.0, 2000), parse_expression("5000*bump(0.5, 0.2, 1.0, 3)"))
+    count = 40
+    es = dirichlet_eigensystem(q, count)
+    history = []
+
+    def reference(tm, lam):
+        history.append(lam.size)
+        return scan_reference(tm, lam)
+
+    monkeypatch.setattr(sturm, "_tm_scan", reference)
+    ref = dirichlet_eigensystem(q, count)
+    assert sum(history) - count > count + 1
+    for f in ("lam", "phi", "dphi0", "dphil"):
+        assert same_bits(getattr(es, f), getattr(ref, f))
 
 
 def m_major_polymul2(R, L):

@@ -14,10 +14,12 @@ deterministic byte-for-byte for a fixed config and seed: floats print as
 timestamps are embedded.  Every table, the wave field and the
 eigenfunctions included, goes through `_write_table`, which streams it
 through `grid.write_table` (CSV) or `grid.write_json_table` one block at
-a time.  A column repeated over many blocks (the grid nodes, the zero
-imaginary parts, the snapshot times) is formatted once per command by
-`_column`: in CSV its text cells are copied into each block's rows, and a
-snapshot's t column is a zero-stride view of its one cell.
+a time.  `eigs` and `simulate` lay out their rows once per command, in a
+`grid.RowLayout`: the columns every block shares (the grid nodes and the
+zero imaginary parts) are formatted and laid into the row buffer once, so
+each eigenfunction file or snapshot formats only its own values.  The
+snapshot times are formatted once by `_column`, and a snapshot's t
+column is a zero-stride view of its one text cell.
 
 Exit codes: 0 all good, 2 configuration problems, 3 numerical failures
 (inadmissible potential or gauge, instability), 4 verification failures
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -41,7 +44,7 @@ from .control import (LEAPFROG_CFL, ControlSignal, _leapfrog_steps, control_to_k
                       fdtd_oracle, smooth_waves, support_report)
 from .errors import (ConfigurationError, ContractError, NumericalError,
                      SlwaveError, VerificationFailure)
-from .grid import (GridFunction, build_grid, format_column, json_text, quad,
+from .grid import (GridFunction, RowLayout, build_grid, format_column, json_text, quad,
                    write_json_table, write_table)
 from .model import GUARD_CELLS, default_gauge
 from .operator import (ModelCoefficients, assemble_coefficients, recover_potential,
@@ -211,17 +214,18 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
     return cfg.out_dir / name
 
 
-def _write_table(cfg: RunConfig, name: str, header: list, blocks) -> Path:
-    """One table from an iterable of blocks, each a list of equally long
-    columns: float arrays, or columns from `_column` (formatted once in CSV
-    mode), streamed one block at a time."""
+def _write_table(cfg: RunConfig, name: str, table, blocks) -> Path:
+    """One table from an iterable of blocks, streamed one block at a time.
+    `table` is the header, or a RowLayout whose shared columns the blocks
+    leave out; a block's columns are float arrays, or columns from
+    `_column`."""
     path = _out_path(cfg, f"{name}.{cfg.fmt}")
-    (write_json_table if cfg.fmt == "json" else write_table)(path, header, blocks)
+    (write_json_table if cfg.fmt == "json" else write_table)(path, table, blocks)
     return path
 
 
 def _column(cfg: RunConfig, values):
-    """A column repeated over many blocks: text cells in CSV mode."""
+    """Values whose text many blocks repeat: text cells in CSV mode."""
     return values if cfg.fmt == "json" else format_column(values)
 
 
@@ -262,11 +266,11 @@ def run_eigs(cfg: RunConfig) -> list:
     files.append(_write_json(cfg, "eigs_summary",
                              {"kappa": kappa, "count": es.count,
                               "l": cfg.l, "grid_n": cfg.grid_n}))
-    # the eigenfunctions are real: one shared zero column fills every im cell
-    xs, im = _column(cfg, es.grid.x), _column(cfg, np.zeros(es.grid.size))
+    # the eigenfunctions are real: every file shares the nodes and a zero
+    # im column, laid out once
+    layout = RowLayout(["x", "re", "im"], {"x": es.grid.x, "im": np.zeros(es.grid.size)})
     for k in range(es.count):
-        files.append(_write_table(cfg, f"eigenfunction_{k + 1:04d}", ["x", "re", "im"],
-                                  [[xs, es.phi[k], im]]))
+        files.append(_write_table(cfg, f"eigenfunction_{k + 1:04d}", layout, [[es.phi[k]]]))
     return files
 
 
@@ -284,12 +288,13 @@ def run_simulate(cfg: RunConfig) -> list:
     c = _control(cfg)
     kc = control_to_kernel(c, kb)
     snaps = smooth_waves(kc, times, es)
-    # the waves are real: one shared zero column fills every im cell; the
-    # times are formatted once, and a block's t column repeats its own cell
-    xs, im, ts = (_column(cfg, v) for v in (grid.x, np.zeros(grid.size), np.array(times)))
-    wf_path = _write_table(cfg, "wavefield", ["t", "x", "re", "im"],
-                           ([np.broadcast_to(t, (grid.size, *np.shape(t))), xs, row, im]
-                            for t, row in zip(ts, snaps)))
+    # the waves are real: every snapshot shares the nodes and a zero im
+    # column, laid out once; the times are formatted once, and a block's t
+    # column repeats its own cell
+    layout = RowLayout(["t", "x", "re", "im"], {"x": grid.x, "im": np.zeros(grid.size)})
+    wf_path = _write_table(cfg, "wavefield", layout,
+                           ([np.broadcast_to(t, (grid.size, *np.shape(t))), row]
+                            for t, row in zip(_column(cfg, np.array(times)), snaps)))
     support = []
     for t, row in zip(times, snaps):
         rep = support_report(GridFunction(grid, row), t, tol=cfg.tol("support", 1e-6))
@@ -348,10 +353,14 @@ def _coefficients_from_csv(path: str, l: float, grid_n: int) -> ModelCoefficient
     if not text or not text[0].startswith("x,"):
         raise ConfigurationError(f"{path} is not a model coefficient table")
     try:
-        data = np.array([line.split(",") for line in text[1:]], dtype=float)
+        with warnings.catch_warnings():     # a table of no rows has the wrong column count
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(text[1:], delimiter=",", comments=None, ndmin=2)
     except ValueError:
         raise ConfigurationError(f"{path} has ragged or non-numeric rows") from None
-    if data.ndim != 2 or data.shape[1] != 17:
+    if len(data) != len(text) - 1:          # loadtxt skips blank lines
+        raise ConfigurationError(f"{path} has ragged or non-numeric rows")
+    if data.shape[1] != 17:
         raise ConfigurationError(f"{path} has the wrong column count")
     xs = data[:, 0]
     h = l / grid_n

@@ -22,7 +22,7 @@ from .errors import ConfigurationError, NumericalError
 __all__ = [
     "Grid", "GridFunction", "build_grid", "sample", "quad", "inner",
     "diff_samples", "interp_cubic", "simpson_sum", "format_column",
-    "write_table", "write_json_table", "json_text",
+    "RowLayout", "write_table", "write_json_table", "json_text",
 ]
 
 
@@ -214,23 +214,33 @@ def interp_cubic(f: GridFunction, xq) -> np.ndarray:
 # error-free product, so its integer part and fraction are known to better
 # than 1e-14; a cell whose fraction is within _TIE of 1/2, a non-finite cell
 # and one whose k lies outside the table are formatted by Python's own
-# %.17g.  A float cell is 48 bytes, six native uint64 words:
-#   0 sign | 1-5 "0.000" | 6, 8, ..., 38 digits d0..d16, each followed by
-#   a slot for "." | 40-43 "e+dd" | 44-46 unused | 47 separator
-# A text cell (format_column) holds the same text left-aligned in w + 1
-# bytes, w the widest text of its column, the last byte the separator.
-# A row is the slots of its cells side by side; unused bytes hold NUL and
-# are dropped when a chunk is written.
+# %.17g, and so is every cell of a call of at most _SMALL values.  A float
+# cell is 32 bytes, four native uint64 words:
+#   0 sign | 1-5 "0.000" | 6 d0 | 7 "." after d0 | 8-23 d1..d16 |
+#   24-26 unused | 27-30 "e+dd" | 31 separator
+# In fixed notation with k >= 1 the dot follows d_k instead: the digits
+# after d_k move up one byte (d16 into byte 24), and the dot takes 8 + k.
+# The digits are contiguous, so a cell holds few NUL bytes beyond its
+# unused tail: translating a row costs about its length.
+# A row (RowLayout) is the slots of its columns side by side: a text
+# column's slot is as wide as its widest text plus the separator, a float
+# column's slot is one cell.  Unused bytes hold NUL and are dropped when a
+# chunk is written.
 _FMT = "%.17g".__mod__
 _K_MIN, _K_MAX = -40, 40        # k handled in numpy; 10^(16 - k) is tabled for k +- 1
 _TIE = 1e-6
 _SPLIT = 134217729.0            # 2^27 + 1, Dekker's splitter
-_CELL = 48
+_CELL = 32
+_WORDS = _CELL // 8
+_CELL_ITEM = np.dtype(f"V{_CELL}")      # a cell as one item, copied in one go
 _X_MIN = _K_MIN - 1             # exponents _K_MIN - 1 .. _K_MAX + 2 (fix-up, then carry)
 _N_X = _K_MAX + 3 - _X_MIN
+# a call of at most this many values is formatted by Python (about 1 us a
+# value): the numpy path costs about 60 us a call before its first value
+_SMALL = 64
 _tables = None
 # row-slot bytes per chunk of a block (8192 float cells): bounds the bytes
-# held at once
+# formatted and translated at once
 _CHUNK_BYTES = _CELL << 13
 
 
@@ -253,12 +263,12 @@ def _build_tables() -> dict:
     p_hi = np.array(hi[::-1])               # index k - _K_MIN + 1
     p_lo = np.array(lo[::-1])
     digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T     # of 0000 .. 9999
-    groups = np.full((10_000, 8), 0xFF, np.uint8)
-    groups[:, 0::2] = 48 + digits
+    low, high = np.zeros((2, 10_000, 8), np.uint8)  # a group in the low, or the high, half word
+    low[:, :4] = high[:, 4:] = 48 + digits
     lead = np.full((10, 8), 0xFF, np.uint8)
     lead[:, 6] = 48 + np.arange(10)
-    tz = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)
-    # templates, indexed (sign, X - _X_MIN, nd - 1)
+    tz = np.cumprod(digits[:, ::-1] == 0, axis=1, dtype=np.uint8).sum(axis=1, dtype=np.int64)
+    # templates, indexed (sign, X - _X_MIN, nd - 1): 0xFF keeps a digit
     X = np.arange(_X_MIN, _X_MIN + _N_X)[:, None]
     nd = np.arange(1, 18)[None, :]
     i = np.arange(17)
@@ -267,19 +277,26 @@ def _build_tables() -> dict:
     used = np.where(fixed & (X >= 0), np.maximum(nd, X + 1), nd)
     dot_at = np.where(fixed, X, 0)
     dot = ~small & (nd > dot_at + 1)
+    moved = dot & (dot_at >= 1)
     t = np.zeros((2, _N_X, 17, _CELL), np.uint8)
     t[1, ..., 0] = ord("-")
-    t[..., 6:40:2] = np.where(i < used[..., None], 0xFF, 0)
-    t[..., 7:40:2] = np.where(dot[..., None] & (i == dot_at[..., None]), ord("."), 0)
+    # digit i's byte: 6 for d0, else 7 + i, and one more past a moved dot
+    pos = np.where(i == 0, 6, 7 + i + (moved[..., None] & (i > dot_at[..., None])))
+    keep = (i < used[..., None]) * np.uint8(0xFF)
+    np.put_along_axis(t[0], pos, keep, -1)
+    dot_pos = np.broadcast_to(np.where(dot_at >= 1, 8 + dot_at, 7), dot.shape)
+    np.put_along_axis(t[0], dot_pos[..., None], np.where(dot, ord("."), 0)[..., None], -1)
+    t[1, ..., 1:] = t[0, ..., 1:]
     pre = np.where(np.arange(5) < 1 - X, np.frombuffer(b"0.000", np.uint8), 0)
     t[..., 1:6] = np.where(small, pre, 0)[:, None, :]
     ax = np.abs(X[:, 0])
     exp = np.stack([np.full_like(ax, ord("e")), np.where(X[:, 0] < 0, ord("-"), ord("+")),
                     48 + ax // 10, 48 + ax % 10], axis=1)
-    t[..., 40:44] = np.where(fixed, 0, exp)[:, None, :]
+    t[..., 27:31] = np.where(fixed, 0, exp)[:, None, :]
     return {"powers": (p_hi, p_lo, *_split(p_hi)),
-            "groups": groups.view(np.uint64)[:, 0], "lead": lead.view(np.uint64)[:, 0],
-            "tz": tz, "templates": t.view(np.uint64).reshape(-1, _CELL // 8)}
+            "low": low.view(np.uint64)[:, 0], "high": high.view(np.uint64)[:, 0],
+            "lead": lead.view(np.uint64)[:, 0],
+            "tz": tz, "templates": t.view(np.uint64).reshape(-1, _WORDS)}
 
 
 def _scaled(y, k, tb):
@@ -295,14 +312,32 @@ def _scaled(y, k, tb):
     return fp.astype(np.int64) + fr.astype(np.int64), r - fr
 
 
-def _format_into(a: np.ndarray, out: np.ndarray) -> None:
-    """The %.17g cells of the float64 vector a into out, an (n, 6) uint64
-    view; every byte is written, the separator slot 47 with NUL."""
+def _python_cells(values: list) -> np.ndarray:
+    """Cells of Python's %.17g texts, NUL-padded: (len(values), _CELL) uint8."""
+    text = b"".join(_FMT(v).encode().ljust(_CELL, b"\0") for v in values)
+    return np.frombuffer(bytearray(text), np.uint8).reshape(-1, _CELL)
+
+
+def _divmod(a, b):
+    q = a // b          # by a scalar, numpy multiplies and shifts; np.divmod divides
+    return q, a - q * b
+
+
+def _format_into(a: np.ndarray, out: np.ndarray, seps: np.ndarray) -> None:
+    """The %.17g cells of the float64 array a, of shape (m, r), into out, a
+    C-contiguous (m, r, 4) uint64 array, with the byte seps[j] last in the
+    cells of column j; every byte is written."""
+    text = out.view(np.uint8).reshape(-1, _CELL)
+    if a.size <= _SMALL:
+        text[:] = _python_cells(a.ravel().tolist())
+        out.view(np.uint8)[..., -1] = seps
+        return
     global _tables
     if _tables is None:
         _tables = _build_tables()
     tb = _tables
-    mag = np.abs(a)
+    v = a.ravel()
+    mag = np.abs(v)
     zero = mag == 0.0
     ok = np.isfinite(mag) & ~zero
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -324,57 +359,67 @@ def _format_into(a: np.ndarray, out: np.ndarray) -> None:
     k += carry
     D[~ok] = 0                              # zeros print "0"; the rest is replaced
     k[~ok] = 0
-    top, low = np.divmod(D, 10 ** 8)
-    d0, mid = np.divmod(top, 10 ** 8)
-    g = (*np.divmod(mid, 10 ** 4), *np.divmod(low, 10 ** 4))
+    top, low = _divmod(D, 10 ** 8)
+    d0, mid = _divmod(top, 10 ** 8)
+    g = (*_divmod(mid, 10 ** 4), *_divmod(low, 10 ** 4))
     tz = np.take(tb["tz"], g[3])
     for w in (2, 1, 0):                     # trailing zeros past the last group
         short = np.flatnonzero(tz == 4 * (3 - w))
         if not short.size:
             break
         tz[short] += np.take(tb["tz"], g[w][short])
-    out[:, 0] = np.take(tb["lead"], d0)
-    for w in range(4):
-        out[:, w + 1] = np.take(tb["groups"], g[w])
-    out[:, 5] = ~np.uint64(0)
-    tpl = (np.signbit(a) * _N_X + (k - _X_MIN)) * 17 + (16 - tz)
-    out &= np.take(tb["templates"], tpl, axis=0)
+    cells = out.reshape(-1, _WORDS)
+    cells[:, 0] = np.take(tb["lead"], d0)
+    for w in (1, 2):
+        cells[:, w] = np.take(tb["low"], g[2 * w - 2]) | np.take(tb["high"], g[2 * w - 1])
+    cells[:, 3] = ~np.uint64(0)
+    # fixed notation, k >= 1, digits after d_k: the dot follows d_k, and
+    # those digits move up one byte
+    moved = np.flatnonzero((k >= 1) & (tz < 16 - k))
+    if moved.size:
+        # the k present; np.unique would do, but its first call loads 1 MB
+        for x in np.flatnonzero(np.bincount(k[moved])).tolist():
+            r = moved[k[moved] == x]
+            text[r, 9 + x:25] = text[r, 8 + x:24]
+            text[r, 8 + x] = 0xFF
+    tpl = (np.signbit(v) * _N_X + (k - _X_MIN)) * 17 + (16 - tz)
+    out &= np.take(tb["templates"], tpl, axis=0).reshape(out.shape)
     bad = np.flatnonzero(~ok & ~zero)
     if bad.size:
-        cells = np.zeros((bad.size, _CELL), np.uint8)
-        for r, v in enumerate(a[bad].tolist()):
-            s = _FMT(v).encode()
-            cells[r, :len(s)] = np.frombuffer(s, np.uint8)
-        out[bad] = cells.view(np.uint64)
+        text[bad] = _python_cells(v[bad].tolist())
+    out.view(np.uint8)[..., -1] = seps
 
 
-def _float_cells(a: np.ndarray) -> np.ndarray:
-    """The float cells of the columns of the (n, m) array a, rounded to
-    float64, as (n, m, 6) uint64 words.  A column of one bit pattern is
-    formatted once, and the rest in one _format_into call."""
-    a = np.asarray(a, dtype=float)
-    words = np.empty(a.shape + (_CELL // 8,), np.uint64)
+def _slot(rows: np.ndarray, start: int) -> np.ndarray:
+    """The float cells at byte `start` of the rows of a uint8 row buffer,
+    one _CELL_ITEM a row."""
+    return rows[:, start:start + _CELL].view(_CELL_ITEM)[:, 0]
+
+
+def _fill_floats(rows: np.ndarray, cols: list, starts, seps) -> None:
+    """Format the equally long float columns cols into the uint8 rows:
+    column j into the cell at byte starts[j], with the separator seps[j].
+    A column of one bit pattern is formatted once and copied into every
+    row; the rest are formatted in one _format_into call."""
+    a = np.asarray(np.column_stack(cols), dtype=float)
     bits = a.view(np.int64)
     same = (bits == bits[:1]).all(axis=0) & (len(a) > 1)
-    if same.any():
-        one = np.empty((np.count_nonzero(same), _CELL // 8), np.uint64)
-        _format_into(a[0, same], one)
-        words[:, same] = one
-    if not same.all():
-        rest = a[:, ~same]
-        out = np.empty(rest.shape + (_CELL // 8,), np.uint64)
-        _format_into(rest.ravel(), out.reshape(-1, _CELL // 8))
-        words[:, ~same] = out
-    return words
+    for js, m in ((np.flatnonzero(same), 1), (np.flatnonzero(~same), len(a))):
+        if js.size:
+            cells = np.empty((m, js.size, _WORDS), np.uint64)
+            _format_into(a[:m, js], cells, seps[js])
+            for q, j in enumerate(js):
+                _slot(rows, starts[j])[...] = cells[:, q].view(_CELL_ITEM)[:, 0]
 
 
 def format_column(values) -> np.ndarray:
     """The text cells of a float column, for a column written in many
     blocks: uint8 of shape (n, w + 1), each %.17g text ("-0" for -0.0)
     left-aligned and NUL-padded to the widest text, w, and a last NUL byte
-    that write_table fills with the separator."""
-    a = np.asarray(values)
-    cells = _float_cells(a[:, None]).view(np.uint8).reshape(len(a), _CELL)
+    that the writer fills with the separator."""
+    a = np.asarray(values, dtype=float)
+    cells = np.empty((len(a), _CELL), np.uint8)
+    _fill_floats(cells, [a], [0], np.zeros(1, np.uint8))
     size = np.count_nonzero(cells, axis=1)
     text = np.zeros((len(a), int(size.max(initial=0)) + 1), np.uint8)
     # a boolean mask fills row by row: the NUL-free text, left-aligned
@@ -390,47 +435,99 @@ def _rows(block) -> int:
     return n
 
 
-def _chunk_text(cols, starts, ends) -> bytes:
-    """The CSV rows of equally long columns, float arrays or text cells,
-    laid into the row slots starts[j]:ends[j]; all float columns are
-    formatted in one call."""
-    buf = np.empty((len(cols[0]), ends[-1]), np.uint8)
-    floats = []
-    for j, c in enumerate(cols):
-        if np.ndim(c) == 2:
-            buf[:, starts[j]:ends[j]] = c
-        else:
-            floats.append(j)
-    if floats:
-        cells = _float_cells(np.column_stack([cols[j] for j in floats])).view(np.uint8)
-        for k, j in enumerate(floats):
-            buf[:, starts[j]:ends[j]] = cells[:, k]
-    buf[:, ends - 1] = ord(",")
-    buf[:, -1] = ord("\n")
-    return buf.tobytes().translate(None, b"\0")
+class RowLayout:
+    """The rows of a CSV table as one reusable byte buffer, laid out once
+    for every block of every table written with it.
+
+    `header` names the columns.  `shared` maps column names to float
+    values that are the same in every block (the grid nodes, a zero
+    imaginary part): each is formatted once, into text cells as wide as
+    its widest text plus the separator, and laid into the buffer once,
+    separators included.  A block holds the other columns, in header
+    order: float arrays, or the text cells of :func:`format_column` (a
+    zero-stride ``np.broadcast_to`` of one cell row repeats a value); with
+    shared columns, every block has their row count.  A float column's
+    slot is one 32-byte cell; the buffer is laid out again when a block's
+    text widths change.  The JSON writer reads the same layout: it puts
+    the shared floats back into every block.
+    """
+
+    def __init__(self, header, shared=None):
+        self.header = list(header)
+        self.shared = {self.header.index(name): np.asarray(v, dtype=float)
+                       for name, v in (shared or {}).items()}
+        self._cells = None          # the shared text cells, made for the first CSV block
+        self._widths = None         # the slot widths the buffer is laid out for
+
+    def columns(self, block, shared: dict) -> list:
+        """The block's columns in header order, with `shared` (the floats,
+        or their text cells) at the shared places."""
+        if len(block) + len(shared) != len(self.header):
+            raise ConfigurationError(
+                f"a block of {len(block)} columns for {len(self.header)} header names "
+                f"and {len(shared)} shared columns")
+        rest = iter(block)
+        return [shared[j] if j in shared else next(rest) for j in range(len(self.header))]
+
+    def _lay(self, cols, widths, n: int) -> None:
+        """Slot offsets for these widths (0 for a float column), and a
+        buffer with the shared text and every separator in place."""
+        ends = np.cumsum([w or _CELL for w in widths])
+        starts = ends - [w or _CELL for w in widths]
+        self._step = max(1, _CHUNK_BYTES // int(ends[-1]))
+        self._buf = np.zeros((n if self.shared else min(n, self._step), ends[-1]), np.uint8)
+        self._starts = starts
+        self._seps = np.full(len(widths), ord(","), np.uint8)
+        self._seps[-1] = ord("\n")
+        for j in self.shared:
+            self._buf[:, starts[j]:ends[j]] = cols[j]
+        self._buf[:, ends - 1] = self._seps
+        # the block's own text columns: (column, first byte, separator byte);
+        # a block's text cells fill their slots up to the separator
+        self._text = [(j, starts[j], ends[j] - 1) for j, w in enumerate(widths)
+                      if w and j not in self.shared]
+        self._floats = [j for j, w in enumerate(widths) if not w]
+        self._widths = widths
+
+    def rows_text(self, block):
+        """The CSV rows of one block, as bytes, one chunk of at most
+        _CHUNK_BYTES of row slots (and at least one row) at a time."""
+        if self._cells is None:
+            self._cells = {j: format_column(v) for j, v in self.shared.items()}
+        cols = self.columns(block, self._cells)
+        n = _rows(cols)
+        if not n:
+            return
+        widths = tuple(c.shape[1] if np.ndim(c) == 2 else 0 for c in cols)
+        if widths != self._widths or (not self.shared and len(self._buf) < min(n, self._step)):
+            self._lay(cols, widths, n)
+        for i in range(0, n, self._step):
+            m = min(self._step, n - i)
+            r0 = i if self.shared else 0
+            rows = self._buf[r0:r0 + m]
+            for j, start, sep in self._text:
+                rows[:, start:sep] = cols[j][i:i + m, :-1]
+            if self._floats:
+                _fill_floats(rows, [cols[j][i:i + m] for j in self._floats],
+                             self._starts[self._floats], self._seps[self._floats])
+            yield rows.tobytes().translate(None, b"\0")
 
 
-def write_table(path, header, blocks) -> None:
+def write_table(path, table, blocks) -> None:
     """Write a CSV table: the header line, then the rows of each block.
 
-    A block is a list of equally long columns, each a float array or the
-    text cells of :func:`format_column` (a zero-stride ``np.broadcast_to``
-    of one cell row repeats a value).  A row is laid out as one slot per
-    column, a text column's cell width or 48 bytes for a float column,
-    with the separator in each slot's last byte.  Blocks are written in
-    chunks of as many rows as fit in _CHUNK_BYTES (at least one), so a
-    caller can stream a large table one block at a time.
+    `table` is a :class:`RowLayout`, whose shared columns the blocks leave
+    out, or the header, for a table without shared columns; a block is a
+    list of equally long columns as :class:`RowLayout` takes them.  Blocks
+    are written in chunks, so a caller can stream a large table one block
+    at a time.
     """
+    layout = table if isinstance(table, RowLayout) else RowLayout(table)
     with Path(path).open("wb") as fh:
-        fh.write((",".join(header) + "\n").encode("ascii"))
+        fh.write((",".join(layout.header) + "\n").encode("ascii"))
         for block in blocks:
-            n = _rows(block)
-            widths = [c.shape[1] if np.ndim(c) == 2 else _CELL for c in block]
-            ends = np.cumsum(widths)
-            starts = ends - widths
-            step = max(1, _CHUNK_BYTES // int(ends[-1]))
-            for i in range(0, n, step):
-                fh.write(_chunk_text([c[i:i + step] for c in block], starts, ends))
+            for text in layout.rows_text(block):
+                fh.write(text)
 
 
 def _json_float(x: float) -> str:
@@ -489,19 +586,22 @@ def json_text(payload) -> str:
         raise NumericalError(f"non-finite value in a JSON artefact: {exc}") from None
 
 
-def write_json_table(path, header, blocks) -> None:
+def write_json_table(path, table, blocks) -> None:
     """Write the JSON table {"columns": header, "rows": [...]} of float
-    blocks (as for :func:`write_table`), byte for byte what
+    blocks (`table` and the blocks as for :func:`write_table`, the shared
+    columns of a layout put back into every block), byte for byte what
     :func:`json_text` gives, one block at a time.  A non-finite value
     raises a NumericalError and leaves no file."""
+    layout = table if isinstance(table, RowLayout) else RowLayout(table)
     path = Path(path)
-    head = json_text({"columns": list(header), "rows": []})[:-len("[]\n}\n")]
+    head = json_text({"columns": layout.header, "rows": []})[:-len("[]\n}\n")]
     part = path.with_name(path.name + ".part")
     try:
         with part.open("w", encoding="ascii") as fh:
             fh.write(head + "[")
             sep = "\n"
             for block in blocks:
+                block = layout.columns(block, layout.shared)
                 n = _rows(block)
                 if not n:
                     continue

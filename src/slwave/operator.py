@@ -31,8 +31,8 @@ from .model import GaugeData, HatField, SmoothFunction, hat_value
 
 __all__ = [
     "ModelCoefficients", "RecoveryResult", "assemble_coefficients",
-    "apply_model", "intertwine_residual", "smooth_from_samples",
-    "recover_potential", "unordered_branch_error",
+    "apply_model", "intertwine_residual", "recover_potential",
+    "unordered_branch_error",
 ]
 
 # relative branch separation below which recover_potential flags a collision
@@ -119,15 +119,6 @@ def intertwine_residual(u: SmoothFunction, gd: GaugeData, mc: ModelCoefficients)
     rhs = hat_value(lstar, gd)
     diff = np.abs(lhs - rhs.values)[mc.admissible]
     return float(np.max(diff))
-
-
-def smooth_from_samples(u: GridFunction) -> SmoothFunction:
-    """Attach fourth-order differenced derivatives to grid samples; the
-    observer route when no analytic derivative is available (measured wave
-    snapshots)."""
-    d1 = diff_samples(u.values, u.grid.h, order=1)
-    d2 = diff_samples(u.values, u.grid.h, order=2)
-    return SmoothFunction(u.grid, u.values.copy(), d1, d2)
 
 
 @dataclass(eq=False)

@@ -32,13 +32,12 @@ from .control import (ControlSignal, control_to_kernel, fdtd_oracle,
 from .errors import (ConfigurationError, NumericalError, SlwaveError,
                      VerificationFailure)
 from .geometry import Atom, atom_snapshot, distance_profile, set_mass
-from .grid import (GridFunction, _cubic_apply, _cubic_stencil, build_grid, inner,
-                   interp_cubic, quad, sample)
-from .model import (DET_FLOOR, GaugeData, default_gauge, hat_value, model_inner,
-                    smooth_from_closed_form)
+from .grid import (GridFunction, _cubic_apply, _cubic_stencil, build_grid, diff_samples,
+                   inner, interp_cubic, quad, sample)
+from .model import (DET_FLOOR, GaugeData, SmoothFunction, default_gauge, hat_value,
+                    model_inner, smooth_from_closed_form)
 from .operator import (apply_model, assemble_coefficients, intertwine_residual,
-                       recover_potential, smooth_from_samples,
-                       unordered_branch_error)
+                       recover_potential, unordered_branch_error)
 from .sturm import (EigenSystem, KernelBasis, dirichlet_eigensystem, kernel_basis,
                     potential)
 
@@ -414,6 +413,15 @@ def check_form_limit(ws: Workspace) -> CheckResult:
             worst = max(worst, _FAILED_SENTINEL)
     return _result("form_limit", worst,
                    "Richardson limit of mass ratios vs boundary form, u=1", extras)
+
+
+def smooth_from_samples(u: GridFunction) -> SmoothFunction:
+    """Attach fourth-order differenced derivatives to grid samples; the
+    observer route when no analytic derivative is available (measured wave
+    snapshots)."""
+    d1 = diff_samples(u.values, u.grid.h, order=1)
+    d2 = diff_samples(u.values, u.grid.h, order=2)
+    return SmoothFunction(u.grid, u.values.copy(), d1, d2)
 
 
 def graph_sample(c: ControlSignal, t: float, es: EigenSystem, kb: KernelBasis,

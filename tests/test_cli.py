@@ -606,6 +606,39 @@ def test_recover_rejects_ragged_table(tmp_path, capsys):
     assert "ragged or non-numeric" in capsys.readouterr().err
 
 
+def _edit_model_table(tmp_path, edit):
+    """A model table of the COSINE_SMALL problem, its lines passed through
+    edit, and the config that recovers from it."""
+    out = tmp_path / "chain"
+    assert main(["model", "--config", ini(tmp_path / "m.ini", COSINE_SMALL),
+                 "--out", str(out)]) == 0
+    table = out / "model.csv"
+    table.write_text("\n".join(edit(table.read_text().splitlines())) + "\n")
+    return ini(tmp_path / "r.ini", f"[problem]\ncoefficients = {table}\n"
+               "[numerics]\ngrid_n = 400\n"), out
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines[:5] + [lines[5].replace(",", ",x", 1)] + lines[6:],
+    lambda lines: lines[:5] + [lines[5] + "#"] + lines[6:],
+    lambda lines: lines[:5] + [""] + lines[5:],
+], ids=["non_numeric_cell", "comment_mark", "blank_line"])
+def test_recover_rejects_non_numeric_table(tmp_path, capsys, edit):
+    follow, out = _edit_model_table(tmp_path, edit)
+    assert main(["recover", "--config", follow, "--out", str(out)]) == 2
+    assert "ragged or non-numeric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: [line.rsplit(",", 1)[0] for line in lines],
+    lambda lines: lines[:1],
+], ids=["sixteen_columns", "no_rows"])
+def test_recover_rejects_wrong_column_count(tmp_path, capsys, edit):
+    follow, out = _edit_model_table(tmp_path, edit)
+    assert main(["recover", "--config", follow, "--out", str(out)]) == 2
+    assert "wrong column count" in capsys.readouterr().err
+
+
 def _bad_table(tmp_path, kind):
     if kind == "missing":
         return tmp_path / "absent.csv"

@@ -11,9 +11,9 @@ from slwave.analytic import Const
 from slwave.control import _probe_matrix
 from slwave import grid as grid_module
 from slwave.errors import ConfigurationError, NumericalError
-from slwave.grid import (GridFunction, build_grid, diff_samples, format_column,
-                         inner, interp_cubic, json_text, quad, sample, simpson_sum,
-                         write_json_table, write_table)
+from slwave.grid import (GridFunction, RowLayout, build_grid, diff_samples,
+                         format_column, inner, interp_cubic, json_text, quad, sample,
+                         simpson_sum, write_json_table, write_table)
 from slwave.model import default_gauge
 from slwave.sturm import kernel_basis, potential
 from slwave.verify import boundary_form
@@ -233,9 +233,9 @@ def test_write_table_sizes_chunks_by_row_bytes(tmp_path, monkeypatch):
     cols = [rng.standard_normal(n), xs, zero, np.repeat(rng.standard_normal(n // 5 + 1), 5)[:n]]
     row = 2 * grid_module._CELL + xs.shape[1] + zero.shape[1]
     seen = []
-    cells = grid_module._float_cells
-    monkeypatch.setattr(grid_module, "_float_cells",
-                        lambda a: seen.append(a.shape) or cells(a))
+    fmt = grid_module._format_into
+    monkeypatch.setattr(grid_module, "_format_into",
+                        lambda a, out, seps: seen.append(a.shape) or fmt(a, out, seps))
     for budget in (1000, row - 1):
         monkeypatch.setattr(grid_module, "_CHUNK_BYTES", budget)
         seen.clear()
@@ -345,7 +345,152 @@ def test_write_table_edge_columns(tmp_path):
 
 @given(st.lists(st.floats(), min_size=1, max_size=40))
 def test_format_column_matches_python_on_any_float(values):
-    assert text_of(format_column(np.array(values))) == ["%.17g" % v for v in values]
+    """The numpy cells, not Python's: a short column would be formatted
+    by Python's %.17g itself."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_module, "_SMALL", 0)
+        assert text_of(format_column(np.array(values))) == ["%.17g" % v for v in values]
+
+
+def test_short_columns_are_formatted_by_python(monkeypatch):
+    """A call of at most _SMALL values takes Python's %.17g, with the same
+    cell bytes as the numpy path, separators included."""
+    values = np.concatenate([SPECIAL, [12.5, -123.25, 1e16 + 2, 0.30000000000000004]])
+    a = np.column_stack([values, values[::-1]])
+    assert a.size <= grid_module._SMALL
+    cells = {}
+    for small in (grid_module._SMALL, 0):
+        monkeypatch.setattr(grid_module, "_SMALL", small)
+        cells[small] = np.empty(a.shape + (grid_module._WORDS,), np.uint64)
+        grid_module._format_into(a, cells[small], np.array([44, 10], np.uint8))
+    assert cells[0].tobytes() == cells[grid_module._SMALL].tobytes()
+
+
+def test_moved_dots_match_python(tmp_path):
+    """Fixed notation with the dot after d_k, k = 1..16, and every digit
+    count: the digits after the dot move up one byte."""
+    rng = np.random.default_rng(12)
+    values = np.concatenate([rng.integers(1, 10 ** min(d + 1, 17), 40) * 10.0 ** (k - d)
+                             for k in range(0, 18) for d in range(18)])
+    assert_column_matches(tmp_path, np.concatenate([values, -values]))
+
+
+def full_blocks(layout, blocks):
+    """The blocks of a layout with its shared columns put back as text
+    cells, as oracle_table reads them."""
+    shared = {j: format_column(v) for j, v in layout.shared.items()}
+    return [layout.columns(b, shared) for b in blocks]
+
+
+def write_and_check(path, layout, blocks):
+    write_table(path, layout, iter(blocks))
+    assert_same_text(path.read_text(), oracle_table(layout.header, full_blocks(layout, blocks)))
+
+
+# a float whose %.17g text is n bytes long, for n = 1..24
+TEXT_OF_LENGTH = {len("%.17g" % v): v for v in
+                  [10.0 ** i for i in range(17)]
+                  + [-1e16, 0.1, -0.1, 1 / 300, 1 / 3000, -1 / 3000, -1 / 3e100]}
+
+
+def test_layout_shares_text_over_blocks_and_files(tmp_path):
+    """The wave-field and eigenfunction layouts: shared nodes and zeros laid
+    once, used by many blocks of one table and by many tables."""
+    rng = np.random.default_rng(21)
+    n = 257
+    x = np.linspace(0.0, 1.0, n)
+    ts = format_column(np.array([0.25, 1 / 3, 1e-7, 0.5]))
+    layout = RowLayout(["t", "x", "re", "im"], {"x": x, "im": np.zeros(n)})
+    blocks = [[np.broadcast_to(t, (n, t.size)), rng.standard_normal(n) * 10.0 ** e]
+              for t, e in zip(ts, (-3, 0, 5, 12))]
+    write_and_check(tmp_path / "waves.csv", layout, blocks)
+    write_and_check(tmp_path / "again.csv", layout, blocks[::-1])
+    files = RowLayout(["x", "re", "im"], {"x": x, "im": np.zeros(n)})
+    for k in range(6):
+        write_and_check(tmp_path / f"phi{k}.csv", files, [[np.sin((k + 1) * np.pi * x)]])
+
+
+def test_layout_lays_out_again_for_new_widths_and_row_counts(tmp_path):
+    """Without shared columns, blocks of any row count and text width
+    follow each other; with them, a block of another row count, or with a
+    missing column, is refused."""
+    rng = np.random.default_rng(22)
+    layout = RowLayout(["a", "s", "b"])
+    blocks = []
+    for n, width in ((5, 1), (40, 20), (3, 24), (0, 7), (600, 4), (1, 12)):
+        text = format_column(np.resize([TEXT_OF_LENGTH[width], 0.0], n))
+        blocks.append([rng.standard_normal(n), text, np.full(n, 0.5)])
+    write_and_check(tmp_path / "mixed.csv", layout, blocks)
+    write_and_check(tmp_path / "twice.csv", layout, blocks[::-1])
+    shared = RowLayout(["x", "re"], {"x": np.arange(4.0)})
+    with pytest.raises(ConfigurationError, match="differ in length"):
+        write_table(tmp_path / "rows.csv", shared, [[np.zeros(4)], [np.zeros(5)]])
+    with pytest.raises(ConfigurationError, match="shared columns"):
+        write_table(tmp_path / "cols.csv", shared, [[np.zeros(4), np.zeros(4)]])
+
+
+@pytest.mark.parametrize("width", range(1, 25))
+def test_layout_text_widths_around_float_cells(tmp_path, width):
+    """A text column of each width 1..24 (slots of 2..25 bytes), shared or
+    in the block, before, between and after float cells, a float cell
+    first and last in the row."""
+    assert sorted(TEXT_OF_LENGTH) == list(range(1, 25))
+    rng = np.random.default_rng(width)
+    n = 23
+    text = np.resize([TEXT_OF_LENGTH[width], 1.0], n)
+    floats = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-5, 17, (3, n))
+    cases = [
+        (RowLayout(["a", "s", "b"], {"s": text}), [[floats[0], floats[1]]]),
+        (RowLayout(["s", "a", "t"], {"s": text, "t": text[::-1]}), [[floats[2]]]),
+        (RowLayout(["a", "b", "s"]), [[floats[0], floats[2], format_column(text)]]),
+        (RowLayout(["s", "a", "b", "c"]), [[format_column(text), *floats]]),
+    ]
+    for i, (layout, blocks) in enumerate(cases):
+        write_and_check(tmp_path / f"w{i}.csv", layout, blocks)
+
+
+def test_layout_block_straddles_chunks(tmp_path, monkeypatch):
+    """Blocks taller than a chunk, with shared columns: every chunk takes
+    its own rows of the shared text, at the real chunk size (one row past
+    it) and at chunks of 100 rows and of one row."""
+    rng = np.random.default_rng(23)
+    nodes = np.linspace(0.0, 2.0, 1001)
+    row = format_column(nodes).shape[1] + grid_module._CELL + 2
+    for n, budget in ((grid_module._CHUNK_BYTES // row + 1, grid_module._CHUNK_BYTES),
+                      (1001, 100 * row + 1), (1001, row - 1)):
+        monkeypatch.setattr(grid_module, "_CHUNK_BYTES", budget)
+        x = np.resize(nodes, n)
+        layout = RowLayout(["x", "re", "im"], {"x": x, "im": np.zeros(n)})
+        blocks = [[rng.standard_normal(n)], [np.cos(x)]]
+        write_and_check(tmp_path / f"s{budget}.csv", layout, blocks)
+        assert layout._step == max(1, budget // row) < n
+
+
+def test_eigs_files_match_per_file_oracle_tables(tmp_path):
+    """`slwave eigs` writes every eigenfunction file through one layout;
+    each file is the row loop of its own x, re, im table."""
+    from slwave.cli import load_config, main
+    from slwave.sturm import dirichlet_eigensystem
+    cfg = tmp_path / "e.ini"
+    cfg.write_text("[problem]\npotential = 2 + cos(3)\n[numerics]\ngrid_n = 400\nmodes = 7\n")
+    assert main(["eigs", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    run = load_config(str(cfg))
+    es = dirichlet_eigensystem(potential(build_grid(run.l, run.grid_n), run.q_form),
+                               run.modes, rel_tol=run.shoot_tol)
+    for k in range(es.count):
+        want = oracle_table(["x", "re", "im"], [[es.grid.x, es.phi[k], np.zeros(es.grid.size)]])
+        assert_same_text((tmp_path / "out" / f"eigenfunction_{k + 1:04d}.csv").read_text(), want)
+
+
+def test_write_json_table_puts_shared_columns_back(tmp_path):
+    x = np.linspace(0.0, 1.0, 5)
+    layout = RowLayout(["t", "x", "re", "im"], {"x": x, "im": np.zeros(5)})
+    blocks = [[np.full(5, t), np.sin(x + t)] for t in (0.25, 0.5)]
+    rows = np.concatenate([np.column_stack([b[0], x, b[1], np.zeros(5)])
+                           for b in blocks]).tolist()
+    p = tmp_path / "w.json"
+    write_json_table(p, layout, blocks)
+    assert p.read_text() == json_text({"columns": layout.header, "rows": rows})
 
 
 def test_write_table_empty_and_ragged(tmp_path):

@@ -13,7 +13,7 @@ from slwave.model import (GUARD_CELLS, SmoothFunction, default_gauge, hat_value,
                           smooth_from_closed_form)
 from slwave.operator import (RecoveryResult, apply_model, assemble_coefficients,
                              intertwine_residual, recover_potential,
-                             smooth_from_samples, unordered_branch_error)
+                             unordered_branch_error)
 from slwave.sturm import kernel_basis, potential
 from slwave.verify import graph_sample
 
@@ -209,14 +209,6 @@ def test_graph_consistency_full_scale(acceptance_ws):
     h1, h2 = graph_sample(c, 0.35, es, kb, gd)
     lhs = apply_model(h1, mc)
     assert np.max(np.abs(lhs - h2.values)[mc.admissible]) <= 2e-3
-
-
-def test_smooth_from_samples_orders(q_zero):
-    g = q_zero.grid
-    u = GridFunction(g, np.sin(3 * g.x).astype(complex))
-    sm = smooth_from_samples(u)
-    assert np.max(np.abs(sm.d1 - 3 * np.cos(3 * g.x))) <= 1e-9
-    assert np.max(np.abs(sm.d2 + 9 * np.sin(3 * g.x))) <= 1e-7
 
 
 def test_unordered_branch_error_forgives_reflection_only():

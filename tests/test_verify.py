@@ -8,7 +8,7 @@ import pytest
 from slwave import mat2, verify
 from slwave.errors import NumericalError
 from slwave.geometry import Atom, distance_profile
-from slwave.grid import inner, sample
+from slwave.grid import GridFunction, inner, sample
 from slwave.model import hat_value, model_inner
 
 
@@ -120,3 +120,11 @@ def test_checks_take_tolerance_and_sense_from_the_table(acceptance_ws):
     for check, (name, tol, sense, _) in zip(report.checks, verify._CHECKS):
         assert check.name == name and check.sense == sense
         assert check.tolerance == (acceptance_ws.grid.h if tol is None else tol)
+
+
+def test_smooth_from_samples_orders(q_zero):
+    g = q_zero.grid
+    u = GridFunction(g, np.sin(3 * g.x).astype(complex))
+    sm = verify.smooth_from_samples(u)
+    assert np.max(np.abs(sm.d1 - 3 * np.cos(3 * g.x))) <= 1e-9
+    assert np.max(np.abs(sm.d2 + 9 * np.sin(3 * g.x))) <= 1e-7

@@ -9,13 +9,13 @@ cubic interpolation otherwise.  One RK4 step is exactly a 2x2 matrix,
 The kernel basis runs the staged RK4 loop for lam = 0 on Python floats,
 bit for bit the float64 arithmetic of the scheme, once from each end.
 The eigensolver runs on the transfer matrices instead: once per solve it
-stores the coefficients of every step and the exact degree-8
-products of every four consecutive steps, both independent of lam (the
+stores the coefficients of every step and the exact degree-16
+products of every eight consecutive steps, both independent of lam (the
 lam-independent precomputation of MATSLISE, Ledoux, Van Daele and Vanden
 Berghe 2005), so the matrices at a batch of lam are one matmul against the
 powers of lam.  End values come from a log-depth pairwise product of the
-n/4 four-step matrices, node histories from a two-level blocked scan
-(blocks of about sqrt(n) steps, a multiple of 4): one sequential pass over
+n/8 eight-step matrices, node histories from a two-level blocked scan
+(blocks of about sqrt(n) steps, a multiple of 8): one sequential pass over
 the blocks gives the block starts of every lam of a call, then single
 steps fill in the blocks, storing u alone and keeping the slope as one
 rolling slab.  Eigenvalues come from shooting: separators with exactly k
@@ -46,9 +46,9 @@ __all__ = [
 
 _BLOWUP = 1e120
 # node cells (steps x lam columns) per batch of the transfer-matrix kernels:
-# a batch holds its four-step matrices (4 entries of n/4 steps) and its
-# step-major history of u, about n K cells each, so its working set stays
-# near 3 MB whatever the mode count
+# a batch holds its eight-step matrices (4 entries of n/8 steps, about
+# n K / 2 cells) and its step-major history of u (about n K cells), so its
+# working set stays within a few MB whatever the mode count
 _BATCH_CELLS = 1 << 17
 
 
@@ -142,13 +142,13 @@ class _Transfer:
     """The RK4 step matrices of one mesh as polynomials in lam, built once
     per solve; their values at a batch of lam are one matmul away.
 
-    C4 (4, ceil(n/4), 9) holds the exact degree-8 products of four
-    consecutive steps, steps past n being identities.  C4h holds them for
+    C8 (4, ceil(n/8), 17) holds the exact degree-16 products of eight
+    consecutive steps, steps past n being identities.  C8h holds them for
     the end values, padded by identities to 8 Q rows and reordered so that
-    the first three pairwise levels multiply contiguous halves: four-step
+    the first three pairwise levels multiply contiguous halves: eight-step
     matrix j = 8 q + r sits in row rev(r) Q + q, rev reversing three bits.
     For the blocked scan the n steps are grouped into B blocks of b steps,
-    b a multiple of 4 near sqrt(n) and B b > n; C1s (b-1, 4, B, 3) holds the
+    b a multiple of 8 near sqrt(n) and B b > n; C1s (b-1, 4, B, 3) holds the
     quadratic single steps taken inside the blocks, step-major: C1s[i, :, k]
     is step i of block k.
     """
@@ -156,8 +156,8 @@ class _Transfer:
     n: int
     b: int
     B: int
-    C4: np.ndarray
-    C4h: np.ndarray
+    C8: np.ndarray
+    C8h: np.ndarray
     C1s: np.ndarray
 
 
@@ -211,25 +211,26 @@ def _step_polynomials(qn, qm, h, steps):
 
 def _transfer(qn, qm, h):
     """Step-matrix polynomials of the mesh (qn at nodes, qm at half steps);
-    the four-step products are built coefficient-major, on contiguous
-    copies of the odd and even steps."""
+    the two-, four- and eight-step products are built coefficient-major, on
+    contiguous copies of the odd and even factors.  Identity steps pad n to
+    a multiple of 8, which pads an odd four-step count with an identity."""
     n = qm.shape[0]
-    b = max(4, 4 * round(np.sqrt(n) / 4.0))
+    b = max(8, 8 * round(np.sqrt(n) / 8.0))
     B = n // b + 1
     C1b = _step_polynomials(qn, qm, h, B * b)
-    C1 = C1b[:, :, :-(-n // 4) * 4]
-    C2 = _polymul2(C1[:, :, 1::2].copy(), C1[:, :, 0::2].copy())
-    C4 = _polymul2(C2[:, :, 1::2].copy(), C2[:, :, 0::2].copy())
-    C4 = np.ascontiguousarray(C4.transpose(0, 2, 1))
-    j = np.arange(C4.shape[1])
+    C = C1b[:, :, :-(-n // 8) * 8]
+    for _ in range(3):
+        C = _polymul2(C[:, :, 1::2].copy(), C[:, :, 0::2].copy())
+    C8 = np.ascontiguousarray(C.transpose(0, 2, 1))
+    j = np.arange(C8.shape[1])
     Q = -(-j.size // 8)
-    C4h = np.zeros((4, 8 * Q, 9))
-    C4h[(0, 3), :, 0] = 1.0
-    C4h[:, _REV3[j % 8] * Q + j // 8] = C4
+    C8h = np.zeros((4, 8 * Q, 17))
+    C8h[(0, 3), :, 0] = 1.0
+    C8h[:, _REV3[j % 8] * Q + j // 8] = C8
     C1s = C1b.reshape(4, 3, B, b)[..., :-1].transpose(3, 0, 2, 1).copy()
-    for a in (C4, C4h, C1s):
+    for a in (C8, C8h, C1s):
         a.setflags(write=False)
-    return _Transfer(n, b, B, C4, C4h, C1s)
+    return _Transfer(n, b, B, C8, C8h, C1s)
 
 
 def _powers(lam, d):
@@ -274,12 +275,12 @@ def _batches(n, K):
 
 def _tm_end_values(tm, lam):
     """End state (u, v)(l) of u(0) = 0, u'(0) = 1 for a vector of lam: the
-    second column of the pairwise product of the four-step matrices, whose
-    first three levels pair contiguous halves of C4h."""
+    second column of the pairwise product of the eight-step matrices, whose
+    first three levels pair contiguous halves of C8h."""
     u = np.empty(lam.shape[0])
     v = np.empty(lam.shape[0])
     for cols in _batches(tm.n, lam.shape[0]):
-        E = _evaluate(tm.C4h, _powers(lam[cols], 9))
+        E = _evaluate(tm.C8h, _powers(lam[cols], 17))
         for _ in range(3):
             half = E.shape[1] // 2
             E = _mul2(E[:, half:], E[:, :half])
@@ -291,10 +292,10 @@ def _tm_end_values(tm, lam):
 
 def _block_matrices(tm, lam):
     """Matrices (4, B-1, K) of the blocks before the last, each the
-    pairwise product of its b/4 four-step matrices."""
+    pairwise product of its b/8 eight-step matrices."""
     b, B = tm.b, tm.B
-    C4 = tm.C4[:, :(B - 1) * b // 4]
-    T = _evaluate(C4, _powers(lam, 9)).reshape(4, B - 1, b // 4, lam.shape[0])
+    C8 = tm.C8[:, :(B - 1) * b // 8]
+    T = _evaluate(C8, _powers(lam, 17)).reshape(4, B - 1, b // 8, lam.shape[0])
     return _pairwise_product(T.swapaxes(1, 2))
 
 
@@ -348,8 +349,8 @@ def _tm_scan(tm, lam):
     u'(l).
 
     The n steps are split into B blocks of b ~ sqrt(n) steps, b a multiple
-    of 4, the last one padded with identities, so nodes past n repeat node
-    n.  Pairwise products of the four-step matrices give each block's
+    of 8, the last one padded with identities, so nodes past n repeat node
+    n.  Pairwise products of the eight-step matrices give each block's
     matrix, batch by batch; one sequential pass over the blocks gives the
     start states of every lam; then b - 1 single steps per batch fill in
     the blocks: about B + b Python steps, not n.

@@ -211,7 +211,7 @@ def test_eigen_residual_and_orthonormality(es_zero, q_zero):
 
 
 def assert_transfer_matrices_match(expr, n, K):
-    """Pairwise four-step end values and the blocked-scan history with its
+    """Pairwise eight-step end values and the blocked-scan history with its
     end slopes run the RK4 scheme of the staged loop in another operation
     order, on the expanded
     lam-polynomials, with lam up to the top of the n >= 6 count cap plus
@@ -241,14 +241,17 @@ def test_transfer_matrices_match_staged_loop(n, K):
     assert_transfer_matrices_match("2 + cos(3)", n, K)
 
 
-@pytest.mark.parametrize("expr", ["1e4", "2000*cos(7) + 1500*sin(2)"])
-@pytest.mark.parametrize("n", [2000, 402])
+@pytest.mark.parametrize("expr", ["1e4", "2000*cos(7) + 1500*sin(2)",
+                                  "5000*bump(0.5, 0.2, 1.0, 3)", "1e4*cos(1)"])
+@pytest.mark.parametrize("n", [2000, 1002, 402])
 @pytest.mark.parametrize("K", [1, 300])
 def test_transfer_matrices_match_staged_loop_large_q(n, K, expr):
-    """Large and steep potentials: at lam = 0 the solutions grow like
-    exp(100) and exp(59).  A pairwise product of the n single-step
-    matrices misses the 1e-12 bound on the steep one (1.5e-12 at n = 402,
-    K = 300); the four-step route stays below 8e-13."""
+    """Large, steep and rough potentials: at lam = 0 the solutions of the
+    first two grow like exp(100) and exp(59).  A pairwise product of the n
+    single-step matrices misses the 1e-12 bound on the steep one (1.5e-12
+    at n = 402, K = 300).  The eight-step route stays below 7e-13: 6.9e-13
+    on the steep one at n = 402, K = 300, 5.1e-13 on the barrier and
+    5.0e-13 on the constant at n = 2000, 1.9e-13 on 1e4 cos x."""
     assert_transfer_matrices_match(expr, n, K)
 
 
@@ -321,8 +324,9 @@ def test_sign_bit_counts_match_sign_products(seed):
 
 
 def test_refinement_brackets_each_root_in_few_passes(q_cosine, monkeypatch):
-    """The clamped Illinois secant closes every bracket: u_lam(l) changes
-    sign across lam_k (1 +- rel_tol), within a dozen end-value passes."""
+    """The Dekker-safeguarded secant on the Prufer phase closes every
+    bracket: u_lam(l) changes sign across lam_k (1 +- rel_tol), within a
+    dozen end-value passes."""
     passes = []
     end_values = sturm._tm_end_values
 
@@ -335,6 +339,14 @@ def test_refinement_brackets_each_root_in_few_passes(q_cosine, monkeypatch):
     es = dirichlet_eigensystem(q_cosine, 300, rel_tol=rel_tol)
     assert len(passes) <= 12
     monkeypatch.undo()
+    assert_roots_bracketed(q_cosine, es, rel_tol)
+
+
+def test_refinement_reaches_tight_tolerance(q_cosine):
+    """rel_tol = 1e-13, a thousandth of the default, still brackets every
+    root of 300 modes."""
+    rel_tol = 1e-13
+    es = dirichlet_eigensystem(q_cosine, 300, rel_tol=rel_tol)
     assert_roots_bracketed(q_cosine, es, rel_tol)
 
 
@@ -428,8 +440,8 @@ def history_batch_reference(tm, lam):
     the block starts by a sequential pass per batch, and a stored
     step-major slope history V beside U, each (b, B, K)."""
     b, B, K = tm.b, tm.B, lam.shape[0]
-    C4 = tm.C4[:, :(B - 1) * b // 4]
-    T = sturm._evaluate(C4, sturm._powers(lam, 9)).reshape(4, B - 1, b // 4, K)
+    C8 = tm.C8[:, :(B - 1) * b // 8]
+    T = sturm._evaluate(C8, sturm._powers(lam, 17)).reshape(4, B - 1, b // 8, K)
     T = sturm._pairwise_product(T.swapaxes(1, 2))
     U = np.empty((b, B, K))
     V = np.empty((b, B, K))
@@ -511,21 +523,36 @@ def m_major_polymul2(R, L):
     return P
 
 
-@pytest.mark.parametrize("n", [8, 402, 2000])
-def test_four_step_polynomials_match_m_major_loop(n):
-    """The coefficient-major four-step products, and their reordered copy
-    for the end values, equal the step-major loop's bit for bit."""
+def identities(m, d):
+    """m identity matrices as polynomial entry arrays (4, m, d)."""
+    I = np.zeros((4, m, d))
+    I[(0, 3), :, 0] = 1.0
+    return I
+
+
+@pytest.mark.parametrize("n", [8, 10, 402, 1002, 2000])
+def test_eight_step_polynomials_match_m_major_loop(n):
+    """The coefficient-major eight-step products, and their reordered copy
+    for the end values, equal the step-major loop 1 -> 2 -> 4 -> 8 bit for
+    bit; an odd four-step count (n = 10, 402, 1002) is padded with an
+    identity before the last level.  The rows of the reordered copy that
+    hold no product hold identities."""
     g = build_grid(1.0, n)
     q = potential(g, parse_expression("2 + cos(3)"))
     tm = sturm._transfer(q.values, q.mid, g.h)
     C1 = sturm._step_polynomials(q.values, q.mid, g.h, -(-n // 4) * 4).transpose(0, 2, 1)
     C2 = m_major_polymul2(C1[:, 1::2], C1[:, 0::2])
     C4 = m_major_polymul2(C2[:, 1::2], C2[:, 0::2])
-    j = np.arange(C4.shape[1])
-    Q = tm.C4h.shape[1] // 8
-    assert np.array_equal(tm.C4.view(np.int64), C4.view(np.int64))
-    assert np.array_equal(tm.C4h[:, sturm._REV3[j % 8] * Q + j // 8].view(np.int64),
-                          C4.view(np.int64))
+    C4 = np.concatenate([C4, identities(C4.shape[1] % 2, 9)], axis=1)
+    C8 = m_major_polymul2(C4[:, 1::2], C4[:, 0::2])
+    j = np.arange(C8.shape[1])
+    Q = -(-j.size // 8)
+    rows = sturm._REV3[j % 8] * Q + j // 8
+    rest = np.setdiff1d(np.arange(8 * Q), rows)
+    assert C8.shape == (4, -(-n // 8), 17) and tm.C8h.shape == (4, 8 * Q, 17)
+    assert same_bits(tm.C8, C8)
+    assert same_bits(tm.C8h[:, rows], C8)
+    assert same_bits(tm.C8h[:, rest], identities(rest.size, 17))
 
 
 def rk4_dirichlet_roots(c, l, n, count):

@@ -79,7 +79,8 @@ class RunConfig:
     times: tuple = ()
     run_fdtd: bool = True
     coefficients_path: Optional[str] = None
-    tolerances: dict = field(default_factory=dict)
+    fdtd_tol: float = 1e-3
+    support_tol: float = 1e-6
     seed: int = 0
     t_perturbation: float = 0.0
     out_dir: Path = Path(".")
@@ -96,7 +97,7 @@ class RunConfig:
             raise ConfigurationError("grid_n and modes must be positive")
         if not all(map(_finite_positive, self.times)):
             raise ConfigurationError("snapshot times must be finite and positive")
-        for key, val in self.tolerances.items():
+        for key, val in (("fdtd", self.fdtd_tol), ("support", self.support_tol)):
             if not _EPS_FLOOR <= val < np.inf:
                 raise ConfigurationError(
                     f"tolerance {key}={val:g} must be finite and at least 100x machine precision")
@@ -104,9 +105,6 @@ class RunConfig:
             parse_expression, (self.potential_expr, self.f0_expr, self.fl_expr))
         if self.fmt not in ("csv", "json"):
             raise ConfigurationError(f"unknown output format {self.fmt!r}")
-
-    def tol(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
 
 
 def _parse_pair(text: str) -> tuple:
@@ -134,17 +132,8 @@ def _as_times(raw: str) -> tuple:
     return tuple(float(p) for p in raw.split(",") if p.strip())
 
 
-def _gauge_kind(raw: str) -> str:
-    kind = raw.strip().lower()
-    if kind not in ("default", "custom"):
-        raise ConfigurationError(f"unknown gauge kind {kind!r}")
-    return kind
-
-
 # every config key: (section, key) -> (RunConfig field, parser); an absent
-# key keeps the field's default.  [gauge] gauge only names the frame kind:
-# the frame is the default one unless e, e1 or e2 is given.  [tolerances]
-# holds the two tolerances the program reads.
+# key keeps the field's default
 _KEYS = {
     ("problem", "l"): ("l", float),
     ("problem", "potential"): ("potential_expr", str),
@@ -156,15 +145,14 @@ _KEYS = {
     ("numerics", "shoot_tol"): ("shoot_tol", float),
     ("numerics", "fdtd"): ("run_fdtd", _as_bool),
     ("numerics", "seed"): ("seed", int),
-    ("gauge", "gauge"): (None, _gauge_kind),
     ("gauge", "e"): ("gauge_e", _parse_pair),
     ("gauge", "e1"): ("gauge_e1", _parse_pair),
     ("gauge", "e2"): ("gauge_e2", _parse_pair),
     ("controls", "f0"): ("f0_expr", str),
     ("controls", "fl"): ("fl_expr", str),
     ("controls", "times"): ("times", _as_times),
-    ("tolerances", "fdtd"): ("tolerances", float),
-    ("tolerances", "support"): ("tolerances", float),
+    ("tolerances", "fdtd"): ("fdtd_tol", float),
+    ("tolerances", "support"): ("support_tol", float),
 }
 
 
@@ -184,7 +172,7 @@ def load_config(path: Optional[str], out_dir: str = ".", fmt: str = "csv",
     for section in list(items) + ([cp.default_section] if cp.defaults() else []):
         if section not in known:
             raise ConfigurationError(f"unknown config section [{section}]")
-    fields = {"tolerances": {}}
+    fields = {}
     for section, pairs in items.items():
         for key, raw in pairs:
             if (section, key) not in _KEYS:
@@ -195,23 +183,24 @@ def load_config(path: Optional[str], out_dir: str = ".", fmt: str = "csv",
             except (ValueError, TypeError):
                 raise ConfigurationError(
                     f"bad value for [{section}] {key}: {raw!r}") from None
-            if name == "tolerances":
-                fields["tolerances"][key] = value
-            elif name is not None:
-                fields[name] = value
+            fields[name] = value
     if seed is not None:
         fields["seed"] = int(seed)
     return RunConfig(**fields, t_perturbation=float(t_perturbation),
                      out_dir=Path(out_dir), fmt=fmt)
 
 
-def _out_path(cfg: RunConfig, name: str) -> Path:
-    """The path of an artefact in the output directory, made if missing."""
+def _write(cfg: RunConfig, name: str, write) -> Path:
+    """Write the artefact `name` in the output directory, made if missing,
+    by calling write(path); a directory or file that cannot be made or
+    opened is a configuration error."""
+    path = cfg.out_dir / name
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        write(path)
     except OSError as exc:
         raise ConfigurationError(f"cannot use output directory {cfg.out_dir}: {exc}") from None
-    return cfg.out_dir / name
+    return path
 
 
 def _write_table(cfg: RunConfig, name: str, table, blocks) -> Path:
@@ -219,9 +208,8 @@ def _write_table(cfg: RunConfig, name: str, table, blocks) -> Path:
     `table` is the header, or a RowLayout whose shared columns the blocks
     leave out; a block's columns are float arrays, or columns from
     `_column`."""
-    path = _out_path(cfg, f"{name}.{cfg.fmt}")
-    (write_json_table if cfg.fmt == "json" else write_table)(path, table, blocks)
-    return path
+    writer = write_json_table if cfg.fmt == "json" else write_table
+    return _write(cfg, f"{name}.{cfg.fmt}", lambda path: writer(path, table, blocks))
 
 
 def _column(cfg: RunConfig, values):
@@ -241,9 +229,7 @@ def _complex_table(names: str, mats) -> tuple:
 
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> Path:
     text = json_text(payload)
-    path = _out_path(cfg, f"{name}.json")
-    path.write_text(text)
-    return path
+    return _write(cfg, f"{name}.json", lambda path: path.write_text(text))
 
 
 def _problem(cfg: RunConfig):
@@ -297,7 +283,7 @@ def run_simulate(cfg: RunConfig) -> list:
                             for t, row in zip(_column(cfg, np.array(times)), snaps)))
     support = []
     for t, row in zip(times, snaps):
-        rep = support_report(GridFunction(grid, row), t, tol=cfg.tol("support", 1e-6))
+        rep = support_report(GridFunction(grid, row), t, tol=cfg.support_tol)
         support.append({"t": t, "ratio": rep.ratio, "outside_mass": rep.outside_mass,
                         "total_mass": rep.total_mass, "passed": rep.passed})
     payload = {"times": list(times), "support": support, "fdtd_l2": None}
@@ -307,8 +293,8 @@ def run_simulate(cfg: RunConfig) -> list:
         diff = snaps[int(np.argmax(times))] - oracle.values
         l2 = float(np.sqrt(quad(GridFunction(grid, np.abs(diff) ** 2)).real))
         payload["fdtd_l2"] = l2
-        payload["fdtd_tol"] = cfg.tol("fdtd", 1e-3)
-        payload["fdtd_passed"] = l2 <= cfg.tol("fdtd", 1e-3)
+        payload["fdtd_tol"] = cfg.fdtd_tol
+        payload["fdtd_passed"] = l2 <= cfg.fdtd_tol
     files = [wf_path, _write_json(cfg, "simulate_report", payload)]
     failed = [f"support at t={s['t']!r}" for s in support if not s["passed"]]
     if not payload.get("fdtd_passed", True):
@@ -320,13 +306,12 @@ def run_simulate(cfg: RunConfig) -> list:
 
 def _gauge_of(cfg: RunConfig):
     _, q = _problem(cfg)
-    kb = kernel_basis(q)
-    return q, default_gauge(kb, e=cfg.gauge_e, e1=cfg.gauge_e1, e2=cfg.gauge_e2)
+    return default_gauge(kernel_basis(q), e=cfg.gauge_e, e1=cfg.gauge_e1, e2=cfg.gauge_e2)
 
 
 def run_model(cfg: RunConfig) -> list:
     """Gauge table on the half grid plus model coefficients off the band."""
-    _, gd = _gauge_of(cfg)
+    gd = _gauge_of(cfg)
     mc = assemble_coefficients(gd)
     header, cols = _complex_table("TG", (gd.T, gd.G))
     files = [_write_table(cfg, "gauge", ["x", *header, "rho"],
@@ -396,16 +381,12 @@ def run_recover(cfg: RunConfig) -> list:
         rr = recover_potential(mc, sampled_derivatives=True)
         compare = None
     else:
-        _, gd = _gauge_of(cfg)
-        mc = assemble_coefficients(gd)
+        mc = assemble_coefficients(_gauge_of(cfg))
         rr = recover_potential(mc)
         compare = unordered_branch_error(rr, cfg.q_form, cfg.l)
     files = [_write_table(cfg, "recovery", ["x", "q1", "q2", "collision"],
                           [[rr.x, rr.q1, rr.q2, rr.collision]])]
-    payload = {"branches": [rr.q1.tolist(), rr.q2.tolist()],
-               "collision_flags": rr.collision.tolist(),
-               "reflection_note": rr.note,
-               "max_imaginary_part": rr.max_imag}
+    payload = {"reflection_note": rr.note, "max_imaginary_part": rr.max_imag}
     if compare is not None:
         payload["truth_error"] = compare
     files.append(_write_json(cfg, "recovery_report", payload))

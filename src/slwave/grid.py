@@ -146,22 +146,24 @@ def diff_samples(values: np.ndarray, h: float, order: int = 1) -> np.ndarray:
         raise ConfigurationError(f"derivative order must be 1 or 2, got {order}")
     if v.shape[0] < 4 + order:
         raise ConfigurationError(f"order-{order} differencing needs >= {4 + order} samples")
+    # the end stencils are elementwise products and a sum: `c @ v` goes to
+    # BLAS dot, whose rounding depends on the kernel and thread count
     if order == 1:
         out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
         c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
         c1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12.0 * h)
-        out[0] = c @ v[:5]
-        out[1] = c1 @ v[:5]
-        out[-2] = -(c1 @ v[-5:][::-1])
-        out[-1] = -(c @ v[-5:][::-1])
+        out[0] = (c * v[:5]).sum()
+        out[1] = (c1 * v[:5]).sum()
+        out[-2] = -(c1 * v[-5:][::-1]).sum()
+        out[-1] = -(c * v[-5:][::-1]).sum()
     else:
         out[2:-2] = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1] - v[4:]) / (12.0 * h * h)
         c = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / (12.0 * h * h)
         c1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / (12.0 * h * h)
-        out[0] = c @ v[:6]
-        out[1] = c1 @ v[:6]
-        out[-2] = c1 @ v[-6:][::-1]
-        out[-1] = c @ v[-6:][::-1]
+        out[0] = (c * v[:6]).sum()
+        out[1] = (c1 * v[:6]).sum()
+        out[-2] = (c1 * v[-6:][::-1]).sum()
+        out[-1] = (c * v[-6:][::-1]).sum()
     return out
 
 

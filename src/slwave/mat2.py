@@ -1,7 +1,8 @@
 """2x2 matrix fields: stacked arrays of shape (..., 2, 2).
 
 Explicit determinant/adjugate formulas instead of LAPACK so the algebra
-works in extended precision and stays branch-free on stacked data.
+works in extended precision and stays branch-free on stacked data; the
+explicit product rounds the same under every BLAS kernel.
 """
 
 import numpy as np
@@ -27,6 +28,13 @@ def inv2(A, det=None):
 
 def herm2(A):
     return np.conj(np.swapaxes(A, -1, -2))
+
+
+def mul2(A, B):
+    """A @ B for stacked 2x2 fields, in elementwise loops: a complex128
+    matmul goes to BLAS zgemm, whose rounding depends on the kernel and
+    its thread count."""
+    return A[..., :, :1] * B[..., :1, :] + A[..., :, 1:] * B[..., 1:, :]
 
 
 def apply2(A, v):

@@ -172,7 +172,7 @@ def recover_potential(mc: ModelCoefficients,
     else:
         dPhat = mc.dPhat[idx]
 
-    S = Qhat + 0.25 * (Phat @ Phat) - 0.5 * dPhat
+    S = Qhat + 0.25 * mat2.mul2(Phat, Phat) - 0.5 * dPhat
     tr = S[:, 0, 0] + S[:, 1, 1]
     disc = tr * tr - 4.0 * mat2.det2(S)
     sq = np.sqrt(disc)

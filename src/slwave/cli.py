@@ -180,6 +180,9 @@ def load_config(path: Optional[str], out_dir: str = ".", fmt: str = "csv",
             name, cast = _KEYS[section, key]
             try:
                 value = cast(raw)
+            except ConfigurationError as exc:
+                # the parser's own reason; a bare ValueError only says which value
+                raise ConfigurationError(f"bad value for [{section}] {key}: {exc}") from None
             except (ValueError, TypeError):
                 raise ConfigurationError(
                     f"bad value for [{section}] {key}: {raw!r}") from None

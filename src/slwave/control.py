@@ -42,10 +42,15 @@ _COARSE_M = 24
 # largest, the power moments of _poly_moments, holds degree + 1 cells per
 # form and mode (9 for a smoothness-6 bump's second derivative)
 _MOMENT_CELLS = 1 << 15
-# leapfrog CFL number dt/h of fdtd_oracle and every caller: the dispersion
-# error scales like 1 - cfl^2 and vanishes at cfl = 1 for q = 0 (the magic
-# time step); 0.9 keeps a margin to the von Neumann bound for q > 0
-LEAPFROG_CFL = 0.9
+# leapfrog CFL number dt/h of fdtd_oracle and every caller: at cfl = 1 the
+# leapfrog transports q = 0 waves exactly (the magic time step), and with
+# the potential averaged over the outer time levels it stays stable there
+# for every q >= 0
+LEAPFROG_CFL = 1.0
+# a horizon within this relative distance of a whole number of steps takes
+# that number, so rounding in horizon / h never costs a step or leaves r2 a
+# few ulps off 1
+_WHOLE_STEPS_TOL = 1e-12
 
 
 def _check_admissible(f: ClosedForm, name: str):
@@ -150,28 +155,37 @@ def smooth_wave(h: KernelControl, t: float, es: EigenSystem) -> GridFunction:
 
 def _leapfrog_steps(q: Potential, horizon: float, cfl: float) -> tuple:
     """(steps, dt, r2) of the leapfrog up to `horizon`, time step
-    dt <= cfl h and r2 = (dt / h)^2.
+    dt <= cfl h and r2 = (dt / h)^2; r2 = 1 exactly when the horizon is a
+    whole number of cells and cfl = 1.
 
-    Checks before any work that the scheme is stable: the von Neumann
-    bound r2 + dt^2 max(q, 0) / 4 <= 1.  A violation is a
+    Checks before any work that the scheme is stable.  With the potential
+    averaged over the outer time levels, a frozen-coefficient mode of
+    fdtd_oracle's update has amplification g + 1/g = 2 c with
+    c = (1 - 2 r2 sin^2(k h / 2)) / (1 + dt^2 q / 2).  For q >= 0,
+    |c| <= 1 and so |g| = 1 for every mode at any r2 <= 1.  For q < 0 the
+    bound needs 1 + dt^2 min(q) / 2 > 0; a step past it is a
     ConfigurationError that names the largest cfl the bound allows.
+    Inside it, |c| <= 1 / (1 + dt^2 min(q) / 2), so every mode grows at
+    most like exp(t sqrt(-min q)), the rate of the PDE's own smooth modes.
     """
-    if not (0.0 < cfl <= 0.98):
-        raise ConfigurationError(f"leapfrog needs 0 < cfl <= 0.98, got {cfl}")
+    if not (0.0 < cfl <= 1.0):
+        raise ConfigurationError(f"leapfrog needs 0 < cfl <= 1, got {cfl}")
     if horizon <= 0.0:
         raise ConfigurationError("horizon must be positive")
     h = q.grid.h
-    steps = max(1, int(math.ceil(horizon / (cfl * h))))
+    steps = max(1, int(math.ceil(horizon / (cfl * h) * (1.0 - _WHOLE_STEPS_TOL))))
     dt = horizon / steps
     r2 = (dt / h) ** 2
-    qmax = max(float(np.max(q.values)), 0.0)
-    bound = r2 + 0.25 * dt * dt * qmax
-    if not bound <= 1.0:
-        # dt <= cfl h, so every cfl with cfl^2 (1 + h^2 qmax / 4) <= 1 is stable
-        stable = math.floor(1e4 / math.sqrt(1.0 + 0.25 * h * h * qmax)) / 1e4
+    if r2 > 1.0 - 2.0 * _WHOLE_STEPS_TOL:
+        r2 = 1.0
+    qmin = float(np.min(q.values))
+    denom = 1.0 + 0.5 * dt * dt * qmin
+    if not denom > 0.0:
+        # dt <= cfl h, so every cfl below sqrt(2 / -min q) / h keeps it positive
+        stable = (math.ceil(1e4 * math.sqrt(2.0 / -qmin) / h) - 1) / 1e4
         raise ConfigurationError(
-            f"leapfrog unstable at cfl={cfl}: r2 + dt^2 max(q, 0)/4 = {bound:.6g} > 1; "
-            f"the largest stable cfl is {min(stable, 0.98):.4f}")
+            f"leapfrog unstable at cfl={cfl}: 1 + dt^2 min(q)/2 = {denom:.6g} <= 0; "
+            f"the largest stable cfl is {stable:.4f}")
     return steps, dt, r2
 
 
@@ -181,15 +195,21 @@ def fdtd_oracle(c: ControlSignal, q: Potential, horizon: float,
     written directly into the boundary nodes and zero initial data;
     returns the field at the horizon.
 
-    The first step is the Taylor start consistent with zero Cauchy data
-    (interior stays zero, boundaries take the signal values).  A time
-    step beyond the von Neumann bound is a ConfigurationError before any
-    work; blow-up beyond 1e6 times the control scale still raises a
-    stability error.
+    The potential term is the mean of the two outer time levels,
+    (1 + dt^2 q / 2) (u^{n+1} + u^{n-1}) = 2 u^n + r2 delta^2 u^n, which
+    stays explicit because q is diagonal.  At r2 = 1 (cfl = 1 and a whole
+    number of cells to the horizon) the update is
+    u^{n+1}_j = (u^n_{j+1} + u^n_{j-1}) / (1 + dt^2 q_j / 2) - u^{n-1}_j,
+    which transports q = 0 waves exactly; otherwise it adds the centre
+    term 2 (1 - r2) u^n_j / (1 + dt^2 q_j / 2).  The first step is the
+    Taylor start consistent with zero Cauchy data (interior stays zero,
+    boundaries take the signal values).  A time step beyond the stability
+    bound of _leapfrog_steps is a ConfigurationError before any work;
+    blow-up beyond 1e6 times the control scale still raises a stability
+    error.
     """
     steps, dt, r2 = _leapfrog_steps(q, horizon, cfl)
     g = q.grid
-    qv = q.values
     tgrid = dt * np.arange(steps + 1)
     f0v = np.asarray(c.f0(tgrid), dtype=float)
     flv = np.asarray(c.fl(tgrid), dtype=float)
@@ -197,19 +217,25 @@ def fdtd_oracle(c: ControlSignal, q: Potential, horizon: float,
 
     # three rotating buffers, each with its stencil views made once,
     # (z, z[1:-1], z[2:], z[:-2]); the interior update is evaluated as
-    # (a z + r2 (z[2:] + z[:-2])) - z_prev with a = 2 - 2 r2 - dt^2 q
+    # ((z[2:] + z[:-2]) side [+ centre z]) - z_prev with
+    # side = r2 / (1 + dt^2 q / 2) and centre = 2 (1 - r2) / (1 + dt^2 q / 2)
     prev, cur, nxt = ((b, b[1:-1], b[2:], b[:-2])
                       for b in (np.zeros(g.size), np.zeros(g.size), np.empty(g.size)))
     cur[0][0] = f0v[1]
     cur[0][-1] = flv[1]
-    a = 2.0 - 2.0 * r2 - dt * dt * qv[1:-1]
-    work = np.empty(g.size - 2)
+    side = 1.0 / (1.0 + 0.5 * dt * dt * q.values[1:-1])
+    centre = work = None
+    if r2 != 1.0:
+        centre = (2.0 * (1.0 - r2)) * side
+        side *= r2
+        work = np.empty(g.size - 2)
     for m in range(2, steps + 1):
         z_next, out = nxt[0], nxt[1]
-        np.add(cur[2], cur[3], out=work)
-        work *= r2
-        np.multiply(a, cur[1], out=out)
-        out += work
+        np.add(cur[2], cur[3], out=out)
+        out *= side
+        if centre is not None:
+            np.multiply(centre, cur[1], out=work)
+            out += work
         out -= prev[1]
         z_next[0] = f0v[m]
         z_next[-1] = flv[m]

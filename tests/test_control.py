@@ -242,16 +242,18 @@ def test_fdtd_cross_check_zero_potential(es_zero, kb_zero, q_zero):
 
 def leapfrog_loop_reference(c, q, horizon, cfl=0.5, order="factored"):
     """The leapfrog of fdtd_oracle written as one array expression per step
-    with a fresh array each step.  `order="factored"` is the evaluation
-    order the oracle keeps, (a z + r2 (z[2:] + z[:-2])) - z_prev with
-    a = 2 - 2 r2 - dt^2 q; `order="expanded"` is the textbook order
-    ((2z - z_prev) + r2 ((z[2:] - 2z) + z[:-2])) - (dt^2 q) z."""
+    with a fresh array each step, with inv = 1 / (1 + dt^2 q / 2).
+    `order="factored"` is the evaluation order the oracle keeps:
+    inv (z[2:] + z[:-2]) - z_prev at r2 = 1, and otherwise
+    ((r2 inv) (z[2:] + z[:-2]) + (2 (1 - r2) inv) z) - z_prev;
+    `order="expanded"` is the textbook order
+    (2z + r2 ((z[2:] - 2z) + z[:-2])) / (1 + dt^2 q / 2) - z_prev."""
     g = q.grid
     steps = max(1, int(np.ceil(horizon / (cfl * g.h))))
     dt = horizon / steps
     r2 = (dt / g.h) ** 2
-    qv = q.values
-    a = 2.0 - 2.0 * r2 - dt * dt * qv[1:-1]
+    qv = q.values[1:-1]
+    inv = 1.0 / (1.0 + 0.5 * dt * dt * qv)
     tgrid = dt * np.arange(steps + 1)
     f0v = np.asarray(c.f0(tgrid), dtype=float)
     flv = np.asarray(c.fl(tgrid), dtype=float)
@@ -261,25 +263,29 @@ def leapfrog_loop_reference(c, q, horizon, cfl=0.5, order="factored"):
     z[-1] = flv[1]
     for m in range(2, steps + 1):
         z_next = np.empty(g.size)
-        if order == "factored":
-            z_next[1:-1] = a * z[1:-1] + r2 * (z[2:] + z[:-2]) - z_prev[1:-1]
+        if order == "expanded":
+            z_next[1:-1] = ((2.0 * z[1:-1] + r2 * (z[2:] - 2.0 * z[1:-1] + z[:-2]))
+                            / (1.0 + 0.5 * dt * dt * qv) - z_prev[1:-1])
+        elif r2 == 1.0:
+            z_next[1:-1] = inv * (z[2:] + z[:-2]) - z_prev[1:-1]
         else:
-            z_next[1:-1] = (2.0 * z[1:-1] - z_prev[1:-1]
-                            + r2 * (z[2:] - 2.0 * z[1:-1] + z[:-2])
-                            - dt * dt * qv[1:-1] * z[1:-1])
+            z_next[1:-1] = ((r2 * inv) * (z[2:] + z[:-2])
+                            + ((2.0 * (1.0 - r2)) * inv) * z[1:-1] - z_prev[1:-1])
         z_next[0] = f0v[m]
         z_next[-1] = flv[m]
         z_prev, z = z, z_next
     return z
 
 
-@pytest.mark.parametrize("horizon, cfl", [(1.0, 0.5), (0.37, 0.9), (1.0, 0.9)])
+@pytest.mark.parametrize("horizon, cfl", [(1.0, 0.5), (0.37, 0.9), (1.0, 0.9),
+                                          (1.0, 1.0), (0.3705, 1.0)])
 def test_fdtd_matches_array_loop_bit_for_bit(horizon, cfl):
     """The buffered leapfrog reproduces the one-expression loop exactly,
-    for a variable potential and data at both ends; the expanded order
-    agrees with it to rounding."""
+    for a variable potential and data at both ends, with and without the
+    centre term; the expanded order agrees with it to rounding."""
     q = potential(build_grid(1.0, 600), parse_expression("2 + cos(3)"))
     c = ControlSignal(bump(0.1, 0.1, 1.0, 6), bump(0.15, 0.1, -0.7, 6))
+    assert (control._leapfrog_steps(q, horizon, cfl)[2] == 1.0) is (cfl == horizon == 1.0)
     want = leapfrog_loop_reference(c, q, horizon, cfl)
     got = fdtd_oracle(c, q, horizon=horizon, cfl=cfl)
     assert np.any(want[1:-1] != 0.0)
@@ -288,21 +294,64 @@ def test_fdtd_matches_array_loop_bit_for_bit(horizon, cfl):
     assert np.max(np.abs(want - expanded)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [200, 600, 2000])
+def test_whole_cell_horizons_step_at_r2_one(n):
+    """A horizon of k cells takes k steps at r2 = 1 exactly at cfl 1, also
+    where k h / h rounds to just above k (k = 7, 31, 1001, ...)."""
+    q = potential(build_grid(1.0, n), Const(0.0))
+    got = [control._leapfrog_steps(q, k * q.grid.h, 1.0) for k in range(1, n + 1)]
+    assert [(s, r2) for s, _, r2 in got] == [(k, 1.0) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("t", [0.2, 0.4, 1.0])
+def test_fdtd_is_exact_for_zero_potential(q_zero, t):
+    """At q = 0 and r2 = 1 the leapfrog is the magic time step: it
+    transports the boundary signal exactly, so the oracle equals
+    f0(t - x) at every node to rounding."""
+    f0 = bump(0.12, 0.2, 1.0, 6)
+    oracle = fdtd_oracle(ControlSignal(f0, Const(0.0)), q_zero, horizon=t)
+    assert np.max(np.abs(oracle.values - f0.deriv(t - q_zero.grid.x, 0))) <= 1e-10
+
+
+def test_fdtd_cross_check_reads_the_spectral_wave(acceptance_ws):
+    """On the pinned workspace the oracle's own error no longer sets the
+    check: it reads below 1e-6 (the leapfrog at cfl 0.9 read 2.4e-5)."""
+    assert verify.check_fdtd_cross(acceptance_ws).measured <= 1e-6
+
+
 def test_fdtd_rejects_bad_cfl(q_zero):
     c = ControlSignal(bump(0.1, 0.1, 1.0, 6), Const(0.0))
-    with pytest.raises(ConfigurationError):
-        fdtd_oracle(c, q_zero, horizon=0.2, cfl=1.2)
+    for cfl in (1.2, 1.0 + 1e-12, 0.0, -0.5):
+        with pytest.raises(ConfigurationError, match="0 < cfl <= 1"):
+            fdtd_oracle(c, q_zero, horizon=0.2, cfl=cfl)
+
+
+@pytest.mark.parametrize("q0, n", [(1.55e5, 400), (4e4, 200)])
+def test_fdtd_is_stable_at_cfl_one_for_a_large_positive_potential(q0, n):
+    """r2 = 1 with dt^2 q / 2 up to 0.5: the potential mean over the outer
+    levels keeps every mode on the unit circle, so the field stays below
+    the control amplitude (with an explicit q term, both were unstable at
+    cfl 0.9)."""
+    q = potential(build_grid(1.0, n), Const(q0))
+    c = ControlSignal(bump(0.1, 0.1, 1.0, 6), Const(0.0))
+    sups = [np.max(np.abs(fdtd_oracle(c, q, horizon=t).values)) for t in (0.5, 1.0, 3.0)]
+    assert all(np.isfinite(sups)) and max(sups) <= 0.05
 
 
 def test_fdtd_refuses_an_unstable_step():
-    """r2 + dt^2 max(q, 0)/4 = 1.004 is a configuration error before any
-    step (the leapfrog used to blow up at t = 0.899), naming the largest
-    stable cfl; that cfl runs."""
-    q = potential(build_grid(1.0, 400), Const(1.55e5))
+    """1 + dt^2 min(q)/2 <= 0 is a configuration error before any step,
+    naming the largest stable cfl: sqrt(2 / 4e5) / h = 0.89443 at grid
+    400.  That cfl passes the check.  Inside the bound the field grows at
+    most like exp(t sqrt(-min q)), the PDE's own rate: at q = -30 +
+    5 cos(3x) it stays below exp(sqrt(35)) = 370 at t = 1."""
     c = ControlSignal(bump(0.1, 0.1, 1.0, 6), Const(0.0))
-    with pytest.raises(ConfigurationError, match="largest stable cfl is 0.8972"):
-        fdtd_oracle(c, q, horizon=1.0, cfl=0.9)
-    assert np.all(np.isfinite(fdtd_oracle(c, q, horizon=1.0, cfl=0.8972).values))
+    q = potential(build_grid(1.0, 400), Const(-4e5))
+    with pytest.raises(ConfigurationError, match="largest stable cfl is 0.8944"):
+        fdtd_oracle(c, q, horizon=1.0)
+    assert control._leapfrog_steps(q, 1.0, 0.8944)[0] == 448
+    q = potential(build_grid(1.0, 2000), parse_expression("-30 + 5*cos(3)"))
+    sup = np.max(np.abs(fdtd_oracle(c, q, horizon=1.0).values))
+    assert np.isfinite(sup) and sup <= np.exp(np.sqrt(35.0))
 
 
 def test_default_cfl_cuts_the_leapfrog_error():
@@ -322,7 +371,7 @@ def test_default_cfl_cuts_the_leapfrog_error():
 def test_one_leapfrog_cfl_everywhere(coarse_ws, monkeypatch):
     """The simulate config, fdtd_oracle and the verify check all step at
     control.LEAPFROG_CFL."""
-    assert control.LEAPFROG_CFL == 0.9
+    assert control.LEAPFROG_CFL == 1.0
     assert RunConfig().cfl == control.LEAPFROG_CFL
     default = inspect.signature(fdtd_oracle).parameters["cfl"].default
     assert default == control.LEAPFROG_CFL

@@ -105,11 +105,14 @@ def _kernel_modal_coefficients(es: EigenSystem, kb: KernelBasis) -> tuple:
 
 
 def _batched_smooth_wave(controls: Sequence[KernelControl], times,
-                         es: EigenSystem) -> np.ndarray:
+                         es: EigenSystem, probe=None) -> np.ndarray:
     """Wave snapshots u^h(t) for several kernel controls sharing one
     eigensystem, each at every time; returns real values of shape
     (len(controls) * len(times), n+1), control-major: row i len(times) + j
-    holds control i at times[j].
+    holds control i at times[j].  With `probe`, a matrix W of shape
+    (m, n+1), the rows are the snapshots at the probe points, u W^T, of
+    shape (..., m): the modes and the kernel basis are projected before
+    the sum, so no field is built.
 
     The sine moments are taken a chunk of times at a time (at most
     _MOMENT_CELLS moment cells per call); a(t) and b(t) of every control
@@ -134,8 +137,14 @@ def _batched_smooth_wave(controls: Sequence[KernelControl], times,
         coeff[:, s:s + step] = ((m[:half] * c0 + m[half:] * cl) / mu).reshape(nc, len(ts), -1)
     at = values([kc.a for kc in controls] + [kc.b for kc in controls], times)
     at = at.reshape(2, -1).T.copy()
-    kernel = np.stack([kb.phi0, kb.phil])
-    return coeff.reshape(-1, es.count) @ es.phi - at @ kernel
+    phi, kernel = es.phi, np.stack([kb.phi0, kb.phil])
+    if probe is not None:
+        # a probe row holds four stencil weights, so the products run over
+        # the at most 4 m columns W touches, not the n+1 nodes; the zeros
+        # they skip add nothing to the sums
+        cols = np.flatnonzero(probe.any(axis=0))
+        phi, kernel = (b[:, cols] @ probe[:, cols].T for b in (phi, kernel))
+    return coeff.reshape(-1, es.count) @ phi - at @ kernel
 
 
 def smooth_waves(h: KernelControl, times: Sequence[float], es: EigenSystem) -> np.ndarray:
@@ -284,20 +293,9 @@ def _probe_matrix(g: Grid, xq: np.ndarray) -> np.ndarray:
     return W
 
 
-def reachable_span_estimate(t: float, es: EigenSystem, kb: KernelBasis,
-                            samples: int, seed: int = 0) -> np.ndarray:
-    """L2-density surrogate for the reachable set at time t.
-
-    Draws `samples` random admissible bump controls acting from both ends,
-    collects u^h(t) on a coarse probe grid of 24 interior points (cubic
-    interpolation of the snapshots), and returns the singular values of the
-    snapshot matrix, largest first.  Only spans in the L2 sense at fixed t are
-    probed; no smooth-norm claim is made.
-    """
-    if samples < _COARSE_M:
-        raise ConfigurationError(
-            f"need at least as many samples ({samples}) as probe points ({_COARSE_M})")
-    g = es.grid
+def _span_controls(t: float, kb: KernelBasis, samples: int, seed: int) -> list:
+    """The random admissible bump controls of reachable_span_estimate, one
+    bump at each end per sample, supported inside (0, t)."""
     rng = np.random.default_rng(seed)
     controls = []
     for _ in range(samples):
@@ -310,7 +308,25 @@ def reachable_span_estimate(t: float, es: EigenSystem, kb: KernelBasis,
             amp = float(rng.uniform(0.5, 1.5)) * (1.0 if rng.uniform() < 0.5 else -1.0)
             sig[end] = bump(center, wsup, amp)
         controls.append(control_to_kernel(ControlSignal(sig["f0"], sig["fl"]), kb))
-    fields = _batched_smooth_wave(controls, (t,), es)
+    return controls
+
+
+def reachable_span_estimate(t: float, es: EigenSystem, kb: KernelBasis,
+                            samples: int, seed: int = 0) -> np.ndarray:
+    """L2-density surrogate for the reachable set at time t.
+
+    Draws `samples` random admissible bump controls acting from both ends,
+    collects u^h(t) on a coarse probe grid of 24 interior points (cubic
+    interpolation of the snapshots, applied to the modes and the kernel
+    basis before the synthesis), and returns the singular values of the
+    snapshot matrix, largest first.  Only spans in the L2 sense at fixed t are
+    probed; no smooth-norm claim is made.
+    """
+    if samples < _COARSE_M:
+        raise ConfigurationError(
+            f"need at least as many samples ({samples}) as probe points ({_COARSE_M})")
+    g = es.grid
     xq = g.l * (np.arange(1, _COARSE_M + 1)) / (_COARSE_M + 1.0)
-    A = fields @ _probe_matrix(g, xq).T
+    A = _batched_smooth_wave(_span_controls(t, kb, samples, seed), (t,), es,
+                             probe=_probe_matrix(g, xq))
     return np.linalg.svd(A, compute_uv=False)

@@ -180,21 +180,42 @@ def recover_potential(mc: ModelCoefficients,
     r2 = 0.5 * (tr - sq)
 
     max_imag = float(max(np.max(np.abs(r1.imag)), np.max(np.abs(r2.imag))))
-    a = r1.real.astype(float)
-    b = r2.real.astype(float)
-    if a[0] < b[0]:
-        a[0], b[0] = b[0], a[0]
-    for k in range(1, a.size):
-        keep = abs(a[k] - a[k - 1]) + abs(b[k] - b[k - 1])
-        swap = abs(b[k] - a[k - 1]) + abs(a[k] - b[k - 1])
-        if swap < keep:
-            a[k], b[k] = b[k], a[k]
+    r1 = r1.real.astype(float)
+    r2 = r2.real.astype(float)
+    swapped = _branch_swaps(r1, r2)
+    a = np.where(swapped, r2, r1)
+    b = np.where(swapped, r1, r2)
     sep_scale = 1.0 + np.maximum(np.abs(a), np.abs(b))
     collision = np.abs(a - b) <= _COLLISION_TOL * sep_scale
     note = ("branch labels are continued from the left edge and defined up to "
             "the reflection x -> l-x; collision nodes carry no stable labeling")
     return RecoveryResult(mc.half_x[idx].astype(float), a, b, collision,
                           max_imag, note)
+
+
+def _branch_swaps(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Nearest-neighbour continuation of the branch pair (r1, r2) from the
+    left edge: True where the labels swap, so q1 = r2 and q2 = r1 there.
+
+    The first node puts the larger root first.  Node k keeps the labels of
+    node k-1 when that costs less than swapping them, cost being the summed
+    jumps of the two branches; at a tie (or a NaN cost) it takes the raw
+    order.  The costs of keeping and swapping trade places when node k-1
+    is swapped, so with d_k = [raw swap cost < raw keep cost] the state is
+    s_k = 0 at a tie and s_{k-1} XOR d_k otherwise: an XOR scan restarted
+    after the last tie gives the node-by-node continuation's labels.
+    """
+    keep = np.abs(r1[1:] - r1[:-1]) + np.abs(r2[1:] - r2[:-1])
+    swap = np.abs(r2[1:] - r1[:-1]) + np.abs(r1[1:] - r2[:-1])
+    d = np.empty(r1.size, dtype=bool)
+    d[0] = r1[0] < r2[0]
+    d[1:] = swap < keep
+    tie = np.zeros(r1.size, dtype=bool)
+    tie[1:] = ~(d[1:] | (keep < swap))
+    scan = np.bitwise_xor.accumulate(d)
+    # the scan at the last tie at or before each node (False before the first)
+    last = np.maximum.accumulate(np.where(tie, np.arange(r1.size), -1))
+    return scan ^ (scan[last] & (last >= 0))
 
 
 def unordered_branch_error(rr: RecoveryResult, qf, l: float) -> float:

@@ -405,3 +405,18 @@ def test_reachable_span_estimate(es_zero, kb_zero):
     assert sv[-1] / sv[0] >= 1e-6
     sv2 = reachable_span_estimate(0.6, es_zero, kb_zero, samples=32, seed=0)
     assert np.array_equal(sv, sv2)     # deterministic for a fixed seed
+
+
+@pytest.mark.parametrize("samples", [32, 96])
+def test_probe_space_span_matches_full_fields(es_zero, kb_zero, samples):
+    """Synthesising at the probe points gives the singular values of the
+    full snapshot fields interpolated there, u W^T."""
+    g, t = es_zero.grid, 0.6
+    controls = control._span_controls(t, kb_zero, samples, seed=0)
+    fields = _batched_smooth_wave(controls, (t,), es_zero)
+    assert fields.shape == (samples, g.size)
+    xq = g.l * np.arange(1, control._COARSE_M + 1) / (control._COARSE_M + 1.0)
+    want = np.linalg.svd(fields @ control._probe_matrix(g, xq).T, compute_uv=False)
+    got = reachable_span_estimate(t, es_zero, kb_zero, samples=samples, seed=0)
+    assert got.shape == want.shape == (control._COARSE_M,)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)

@@ -8,9 +8,10 @@ from slwave import mat2
 from slwave.analytic import Const
 from slwave.errors import AdmissibilityError, ConfigurationError, InternalError
 from slwave.grid import GridFunction, build_grid, inner
-from slwave.model import DET_FLOOR, GUARD_CELLS, default_gauge, hat_value, model_inner
+from slwave.model import (DET_FLOOR, GUARD_CELLS, _hat_form_residual, _pair, _trace_pair,
+                          default_gauge, hat_value, model_inner)
 from slwave.sturm import kernel_basis, potential
-from slwave.verify import boundary_form, form_limit_check
+from slwave.verify import _perturb_gauge, boundary_form, form_limit_check
 
 RHO0_Q1 = 2.0 * np.sinh(1.0) ** 2     # = 2.762195691083631
 
@@ -203,3 +204,48 @@ def test_hat_detects_inconsistent_gauge(gauge_zero):
     u = sine(gd.grid)
     with pytest.raises(InternalError):
         hat_value(u, gd)
+
+
+def route_battery(grid, gd):
+    return [sine(grid), gd.e.as_grid_function(grid),
+            GridFunction(grid, np.exp(1j * grid.x) + grid.x ** 2)]
+
+
+def extended_route_residual(u, gd):
+    """The boundary-form route residual of hat_value and its scale,
+    evaluated in extended precision throughout."""
+    m = gd.half
+    w = _trace_pair(np.asarray(u.values, dtype=np.clongdouble), m)
+    hat = mat2.apply2(gd.T, w)
+    alt = [(w[:, 0] * np.conj(el) + w[:, 1] * np.conj(er)) / gd.rho
+           for el, er in (_pair(gd.e1.u, m), _pair(gd.e2.u, m))]
+    res = max(np.max(np.abs(hat[:, k] - alt[k])) for k in range(2))
+    return float(res), float(np.max(np.abs(hat))) + 1.0, w, hat
+
+
+@pytest.mark.parametrize("key", ["zero", "one", "cosine"])
+@pytest.mark.parametrize("eps", [0.0, 1e-11])
+def test_double_route_residual_tracks_extended(coarse_ws, key, eps):
+    """hat_value's cross-check in double reads the extended-precision
+    residual to within 1e-15 of the hat's scale, intact or corrupted."""
+    gd = _perturb_gauge(coarse_ws.gauge(key), eps)
+    for u in route_battery(coarse_ws.grid, gd):
+        want, scale, w, hat = extended_route_residual(u, gd)
+        got = _hat_form_residual(w.astype(complex), hat.astype(complex), gd)
+        assert abs(got - want) <= 1e-15 * scale
+        assert (want > 1e-12 * scale) == (eps > 0.0)
+
+
+@pytest.mark.parametrize("key", ["zero", "one", "cosine"])
+@pytest.mark.parametrize("eps, trips", [(0.0, False), (1e-13, False),
+                                        (1e-11, True), (1e-10, True)])
+def test_hat_guard_resolution(coarse_ws, key, eps, trips):
+    """A T scaled by 1 + eps passes the double-precision guard up to 1e-13
+    and trips it from 1e-11, for every function of the battery."""
+    gd = _perturb_gauge(coarse_ws.gauge(key), eps)
+    for u in route_battery(coarse_ws.grid, gd):
+        if trips:
+            with pytest.raises(InternalError, match="hat routes disagree"):
+                hat_value(u, gd)
+        else:
+            hat_value(u, gd)

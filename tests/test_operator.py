@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from slwave import operator
 from slwave.analytic import Const, bump, parse_expression
 from slwave.control import ControlSignal
 from slwave.errors import ContractError
@@ -221,3 +222,75 @@ def test_unordered_branch_error_forgives_reflection_only():
     assert unordered_branch_error(rr, qf, 1.0) == 0.0
     bent = RecoveryResult(x, swapped[0] + 1e-3 * x, swapped[1], flags, 0.0, "")
     assert unordered_branch_error(bent, qf, 1.0) == pytest.approx(0.45e-3, rel=1e-9)
+
+
+def loop_branch_swaps(r1, r2):
+    """Reference continuation, one node at a time: the labels (True where
+    q1 = r2) and the relabelled pair."""
+    a, b = r1.copy(), r2.copy()
+    swapped = np.zeros(a.size, dtype=bool)
+    if a[0] < b[0]:
+        a[0], b[0] = b[0], a[0]
+        swapped[0] = True
+    for k in range(1, a.size):
+        keep = abs(a[k] - a[k - 1]) + abs(b[k] - b[k - 1])
+        swap = abs(b[k] - a[k - 1]) + abs(a[k] - b[k - 1])
+        if swap < keep:
+            a[k], b[k] = b[k], a[k]
+            swapped[k] = True
+    return swapped, a, b
+
+
+def branch_pairs(kind, lead_swap, rng):
+    """Random or integer-valued (tie-heavy) branch pairs whose first node
+    does or does not need the leading swap."""
+    n = int(rng.integers(2, 80))
+    if kind == "random":
+        r1, r2 = rng.normal(size=(2, n))
+    else:
+        r1, r2 = rng.integers(-2, 3, size=(2, n)).astype(float)
+    r1[0], r2[0] = (0.0, 1.0) if lead_swap else (1.0, 0.0)
+    return r1, r2
+
+
+@pytest.mark.parametrize("kind", ["random", "integer"])
+@pytest.mark.parametrize("lead_swap", [False, True])
+def test_scanned_branch_labels_match_the_loop(kind, lead_swap):
+    """The XOR scan labels every node as the node-by-node continuation,
+    bit for bit, also where keep and swap tie.  Both costs are the same sum
+    in exact arithmetic whenever both new roots lie beyond both old ones,
+    so random pairs tie often too, or miss a tie by a rounding."""
+    rng = np.random.default_rng(3 + 2 * lead_swap + (kind == "integer"))
+    ties = 0
+    for _ in range(250):
+        r1, r2 = branch_pairs(kind, lead_swap, rng)
+        want, a, b = loop_branch_swaps(r1, r2)
+        got = operator._branch_swaps(r1, r2)
+        assert np.array_equal(got, want)
+        assert got[0] == lead_swap
+        assert np.array_equal(np.where(got, r2, r1).view(np.uint64), a.view(np.uint64))
+        assert np.array_equal(np.where(got, r1, r2).view(np.uint64), b.view(np.uint64))
+        keep = np.abs(np.diff(r1)) + np.abs(np.diff(r2))
+        swap = np.abs(r2[1:] - r1[:-1]) + np.abs(r1[1:] - r2[:-1])
+        ties += int(np.count_nonzero(keep == swap))
+    assert ties > 1000     # exact ties are common: both branches moving one way
+
+
+@pytest.mark.parametrize("observer", [False, True])
+def test_recovery_matches_the_loop_continuation(cosine_setup, example_mc, observer,
+                                                monkeypatch):
+    """recover_potential's q1, q2 and collision flags are those of the
+    node-by-node continuation, bit for bit, on coefficients with distinct
+    branches, with a zero potential and with a collision everywhere."""
+    g = build_grid(1.0, 400)
+    mc_const = assemble_coefficients(default_gauge(kernel_basis(potential(g, Const(2.5)))))
+    cases = [cosine_setup[1], example_mc, mc_const]
+    got = [recover_potential(mc, sampled_derivatives=observer) for mc in cases]
+    monkeypatch.setattr(operator, "_branch_swaps",
+                        lambda r1, r2: loop_branch_swaps(r1, r2)[0])
+    for mc, rr in zip(cases, got):
+        want = recover_potential(mc, sampled_derivatives=observer)
+        for name in ("x", "q1", "q2", "collision"):
+            assert np.array_equal(getattr(rr, name), getattr(want, name)), name
+        assert np.array_equal(rr.q1.view(np.uint64), want.q1.view(np.uint64))
+        assert np.array_equal(rr.q2.view(np.uint64), want.q2.view(np.uint64))

@@ -12,14 +12,16 @@ section or key is a configuration error.  Outputs are
 deterministic byte-for-byte for a fixed config and seed: floats print as
 %.17g in CSV and round-trip repr in JSON, keys are sorted, and no
 timestamps are embedded.  Every table, the wave field and the
-eigenfunctions included, goes through `_write_table`, which streams it
-through `grid.write_table` (CSV) or `grid.write_json_table` one block at
+eigenfunctions included, goes through `_write_tables`, which streams it
+through `grid.write_tables` (CSV) or `grid.write_json_table` one block at
 a time.  `eigs` and `simulate` lay out their rows once per command, in a
 `grid.RowLayout`: the columns every block shares (the grid nodes and the
 zero imaginary parts) are formatted and laid into the row buffer once, so
-each eigenfunction file or snapshot formats only its own values.  The
-snapshot times are formatted once by `_column`, and a snapshot's t
-column is a zero-stride view of its one text cell.
+each eigenfunction file or snapshot formats only its own values, and the
+values of consecutive snapshots, or of consecutive eigenfunction files
+(written together), share formatting calls.  The snapshot times are
+formatted once by `_column`, and a snapshot's t column is a zero-stride
+view of its one text cell.
 
 Exit codes: 0 all good, 2 configuration problems, 3 numerical failures
 (inadmissible potential or gauge, instability), 4 verification failures
@@ -45,7 +47,7 @@ from .control import (LEAPFROG_CFL, ControlSignal, _leapfrog_steps, control_to_k
 from .errors import (ConfigurationError, ContractError, NumericalError,
                      SlwaveError, VerificationFailure)
 from .grid import (GridFunction, RowLayout, build_grid, format_column, json_text, quad,
-                   write_json_table, write_table)
+                   write_json_table, write_tables)
 from .model import GUARD_CELLS, default_gauge
 from .operator import (ModelCoefficients, assemble_coefficients, recover_potential,
                        unordered_branch_error)
@@ -193,26 +195,37 @@ def load_config(path: Optional[str], out_dir: str = ".", fmt: str = "csv",
                      out_dir=Path(out_dir), fmt=fmt)
 
 
-def _write(cfg: RunConfig, name: str, write) -> Path:
-    """Write the artefact `name` in the output directory, made if missing,
-    by calling write(path); a directory or file that cannot be made or
-    opened is a configuration error."""
-    path = cfg.out_dir / name
+def _write(cfg: RunConfig, names: list, write) -> list:
+    """Write the artefacts `names` in the output directory, made if
+    missing, by calling write(paths); a directory or file that cannot be
+    made or opened is a configuration error."""
+    paths = [cfg.out_dir / name for name in names]
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        write(path)
+        write(paths)
     except OSError as exc:
         raise ConfigurationError(f"cannot use output directory {cfg.out_dir}: {exc}") from None
-    return path
+    return paths
+
+
+def _write_tables(cfg: RunConfig, names: list, table, tables) -> list:
+    """Tables of one header or RowLayout (whose shared columns the blocks
+    leave out), one per name: `tables` yields each one's iterable of
+    blocks, and a block's columns are float arrays, or columns from
+    `_column`.  In CSV, the tables are streamed together, one block at a
+    time."""
+    def write(paths):
+        if cfg.fmt == "json":
+            for path, blocks in zip(paths, tables):
+                write_json_table(path, table, blocks)
+        else:
+            write_tables(table, zip(paths, tables))
+    return _write(cfg, [f"{name}.{cfg.fmt}" for name in names], write)
 
 
 def _write_table(cfg: RunConfig, name: str, table, blocks) -> Path:
-    """One table from an iterable of blocks, streamed one block at a time.
-    `table` is the header, or a RowLayout whose shared columns the blocks
-    leave out; a block's columns are float arrays, or columns from
-    `_column`."""
-    writer = write_json_table if cfg.fmt == "json" else write_table
-    return _write(cfg, f"{name}.{cfg.fmt}", lambda path: writer(path, table, blocks))
+    """One table from an iterable of blocks."""
+    return _write_tables(cfg, [name], table, [blocks])[0]
 
 
 def _column(cfg: RunConfig, values):
@@ -232,7 +245,7 @@ def _complex_table(names: str, mats) -> tuple:
 
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> Path:
     text = json_text(payload)
-    return _write(cfg, f"{name}.json", lambda path: path.write_text(text))
+    return _write(cfg, [f"{name}.json"], lambda paths: paths[0].write_text(text))[0]
 
 
 def _problem(cfg: RunConfig):
@@ -256,10 +269,10 @@ def run_eigs(cfg: RunConfig) -> list:
                              {"kappa": kappa, "count": es.count,
                               "l": cfg.l, "grid_n": cfg.grid_n}))
     # the eigenfunctions are real: every file shares the nodes and a zero
-    # im column, laid out once
+    # im column, laid out once, and the files are written together
     layout = RowLayout(["x", "re", "im"], {"x": es.grid.x, "im": np.zeros(es.grid.size)})
-    for k in range(es.count):
-        files.append(_write_table(cfg, f"eigenfunction_{k + 1:04d}", layout, [[es.phi[k]]]))
+    files += _write_tables(cfg, [f"eigenfunction_{k + 1:04d}" for k in range(es.count)],
+                           layout, ([[phi]] for phi in es.phi))
     return files
 
 
@@ -350,6 +363,8 @@ def _coefficients_from_csv(path: str, l: float, grid_n: int) -> ModelCoefficient
         raise ConfigurationError(f"{path} has ragged or non-numeric rows")
     if data.shape[1] != 17:
         raise ConfigurationError(f"{path} has the wrong column count")
+    if not np.isfinite(data).all():         # loadtxt parses nan and inf
+        raise ConfigurationError(f"{path} has non-finite values")
     xs = data[:, 0]
     h = l / grid_n
     spacing = float(np.min(np.diff(xs))) if xs.size > 1 else h

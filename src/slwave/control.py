@@ -293,22 +293,26 @@ def _probe_matrix(g: Grid, xq: np.ndarray) -> np.ndarray:
     return W
 
 
+def _span_draws(t: float, samples: int, seed: int) -> tuple:
+    """Centres, widths and amplitudes, each (samples, 2), of the random
+    bumps of reachable_span_estimate, supported inside (0, t).  The four
+    uniforms of each end (width, centre, amplitude, sign) are drawn in one
+    call, in the order of scalar `uniform` draws, and mapped by their own
+    arithmetic, low + (high - low) u, so every bit matches those draws."""
+    u = np.random.default_rng(seed).random((samples, 2, 4))
+    width = (0.1 + (0.4 - 0.1) * u[..., 0]) * t
+    lo = 0.02 * t + width / 2.0
+    hi = 0.98 * t - width / 2.0
+    center = lo + (hi - lo) * u[..., 1]
+    amp = (0.5 + (1.5 - 0.5) * u[..., 2]) * np.where(u[..., 3] < 0.5, 1.0, -1.0)
+    return center, width, amp
+
+
 def _span_controls(t: float, kb: KernelBasis, samples: int, seed: int) -> list:
     """The random admissible bump controls of reachable_span_estimate, one
-    bump at each end per sample, supported inside (0, t)."""
-    rng = np.random.default_rng(seed)
-    controls = []
-    for _ in range(samples):
-        sig = {}
-        for end in ("f0", "fl"):
-            wsup = float(rng.uniform(0.1, 0.4)) * t
-            lo = 0.02 * t + wsup / 2.0
-            hi = 0.98 * t - wsup / 2.0
-            center = float(rng.uniform(lo, hi))
-            amp = float(rng.uniform(0.5, 1.5)) * (1.0 if rng.uniform() < 0.5 else -1.0)
-            sig[end] = bump(center, wsup, amp)
-        controls.append(control_to_kernel(ControlSignal(sig["f0"], sig["fl"]), kb))
-    return controls
+    bump at each end per sample."""
+    return [control_to_kernel(ControlSignal(*map(bump, *params)), kb)
+            for params in zip(*(v.tolist() for v in _span_draws(t, samples, seed)))]
 
 
 def reachable_span_estimate(t: float, es: EigenSystem, kb: KernelBasis,

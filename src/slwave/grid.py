@@ -22,7 +22,7 @@ from .errors import ConfigurationError, NumericalError
 __all__ = [
     "Grid", "GridFunction", "build_grid", "sample", "quad", "inner",
     "diff_samples", "interp_cubic", "simpson_sum", "format_column",
-    "RowLayout", "write_table", "write_json_table", "json_text",
+    "RowLayout", "write_tables", "write_table", "write_json_table", "json_text",
 ]
 
 
@@ -227,7 +227,7 @@ def interp_cubic(f: GridFunction, xq) -> np.ndarray:
 # A row (RowLayout) is the slots of its columns side by side: a text
 # column's slot is as wide as its widest text plus the separator, a float
 # column's slot is one cell.  Unused bytes hold NUL and are dropped when a
-# chunk is written.
+# piece of rows is written.
 _FMT = "%.17g".__mod__
 _K_MIN, _K_MAX = -40, 40        # k handled in numpy; 10^(16 - k) is tabled for k +- 1
 _TIE = 1e-6
@@ -241,8 +241,9 @@ _N_X = _K_MAX + 3 - _X_MIN
 # value): the numpy path costs about 60 us a call before its first value
 _SMALL = 64
 _tables = None
-# row-slot bytes per chunk of a block (8192 float cells): bounds the bytes
-# formatted and translated at once
+# row-slot bytes per piece of a block, and in _CELL units the float cells
+# of one formatting call (8192), gathered across blocks and tables: bounds
+# the bytes formatted and translated at once
 _CHUNK_BYTES = _CELL << 13
 
 
@@ -398,20 +399,21 @@ def _slot(rows: np.ndarray, start: int) -> np.ndarray:
     return rows[:, start:start + _CELL].view(_CELL_ITEM)[:, 0]
 
 
-def _fill_floats(rows: np.ndarray, cols: list, starts, seps) -> None:
-    """Format the equally long float columns cols into the uint8 rows:
-    column j into the cell at byte starts[j], with the separator seps[j].
-    A column of one bit pattern is formatted once and copied into every
-    row; the rest are formatted in one _format_into call."""
-    a = np.asarray(np.column_stack(cols), dtype=float)
+def _float_cells(a: np.ndarray, seps: np.ndarray) -> list:
+    """The cells of the columns of the float64 array a, of shape (m, r),
+    column j ending in the byte seps[j]: per column, m _CELL_ITEM cells.
+    A column of one bit pattern is formatted once and repeated (a
+    zero-stride view); the rest are formatted in one _format_into call."""
     bits = a.view(np.int64)
     same = (bits == bits[:1]).all(axis=0) & (len(a) > 1)
+    out = [None] * a.shape[1]
     for js, m in ((np.flatnonzero(same), 1), (np.flatnonzero(~same), len(a))):
         if js.size:
             cells = np.empty((m, js.size, _WORDS), np.uint64)
             _format_into(a[:m, js], cells, seps[js])
             for q, j in enumerate(js):
-                _slot(rows, starts[j])[...] = cells[:, q].view(_CELL_ITEM)[:, 0]
+                out[j] = np.broadcast_to(cells[:, q].view(_CELL_ITEM)[:, 0], (len(a),))
+    return out
 
 
 def format_column(values) -> np.ndarray:
@@ -419,9 +421,9 @@ def format_column(values) -> np.ndarray:
     blocks: uint8 of shape (n, w + 1), each %.17g text ("-0" for -0.0)
     left-aligned and NUL-padded to the widest text, w, and a last NUL byte
     that the writer fills with the separator."""
-    a = np.asarray(values, dtype=float)
+    a = np.asarray(values, dtype=float).reshape(-1, 1)
     cells = np.empty((len(a), _CELL), np.uint8)
-    _fill_floats(cells, [a], [0], np.zeros(1, np.uint8))
+    cells.view(_CELL_ITEM)[:, 0] = _float_cells(a, np.zeros(1, np.uint8))[0]
     size = np.count_nonzero(cells, axis=1)
     text = np.zeros((len(a), int(size.max(initial=0)) + 1), np.uint8)
     # a boolean mask fills row by row: the NUL-free text, left-aligned
@@ -437,8 +439,16 @@ def _rows(block) -> int:
     return n
 
 
+def _slot_ends(widths) -> tuple:
+    """The end offsets of the slots of a row whose columns have these
+    widths (0 for a float cell), and the rows of one piece: as many as fit
+    _CHUNK_BYTES of row slots, and at least one."""
+    ends = np.cumsum([w or _CELL for w in widths])
+    return ends, max(1, _CHUNK_BYTES // int(ends[-1]))
+
+
 class RowLayout:
-    """The rows of a CSV table as one reusable byte buffer, laid out once
+    """The rows of CSV tables as one reusable byte buffer, laid out once
     for every block of every table written with it.
 
     `header` names the columns.  `shared` maps column names to float
@@ -449,7 +459,13 @@ class RowLayout:
     order: float arrays, or the text cells of :func:`format_column` (a
     zero-stride ``np.broadcast_to`` of one cell row repeats a value); with
     shared columns, every block has their row count.  A float column's
-    slot is one 32-byte cell; the buffer is laid out again when a block's
+    slot is one 32-byte cell.
+
+    Blocks are cut into pieces of at most _CHUNK_BYTES of row slots.  The
+    float cells of consecutive pieces, of one block, of many blocks or of
+    many tables, are formatted together, up to _CHUNK_BYTES // _CELL
+    cells a call; each piece is then laid out by copying its text and
+    float cells into the buffer, which is laid out again when a block's
     text widths change.  The JSON writer reads the same layout: it puts
     the shared floats back into every block.
     """
@@ -460,6 +476,8 @@ class RowLayout:
                        for name, v in (shared or {}).items()}
         self._cells = None          # the shared text cells, made for the first CSV block
         self._widths = None         # the slot widths the buffer is laid out for
+        self._seps = np.full(len(self.header), ord(","), np.uint8)
+        self._seps[-1] = ord("\n")
 
     def columns(self, block, shared: dict) -> list:
         """The block's columns in header order, with `shared` (the floats,
@@ -472,15 +490,12 @@ class RowLayout:
         return [shared[j] if j in shared else next(rest) for j in range(len(self.header))]
 
     def _lay(self, cols, widths, n: int) -> None:
-        """Slot offsets for these widths (0 for a float column), and a
-        buffer with the shared text and every separator in place."""
-        ends = np.cumsum([w or _CELL for w in widths])
+        """Slot offsets for these widths, and a buffer, for a block of n
+        rows, with the shared text and every separator in place."""
+        ends, self._step = _slot_ends(widths)
         starts = ends - [w or _CELL for w in widths]
-        self._step = max(1, _CHUNK_BYTES // int(ends[-1]))
         self._buf = np.zeros((n if self.shared else min(n, self._step), ends[-1]), np.uint8)
         self._starts = starts
-        self._seps = np.full(len(widths), ord(","), np.uint8)
-        self._seps[-1] = ord("\n")
         for j in self.shared:
             self._buf[:, starts[j]:ends[j]] = cols[j]
         self._buf[:, ends - 1] = self._seps
@@ -488,48 +503,102 @@ class RowLayout:
         # a block's text cells fill their slots up to the separator
         self._text = [(j, starts[j], ends[j] - 1) for j, w in enumerate(widths)
                       if w and j not in self.shared]
-        self._floats = [j for j, w in enumerate(widths) if not w]
         self._widths = widths
 
-    def rows_text(self, block):
-        """The CSV rows of one block, as bytes, one chunk of at most
-        _CHUNK_BYTES of row slots (and at least one row) at a time."""
+    def rows_text(self, tables):
+        """The CSV rows of `tables`, (key, blocks) pairs, as (key, text)
+        pairs: (key, None) where a table begins, then the bytes of its
+        rows, one piece at a time.  Pieces are gathered, across blocks and
+        tables, while their float columns stay the same and their float
+        cells fit _CHUNK_BYTES // _CELL (a row without floats counts as
+        one cell), and each gathering is formatted in one call."""
         if self._cells is None:
             self._cells = {j: format_column(v) for j, v in self.shared.items()}
-        cols = self.columns(block, self._cells)
-        n = _rows(cols)
-        if not n:
-            return
-        widths = tuple(c.shape[1] if np.ndim(c) == 2 else 0 for c in cols)
-        if widths != self._widths or (not self.shared and len(self._buf) < min(n, self._step)):
-            self._lay(cols, widths, n)
-        for i in range(0, n, self._step):
-            m = min(self._step, n - i)
-            r0 = i if self.shared else 0
-            rows = self._buf[r0:r0 + m]
+        cap = _CHUNK_BYTES // _CELL
+        chunk, size, floats, widths = [], 0, (), None
+        for key, blocks in tables:
+            chunk.append((key, None))
+            for block in blocks:
+                cols = self.columns(block, self._cells)
+                n = _rows(cols)
+                if not n:
+                    continue
+                w = tuple(c.shape[1] if np.ndim(c) == 2 else 0 for c in cols)
+                if w != widths:
+                    widths, step = w, _slot_ends(w)[1]
+                    new = tuple(j for j, x in enumerate(w) if not x)
+                    if new != floats:
+                        yield from self._flush(chunk, floats)
+                        chunk, size, floats = [], 0, new
+                per_row = max(1, len(floats))
+                for i in range(0, n, step):
+                    m = min(step, n - i)
+                    if size + m * per_row > cap:
+                        yield from self._flush(chunk, floats)
+                        chunk, size = [], 0
+                    chunk.append((key, (cols, widths, n, i, m)))
+                    size += m * per_row
+        yield from self._flush(chunk, floats)
+
+    def _flush(self, chunk: list, floats: tuple):
+        """Format the float cells of the pieces of `chunk` in one call, then
+        lay out each piece's rows in turn and yield them."""
+        pieces = [p for _, p in chunk if p is not None]
+        a = np.empty((sum(p[4] for p in pieces), len(floats)))
+        off = 0
+        for cols, _, _, i, m in pieces:
+            for q, j in enumerate(floats):
+                a[off:off + m, q] = cols[j][i:i + m]
+            off += m
+        cells = _float_cells(a, self._seps[list(floats)]) if a.size else []
+        off = 0
+        for key, piece in chunk:
+            if piece is None:
+                yield key, None
+                continue
+            cols, widths, n, i, m = piece
+            if widths != self._widths or (not self.shared and len(self._buf) < m):
+                self._lay(cols, widths, n)
+            rows = self._buf[i:i + m] if self.shared else self._buf[:m]
             for j, start, sep in self._text:
                 rows[:, start:sep] = cols[j][i:i + m, :-1]
-            if self._floats:
-                _fill_floats(rows, [cols[j][i:i + m] for j in self._floats],
-                             self._starts[self._floats], self._seps[self._floats])
-            yield rows.tobytes().translate(None, b"\0")
+            for q, j in enumerate(floats):
+                _slot(rows, self._starts[j])[...] = cells[q][off:off + m]
+            off += m
+            yield key, rows.tobytes().translate(None, b"\0")
+
+
+def write_tables(table, tables) -> None:
+    """Write CSV tables of one layout: each (path, blocks) pair of
+    `tables` is a file of the header line, then the rows of its blocks.
+
+    `table` is a :class:`RowLayout`, whose shared columns the blocks leave
+    out, or the header, for tables without shared columns; a block is a
+    list of equally long columns as :class:`RowLayout` takes them.  The
+    float cells of consecutive blocks and tables are formatted together,
+    and memory is bounded by one chunk of them, so a caller can stream
+    large tables, and many small ones, one block at a time.
+    """
+    layout = table if isinstance(table, RowLayout) else RowLayout(table)
+    head = (",".join(layout.header) + "\n").encode("ascii")
+    fh = None
+    try:
+        for path, text in layout.rows_text(tables):
+            if text is None:
+                if fh is not None:
+                    fh.close()
+                fh = Path(path).open("wb")
+                text = head
+            fh.write(text)
+    finally:
+        if fh is not None:
+            fh.close()
 
 
 def write_table(path, table, blocks) -> None:
-    """Write a CSV table: the header line, then the rows of each block.
-
-    `table` is a :class:`RowLayout`, whose shared columns the blocks leave
-    out, or the header, for a table without shared columns; a block is a
-    list of equally long columns as :class:`RowLayout` takes them.  Blocks
-    are written in chunks, so a caller can stream a large table one block
-    at a time.
-    """
-    layout = table if isinstance(table, RowLayout) else RowLayout(table)
-    with Path(path).open("wb") as fh:
-        fh.write((",".join(layout.header) + "\n").encode("ascii"))
-        for block in blocks:
-            for text in layout.rows_text(block):
-                fh.write(text)
+    """Write one CSV table: :func:`write_tables` of the one pair (path,
+    blocks)."""
+    write_tables(table, [(path, blocks)])
 
 
 def _json_float(x: float) -> str:

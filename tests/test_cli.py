@@ -360,7 +360,10 @@ def test_eigs_artifacts_and_determinism(tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["eigs", "--config", path, "--out", str(out1)]) == 0
     assert main(["eigs", "--config", path, "--out", str(out2)]) == 0
-    capsys.readouterr()
+    # every path, in mode order, though the eigenfunction files are written together
+    names = ["eigenvalues.csv", "eigs_summary.json",
+             *(f"eigenfunction_{k:04d}.csv" for k in range(1, 6))]
+    assert capsys.readouterr().out == "".join(f"{d / n}\n" for d in (out1, out2) for n in names)
 
     lines = (out1 / "eigenvalues.csv").read_text().strip().splitlines()
     assert lines[0] == "n,lambda"
@@ -672,6 +675,21 @@ def test_recover_rejects_wrong_column_count(tmp_path, capsys, edit):
     assert "wrong column count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_recover_rejects_non_finite_table(tmp_path, capsys, cell):
+    """np.loadtxt parses nan and infinities; such a table is refused, with
+    exit 2 and one line naming it, before any artefact is written."""
+    def edit(lines):
+        cells = lines[5].split(",")
+        cells[3] = cell
+        return lines[:5] + [",".join(cells)] + lines[6:]
+    follow, out = _edit_model_table(tmp_path, edit)
+    assert main(["recover", "--config", follow, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {out / 'model.csv'} has non-finite values\n"
+    assert not (out / "recovery.csv").exists()
+
+
 def _bad_table(tmp_path, kind):
     if kind == "missing":
         return tmp_path / "absent.csv"
@@ -700,15 +718,17 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
     assert taken.read_text() == "keep"
 
 
-@pytest.mark.parametrize("taken", ["recovery.csv", "recovery_report.json"])
+@pytest.mark.parametrize("taken", ["recovery.csv", "recovery_report.json",
+                                   "eigenfunction_0002.csv"])
 def test_artefact_path_that_cannot_be_opened_exits_2(tmp_path, capsys, taken):
-    """An artefact path that is a directory, for a CSV table or a JSON
-    report, is a configuration error (exit 2 and one message line), not a
-    traceback."""
+    """An artefact path that is a directory, for a CSV table, a JSON
+    report or one of the eigenfunction files `eigs` writes together, is a
+    configuration error (exit 2 and one message line), not a traceback."""
     out = tmp_path / "o"
     (out / taken).mkdir(parents=True)
     path = ini(tmp_path / "c.ini", COSINE_SMALL)
-    assert main(["recover", "--config", path, "--out", str(out)]) == 2
+    command = "eigs" if taken.startswith("eigenfunction") else "recover"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("configuration error: cannot use output directory")

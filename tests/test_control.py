@@ -407,6 +407,30 @@ def test_reachable_span_estimate(es_zero, kb_zero):
     assert np.array_equal(sv, sv2)     # deterministic for a fixed seed
 
 
+def scalar_span_draws(t, samples, seed):
+    """The span bumps drawn one scalar `uniform` at a time: centre, width
+    and amplitude, (samples, 2) each, as _span_draws must give them."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((3, samples, 2))
+    for i in range(samples):
+        for e in range(2):
+            wsup = float(rng.uniform(0.1, 0.4)) * t
+            lo = 0.02 * t + wsup / 2.0
+            hi = 0.98 * t - wsup / 2.0
+            center = float(rng.uniform(lo, hi))
+            amp = float(rng.uniform(0.5, 1.5)) * (1.0 if rng.uniform() < 0.5 else -1.0)
+            out[:, i, e] = center, wsup, amp
+    return out
+
+
+def test_span_draws_match_scalar_draws_bit_for_bit():
+    for seed in range(50):
+        for t in (0.1, 0.35, 0.6, 1.0):
+            want = scalar_span_draws(t, 96, seed)
+            got = np.stack(control._span_draws(t, 96, seed))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (seed, t)
+
+
 @pytest.mark.parametrize("samples", [32, 96])
 def test_probe_space_span_matches_full_fields(es_zero, kb_zero, samples):
     """Synthesising at the probe points gives the singular values of the

@@ -13,7 +13,7 @@ from slwave import grid as grid_module
 from slwave.errors import ConfigurationError, NumericalError
 from slwave.grid import (GridFunction, RowLayout, build_grid, diff_samples,
                          format_column, inner, interp_cubic, json_text, quad, sample,
-                         simpson_sum, write_json_table, write_table)
+                         simpson_sum, write_json_table, write_table, write_tables)
 from slwave.model import default_gauge
 from slwave.sturm import kernel_basis, potential
 from slwave.verify import boundary_form
@@ -224,8 +224,11 @@ def test_write_table_mixes_text_and_float_columns(tmp_path):
 
 
 def test_write_table_sizes_chunks_by_row_bytes(tmp_path, monkeypatch):
-    """A chunk holds as many rows as fit _CHUNK_BYTES of row slots (at
-    least one), and one formatting call serves all its float columns."""
+    """A piece holds as many rows as fit _CHUNK_BYTES of row slots (at
+    least one), and one formatting call serves all the float columns of
+    as many whole pieces as fit _CHUNK_BYTES // _CELL cells: at a budget
+    of 1000 bytes, eight calls of one 11-row piece, and one of the last
+    full piece and the 2-row tail."""
     rng = np.random.default_rng(4)
     n = 101
     xs = format_column(np.arange(n) / 3.0)
@@ -236,14 +239,14 @@ def test_write_table_sizes_chunks_by_row_bytes(tmp_path, monkeypatch):
     fmt = grid_module._format_into
     monkeypatch.setattr(grid_module, "_format_into",
                         lambda a, out, seps: seen.append(a.shape) or fmt(a, out, seps))
-    for budget in (1000, row - 1):
+    assert 1000 // row == 11
+    for budget, calls in ((1000, [(11, 2)] * 8 + [(13, 2)]), (row - 1, [(1, 2)] * n)):
         monkeypatch.setattr(grid_module, "_CHUNK_BYTES", budget)
         seen.clear()
         p = tmp_path / "chunks.csv"
         write_table(p, ["a", "x", "im", "b"], [cols])
         assert_same_text(p.read_text(), oracle_table(["a", "x", "im", "b"], [cols]))
-        step = max(1, budget // row)
-        assert seen == [(min(step, n - i), 2) for i in range(0, n, step)]
+        assert seen == calls
 
 
 def test_write_table_matches_row_loop(tmp_path):
@@ -464,6 +467,137 @@ def test_layout_block_straddles_chunks(tmp_path, monkeypatch):
         blocks = [[rng.standard_normal(n)], [np.cos(x)]]
         write_and_check(tmp_path / f"s{budget}.csv", layout, blocks)
         assert layout._step == max(1, budget // row) < n
+
+
+def one_call_per_block(layout, blocks) -> bytes:
+    """A table as a writer with one _format_into call per block writes
+    it: the block's float columns formatted together, every text and float
+    cell laid in its slot and the NUL bytes squeezed out."""
+    shared = {j: format_column(v) for j, v in layout.shared.items()}
+    seps = np.full(len(layout.header), ord(","), np.uint8)
+    seps[-1] = ord("\n")
+    text = [(",".join(layout.header) + "\n").encode()]
+    for block in blocks:
+        cols = layout.columns(block, shared)
+        floats = [j for j, c in enumerate(cols) if np.ndim(c) == 1]
+        if not len(cols[0]):
+            continue
+        cells = np.empty((len(cols[0]), len(floats), grid_module._WORDS), np.uint64)
+        grid_module._format_into(np.column_stack([np.asarray(cols[j], dtype=float)
+                                                  for j in floats]), cells, seps[floats])
+        slots = []
+        for j, c in enumerate(cols):
+            if j in floats:
+                slots.append(cells[:, floats.index(j)].view(np.uint8))
+            else:
+                slots.append(np.array(c, np.uint8))
+                slots[-1][:, -1] = seps[j]
+        text.append(np.hstack(slots).tobytes().translate(None, b"\0"))
+    return b"".join(text)
+
+
+def edge_values(rng, n, ties) -> np.ndarray:
+    """n normals of spread magnitude, among them signed zeros, subnormals,
+    1e+-300 (left to Python's %.17g) and exact ties."""
+    v = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    special = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300,
+                               1e-300, -1e-300], rng.choice(ties, 24)])
+    v[rng.choice(n, min(n, special.size), replace=False)] = special[:n]
+    return v
+
+
+def check_tables(paths, layout, tables):
+    """Each file is the per-value %.17g text of its table (the oracle) and
+    the bytes of the one-call-per-block writer."""
+    for path, blocks in zip(paths, tables):
+        got = path.read_bytes()
+        assert got == one_call_per_block(layout, blocks), path.name
+        want = oracle_table(layout.header, full_blocks(layout, blocks))
+        assert_same_text(got.decode(), want)
+
+
+def formatting_calls(monkeypatch) -> list:
+    """The shapes of the arrays _format_into is called with, from now on."""
+    seen = []
+    fmt = grid_module._format_into
+    monkeypatch.setattr(grid_module, "_format_into",
+                        lambda a, out, seps: seen.append(a.shape) or fmt(a, out, seps))
+    return seen
+
+
+@pytest.mark.parametrize("count, calls", [
+    (1, [1]), (3, [6003]), (4, [8004]), (5, [8004, 2001]), (9, [8004, 8004, 2001])])
+def test_tables_of_one_layout_share_formatting_calls(tmp_path, monkeypatch, count, calls):
+    """One-block eigenfunction-shaped tables of 2001 rows, written
+    together: four tables a call (8004 of the 8192 cells), the last call
+    partial, and every file byte for byte its own table.  The middle
+    table's column is constant: formatted with its neighbours, or once
+    when it is alone in its call."""
+    rng = np.random.default_rng(count)
+    n, ties = 2001, exact_ties()
+    x = np.linspace(0.0, 1.0, n)
+    layout = RowLayout(["x", "re", "im"], {"x": x, "im": np.zeros(n)})
+    tables = [[[edge_values(rng, n, ties)]] for _ in range(count)]
+    tables[count // 2] = [[np.full(n, -1 / 3)]]
+    paths = [tmp_path / f"eigenfunction_{k:04d}.csv" for k in range(count)]
+    seen = formatting_calls(monkeypatch)
+    write_tables(layout, zip(paths, tables))
+    # the shared nodes and zeros first, then the tables' own values
+    assert seen == [(n, 1), (1, 1)] + [(m, 1) for m in calls]
+    check_tables(paths, layout, tables)
+
+
+def test_wave_field_shaped_table_shares_formatting_calls(tmp_path, monkeypatch):
+    """48 snapshots of 2001 rows in one table: twelve calls of four
+    blocks each."""
+    rng = np.random.default_rng(48)
+    n, ties = 2001, exact_ties()
+    x = np.linspace(0.0, 1.0, n)
+    ts = format_column(np.linspace(0.5 / 48, 0.5, 48))
+    layout = RowLayout(["t", "x", "re", "im"], {"x": x, "im": np.zeros(n)})
+    blocks = [[np.broadcast_to(t, (n, t.size)), edge_values(rng, n, ties)] for t in ts]
+    seen = formatting_calls(monkeypatch)
+    write_table(tmp_path / "wavefield.csv", layout, iter(blocks))
+    assert seen == [(n, 1), (1, 1)] + [(4 * n, 1)] * 12
+    check_tables([tmp_path / "wavefield.csv"], layout, [blocks])
+
+
+def test_new_text_widths_inside_one_formatting_call(tmp_path, monkeypatch):
+    """Blocks whose text widths change share one call, and the buffer is
+    laid out again between them; a column constant within one block is
+    formatted with the others, one constant over the whole call once."""
+    rng = np.random.default_rng(7)
+    ties = exact_ties()
+    layout = RowLayout(["a", "s", "b"])
+    blocks = []
+    for n, width in ((500, 3), (700, 12), (300, 1), (2, 24)):
+        text = format_column(np.resize([TEXT_OF_LENGTH[width], 0.0], n))
+        blocks.append([edge_values(rng, n, ties), text, np.full(n, 0.1 * width)])
+    constant = [[b[0], b[1], np.full(len(b[0]), 5e-324)] for b in blocks]
+    tables = [(tmp_path / "widths.csv", blocks), (tmp_path / "constant.csv", constant)]
+    seen = formatting_calls(monkeypatch)
+    for path, table in tables:
+        write_table(path, layout, table)
+    assert seen == [(1502, 2), (1, 1), (1502, 1)]
+    check_tables([p for p, _ in tables], layout, [b for _, b in tables])
+
+
+def test_blocks_over_the_cell_budget_start_a_new_call(tmp_path, monkeypatch):
+    """Blocks without shared columns fill a call while their cells fit
+    the budget; a block past it starts the next, and a block taller than
+    a piece is cut into pieces that the budget groups."""
+    rng = np.random.default_rng(9)
+    ties = exact_ties()
+    cap = grid_module._CHUNK_BYTES // grid_module._CELL
+    step = grid_module._CHUNK_BYTES // (3 * grid_module._CELL)
+    sizes = (1000, 1000, 1000, 2 * step + 5, 1)
+    blocks = [[edge_values(rng, n, ties) for _ in range(3)] for n in sizes]
+    layout = RowLayout(["a", "b", "c"])
+    seen = formatting_calls(monkeypatch)
+    write_table(tmp_path / "budget.csv", layout, blocks)
+    assert cap // 3 == step == 2730
+    assert seen == [(2000, 3), (1000, 3), (step, 3), (step, 3), (5 + 1, 3)]
+    check_tables([tmp_path / "budget.csv"], layout, [blocks])
 
 
 def test_eigs_files_match_per_file_oracle_tables(tmp_path):

@@ -93,10 +93,6 @@ class ClosedForm:
         total = functools.reduce(lambda a, b: [x + y for x, y in zip(a, b)], rows)
         return np.array(total) * self.scale
 
-    def sine_moments(self, mu, t: float, k: int = 0) -> np.ndarray:
-        """Exact int_0^t sin(mu_n (t - s)) f^(k)(s) ds for every mu_n >= 0."""
-        return sine_moments([self], mu, t, k)[0]
-
     def __add__(self, other):
         if isinstance(other, (int, float)):
             other = Const(float(other))

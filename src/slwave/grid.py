@@ -22,7 +22,7 @@ from .errors import ConfigurationError, NumericalError
 __all__ = [
     "Grid", "GridFunction", "build_grid", "sample", "quad", "inner",
     "diff_samples", "interp_cubic", "simpson_sum", "format_column",
-    "RowLayout", "write_tables", "write_table", "write_json_table", "json_text",
+    "RowLayout", "write_tables", "write_json_table", "json_text",
 ]
 
 
@@ -595,12 +595,6 @@ def write_tables(table, tables) -> None:
             fh.close()
 
 
-def write_table(path, table, blocks) -> None:
-    """Write one CSV table: :func:`write_tables` of the one pair (path,
-    blocks)."""
-    write_tables(table, [(path, blocks)])
-
-
 def _json_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError("Out of range float values are not JSON compliant")
@@ -659,7 +653,7 @@ def json_text(payload) -> str:
 
 def write_json_table(path, table, blocks) -> None:
     """Write the JSON table {"columns": header, "rows": [...]} of float
-    blocks (`table` and the blocks as for :func:`write_table`, the shared
+    blocks (`table` and a block as for :func:`write_tables`, the shared
     columns of a layout put back into every block), byte for byte what
     :func:`json_text` gives, one block at a time.  A non-finite value
     raises a NumericalError and leaves no file."""

@@ -32,7 +32,7 @@ from .control import (ControlSignal, _batched_smooth_wave, control_to_kernel,
                       smooth_waves, support_report)
 from .errors import (ConfigurationError, NumericalError, SlwaveError,
                      VerificationFailure)
-from .geometry import Atom, atom_snapshot, distance_profile, set_mass
+from .geometry import distance_profile, set_mass
 from .grid import (GridFunction, _cubic_apply, _cubic_stencil, build_grid, diff_samples,
                    inner, interp_cubic, quad, sample)
 from .model import (DET_FLOOR, GaugeData, SmoothFunction, default_gauge, hat_value,
@@ -46,8 +46,6 @@ __all__ = ["CheckResult", "VerificationReport", "Workspace", "run_all",
            "CHECK_NAMES"]
 
 _FAILED_SENTINEL = 9e99
-# tolerance of form_limit_check
-_FORM_TOL = 1e-4
 
 
 @dataclass(eq=False)
@@ -301,12 +299,10 @@ def check_eikonal_metric(ws: Workspace) -> CheckResult:
     """
     g = ws.grid
     rng = np.random.default_rng(ws.seed)
-    ks = rng.integers(0, 513, size=(10, 2))
-    pool = [Atom(int(k) / 1024.0 * g.l) for k in ks.ravel()]
-    x = np.array([a.x for a in pool])
+    x = rng.integers(0, 513, size=(10, 2)).ravel() / 1024.0 * g.l
     D = np.abs(x[:, None] - x[None, :])
     # grid sup of every profile difference, one row at a time
-    prof = np.stack([distance_profile(a, g) for a in pool])
+    prof = np.stack([distance_profile(a, g) for a in x])
     sup = np.stack([np.max(np.abs(prof - row), axis=1) for row in prof])
     off = np.abs(sup - D)
     if np.any(off > g.h):
@@ -314,7 +310,7 @@ def check_eikonal_metric(ws: Workspace) -> CheckResult:
         raise NumericalError(
             f"eikonal sup-norm {sup[i, j]} disagrees with |x1-x2| = {D[i, j]} beyond h")
     # the ten drawn pairs are the atoms (2i, 2i + 1)
-    pairs = np.arange(0, len(pool), 2)
+    pairs = np.arange(0, len(x), 2)
     measured = float(np.max(off[pairs, pairs + 1]))
     axioms = bool(np.all(np.diag(D) == 0.0) and np.array_equal(D, D.T)
                   and np.all(D[:, None, :] <= D[:, :, None] + D[None, :, :]))
@@ -368,25 +364,27 @@ class FormLimitReport:
     target: float
     deviation: float
     monotone: bool
-    passed: bool
 
 
 def form_limit_check(u: GridFunction, x: float, gd: GaugeData) -> FormLimitReport:
     """Ratio ||P_{omega_x(t)} u||^2 / ||P_{omega_x(t)} e||^2 for t = 0.08 l,
     0.04 l and 0.02 l, Richardson-extrapolated in t^2 and compared with the
-    boundary form value at x; passes within 1e-4."""
+    boundary form value at x.  omega_x(t) is the t-neighbourhood of the
+    point pair {a, l - a}, a = min(x, l - x): two intervals, or one where
+    they meet."""
     l = gd.grid.l
     radii = (0.08 * l, 0.04 * l, 0.02 * l)
-    if radii[0] >= min(x, l - x):
+    a = min(x, l - x)
+    if radii[0] >= a:
         raise ConfigurationError("largest radius must stay inside (0, l)")
-    atom = Atom(min(x, l - x))
     e_gf = gd.e.as_grid_function(gd.grid)
     ratios = []
     for t in radii:
-        snap = atom_snapshot(atom, t, l)
-        mu = set_mass(u, snap)
-        me = set_mass(e_gf, snap)
-        ratios.append(mu / me)
+        if a + t < l - a - t:
+            omega = ((a - t, a + t), (l - a - t, l - a + t))
+        else:
+            omega = ((a - t, l - a + t),)
+        ratios.append(set_mass(u, omega) / set_mass(e_gf, omega))
     t1, t2 = radii[-2], radii[-1]
     r1, r2 = ratios[-2], ratios[-1]
     extrapolated = r2 + (r2 - r1) * t2 ** 2 / (t1 ** 2 - t2 ** 2)
@@ -395,8 +393,7 @@ def form_limit_check(u: GridFunction, x: float, gd: GaugeData) -> FormLimitRepor
     devs = [abs(r - target) for r in ratios]
     floor = max(1e-10, 1e-8 * abs(target))
     monotone = all(d2 <= d1 * 2.0 + floor for d1, d2 in zip(devs, devs[1:]))
-    passed = bool(deviation <= _FORM_TOL and monotone)
-    return FormLimitReport(float(target), float(deviation), monotone, passed)
+    return FormLimitReport(float(target), float(deviation), monotone)
 
 
 def check_form_limit(ws: Workspace) -> CheckResult:
@@ -466,6 +463,7 @@ def check_graph_consistency(ws: Workspace) -> CheckResult:
                    "sup |apply_model(hat u^h) + hat u^{h''}| for two bump controls")
 
 
+# (name, tolerance, sense, check); a tolerance of None is the grid step h
 _CHECKS = [
     ("dirichlet_spectrum", 1e-7, "<=", check_dirichlet_spectrum),
     ("dalembert_wave", 2e-3, "<=", check_dalembert_wave),
@@ -492,7 +490,7 @@ def run_all(ws: Workspace) -> VerificationReport:
             results.append(fn(ws))
         except SlwaveError as exc:
             results.append(CheckResult(name, _FAILED_SENTINEL,
-                                       tol if tol is not None else 0.0,
+                                       ws.grid.h if tol is None else tol,
                                        sense, False,
                                        f"{type(exc).__name__}: {exc}"))
     env = {"grid_n": ws.grid_n, "modes": ws.modes, "seed": ws.seed,

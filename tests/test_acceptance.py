@@ -72,6 +72,7 @@ def test_09_eikonal_metric(acceptance_ws):
     c, _, ok = _run(acceptance_ws, verify.check_eikonal_metric)
     assert ok, f"measured {c.measured:.3e} vs h={c.tolerance:.3e}"
     assert c.extras["axioms_exact"] == 1.0
+    assert c.measured == 2.7755575615628914e-17
 
 
 def test_10_potential_recovery(acceptance_ws):
@@ -84,6 +85,10 @@ def test_11_form_limit(acceptance_ws):
     c, _, ok = _run(acceptance_ws, verify.check_form_limit)
     assert ok, f"worst deviation {c.measured:.3e}"
     assert abs(c.extras["target_x0.25"] - 1.6) <= 1e-9
+    assert c.extras == {"deviation_x0.1": 5.150508624041095e-07,
+                        "deviation_x0.25": 1.1626033773470823e-06,
+                        "target_x0.1": 1.2195121951220682,
+                        "target_x0.25": 1.6000000000001042}
 
 
 def test_12_graph_consistency(acceptance_ws):

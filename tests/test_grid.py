@@ -13,7 +13,7 @@ from slwave import grid as grid_module
 from slwave.errors import ConfigurationError, NumericalError
 from slwave.grid import (GridFunction, RowLayout, build_grid, diff_samples,
                          format_column, inner, interp_cubic, json_text, quad, sample,
-                         simpson_sum, write_json_table, write_table, write_tables)
+                         simpson_sum, write_json_table, write_tables)
 from slwave.model import default_gauge
 from slwave.sturm import kernel_basis, potential
 from slwave.verify import boundary_form
@@ -152,7 +152,7 @@ def test_csv_round_trip(tmp_path):
     g = build_grid(1.0, 24)
     gf = GridFunction(g, np.exp(1j * g.x) / 3.0)
     p = tmp_path / "f.csv"
-    write_table(p, ["x", "re", "im"], [[g.x, gf.values.real, gf.values.imag]])
+    write_tables(["x", "re", "im"], [(p, [[g.x, gf.values.real, gf.values.imag]])])
     back = np.loadtxt(p, delimiter=",", skiprows=1)
     assert np.array_equal(back[:, 1] + 1j * back[:, 2], gf.values)
     assert np.array_equal(back[:, 0], g.x)
@@ -164,7 +164,7 @@ def text_of(cells) -> list:
 
 
 def oracle_table(header, blocks) -> str:
-    """Per-value row loop: what write_table must reproduce byte for byte."""
+    """Per-value row loop: what write_tables must reproduce byte for byte."""
     lines = [",".join(header)]
     for block in blocks:
         cols = [text_of(c) if np.ndim(c) == 2 else c for c in block]
@@ -219,7 +219,7 @@ def test_write_table_mixes_text_and_float_columns(tmp_path):
     blocks.append([np.array([]), ts[:0], xs[:0], np.array([]), zero[:0], np.array([])])
     header = ["a", "t", "x", "b", "im", "c"]
     p = tmp_path / "mixed.csv"
-    write_table(p, header, iter(blocks))
+    write_tables(header, [(p, iter(blocks))])
     assert_same_text(p.read_text(), oracle_table(header, blocks))
 
 
@@ -244,7 +244,7 @@ def test_write_table_sizes_chunks_by_row_bytes(tmp_path, monkeypatch):
         monkeypatch.setattr(grid_module, "_CHUNK_BYTES", budget)
         seen.clear()
         p = tmp_path / "chunks.csv"
-        write_table(p, ["a", "x", "im", "b"], [cols])
+        write_tables(["a", "x", "im", "b"], [(p, [cols])])
         assert_same_text(p.read_text(), oracle_table(["a", "x", "im", "b"], [cols]))
         assert seen == calls
 
@@ -259,7 +259,7 @@ def test_write_table_matches_row_loop(tmp_path):
               [[], np.array([]), np.array([])]]
     header = ["x", "a", "b"]
     p = tmp_path / "t.csv"
-    write_table(p, header, iter(blocks))
+    write_tables(header, [(p, iter(blocks))])
     assert_same_text(p.read_text(), oracle_table(header, blocks))
 
 
@@ -272,14 +272,14 @@ def test_write_table_chunks_a_long_block(tmp_path):
             rng.standard_normal(n)]
     cols.append(format_column(np.arange(n) / 3.0))
     p = tmp_path / "long.csv"
-    write_table(p, ["a", "b", "c", "d"], [cols])
+    write_tables(["a", "b", "c", "d"], [(p, [cols])])
     assert_same_text(p.read_text(), oracle_table(["a", "b", "c", "d"], [cols]))
 
 
 def assert_column_matches(tmp_path, values):
-    """write_table of one float column against the per-value %.17g loop."""
+    """write_tables of one float column against the per-value %.17g loop."""
     p = tmp_path / "col.csv"
-    write_table(p, ["v"], [[values]])
+    write_tables(["v"], [(p, [[values]])])
     assert_same_text(p.read_text(), oracle_table(["v"], [[values]]))
 
 
@@ -294,7 +294,7 @@ def test_write_table_matches_oracle_on_bulk_draws(tmp_path):
     ints = rng.integers(2 ** 53, 2 ** 62, n).astype(float)
     p = tmp_path / "bulk.csv"
     blocks = [[bits.view(float), scaled, ints]]
-    write_table(p, ["a", "b", "c"], blocks)
+    write_tables(["a", "b", "c"], [(p, blocks)])
     assert_same_text(p.read_text(), oracle_table(["a", "b", "c"], blocks))
 
 
@@ -342,7 +342,7 @@ def test_write_table_edge_columns(tmp_path):
     n = grid_module._CHUNK_BYTES // (2 * grid_module._CELL) + 1
     cols = [rng.standard_normal(n), np.full(n, 0.45), -np.abs(rng.standard_normal(n))]
     p = tmp_path / "straddle.csv"
-    write_table(p, ["a", "b", "c"], [cols])
+    write_tables(["a", "b", "c"], [(p, [cols])])
     assert_same_text(p.read_text(), oracle_table(["a", "b", "c"], [cols]))
 
 
@@ -386,7 +386,7 @@ def full_blocks(layout, blocks):
 
 
 def write_and_check(path, layout, blocks):
-    write_table(path, layout, iter(blocks))
+    write_tables(layout, [(path, iter(blocks))])
     assert_same_text(path.read_text(), oracle_table(layout.header, full_blocks(layout, blocks)))
 
 
@@ -427,9 +427,9 @@ def test_layout_lays_out_again_for_new_widths_and_row_counts(tmp_path):
     write_and_check(tmp_path / "twice.csv", layout, blocks[::-1])
     shared = RowLayout(["x", "re"], {"x": np.arange(4.0)})
     with pytest.raises(ConfigurationError, match="differ in length"):
-        write_table(tmp_path / "rows.csv", shared, [[np.zeros(4)], [np.zeros(5)]])
+        write_tables(shared, [(tmp_path / "rows.csv", [[np.zeros(4)], [np.zeros(5)]])])
     with pytest.raises(ConfigurationError, match="shared columns"):
-        write_table(tmp_path / "cols.csv", shared, [[np.zeros(4), np.zeros(4)]])
+        write_tables(shared, [(tmp_path / "cols.csv", [[np.zeros(4), np.zeros(4)]])])
 
 
 @pytest.mark.parametrize("width", range(1, 25))
@@ -557,7 +557,7 @@ def test_wave_field_shaped_table_shares_formatting_calls(tmp_path, monkeypatch):
     layout = RowLayout(["t", "x", "re", "im"], {"x": x, "im": np.zeros(n)})
     blocks = [[np.broadcast_to(t, (n, t.size)), edge_values(rng, n, ties)] for t in ts]
     seen = formatting_calls(monkeypatch)
-    write_table(tmp_path / "wavefield.csv", layout, iter(blocks))
+    write_tables(layout, [(tmp_path / "wavefield.csv", iter(blocks))])
     assert seen == [(n, 1), (1, 1)] + [(4 * n, 1)] * 12
     check_tables([tmp_path / "wavefield.csv"], layout, [blocks])
 
@@ -577,7 +577,7 @@ def test_new_text_widths_inside_one_formatting_call(tmp_path, monkeypatch):
     tables = [(tmp_path / "widths.csv", blocks), (tmp_path / "constant.csv", constant)]
     seen = formatting_calls(monkeypatch)
     for path, table in tables:
-        write_table(path, layout, table)
+        write_tables(layout, [(path, table)])
     assert seen == [(1502, 2), (1, 1), (1502, 1)]
     check_tables([p for p, _ in tables], layout, [b for _, b in tables])
 
@@ -594,7 +594,7 @@ def test_blocks_over_the_cell_budget_start_a_new_call(tmp_path, monkeypatch):
     blocks = [[edge_values(rng, n, ties) for _ in range(3)] for n in sizes]
     layout = RowLayout(["a", "b", "c"])
     seen = formatting_calls(monkeypatch)
-    write_table(tmp_path / "budget.csv", layout, blocks)
+    write_tables(layout, [(tmp_path / "budget.csv", blocks)])
     assert cap // 3 == step == 2730
     assert seen == [(2000, 3), (1000, 3), (step, 3), (step, 3), (5 + 1, 3)]
     check_tables([tmp_path / "budget.csv"], layout, [blocks])
@@ -629,12 +629,12 @@ def test_write_json_table_puts_shared_columns_back(tmp_path):
 
 def test_write_table_empty_and_ragged(tmp_path):
     p = tmp_path / "e.csv"
-    write_table(p, ["x", "y"], [])
+    write_tables(["x", "y"], [(p, [])])
     assert p.read_text() == "x,y\n"
-    write_table(p, ["x", "y"], [[np.array([]), np.array([])]])
+    write_tables(["x", "y"], [(p, [[np.array([]), np.array([])]])])
     assert p.read_text() == "x,y\n"
     with pytest.raises(ConfigurationError):
-        write_table(p, ["x", "y"], [[np.zeros(3), np.zeros(2)]])
+        write_tables(["x", "y"], [(p, [[np.zeros(3), np.zeros(2)]])])
 
 
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))

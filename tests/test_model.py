@@ -177,7 +177,7 @@ def test_form_limit_quarter_point(gauge_zero):
     u = GridFunction(gauge_zero.grid, np.ones(gauge_zero.grid.size, dtype=complex))
     rep = form_limit_check(u, 0.25, gauge_zero)
     assert rep.target == pytest.approx(1.6, abs=1e-9)   # 2 / rho(1/4)
-    assert rep.passed
+    assert rep.monotone
     assert rep.deviation <= 1e-4
 
 

@@ -7,17 +7,17 @@ import pytest
 
 from slwave import mat2, verify
 from slwave.errors import NumericalError
-from slwave.geometry import Atom, distance_profile
+from slwave.geometry import distance_profile
 from slwave.grid import GridFunction, inner, sample
 from slwave.model import hat_value, model_inner
 
 
-def eikonal_metric(a1, a2, g):
+def eikonal_metric(x1, x2, g):
     """Distance |x1 - x2| between two atoms, cross-checked against the
     sup-norm of the eikonal difference on the grid (the per-pair form of
     the eikonal check)."""
-    exact = abs(a1.x - a2.x)
-    sup = float(np.max(np.abs(distance_profile(a1, g) - distance_profile(a2, g))))
+    exact = abs(x1 - x2)
+    sup = float(np.max(np.abs(distance_profile(x1, g) - distance_profile(x2, g))))
     if abs(sup - exact) > g.h:
         raise NumericalError(
             f"eikonal sup-norm {sup} disagrees with |x1-x2| = {exact} beyond h")
@@ -35,8 +35,7 @@ def eikonal_per_pair(ws):
     g = ws.grid
     rng = np.random.default_rng(ws.seed)
     ks = rng.integers(0, 513, size=(10, 2))
-    atoms = [(Atom(int(k1) / 1024.0 * g.l), Atom(int(k2) / 1024.0 * g.l))
-             for k1, k2 in ks]
+    atoms = [(int(k1) / 1024.0 * g.l, int(k2) / 1024.0 * g.l) for k1, k2 in ks]
     measured = 0.0
     for a1, a2 in atoms:
         d = eikonal_metric(a1, a2, g)
@@ -78,7 +77,36 @@ def test_eikonal_fault_fails_the_check(acceptance_ws, monkeypatch):
     failed = {c.name: c for c in report.checks if not c.passed}
     assert list(failed) == ["eikonal_metric"]
     assert failed["eikonal_metric"].detail.startswith("NumericalError: eikonal sup-norm")
+    assert failed["eikonal_metric"].tolerance == acceptance_ws.grid.h
     assert len(calls) == 20
+
+
+def test_form_limit_neighbourhoods(gauge_zero, monkeypatch):
+    """omega_x(t) is the two intervals of radius t about {a, l - a},
+    a = min(x, l - x), and one interval once they meet."""
+    omegas = []
+
+    def recorded(u, intervals):
+        omegas.append(intervals)
+        return set_mass(u, intervals)
+
+    set_mass = verify.set_mass
+    monkeypatch.setattr(verify, "set_mass", recorded)
+    g = gauge_zero.grid
+    u = sample(g, np.ones_like(g.x))
+    l = g.l
+    radii = (0.08 * l, 0.04 * l, 0.02 * l)
+
+    def pair(a, t):
+        return ((a - t, a + t), (l - a - t, l - a + t))
+
+    verify.form_limit_check(u, 0.25 * l, gauge_zero)
+    a = 0.47 * l
+    verify.form_limit_check(u, a, gauge_zero)
+    want = [pair(0.25 * l, t) for t in radii]
+    want += [((a - t, l - a + t),) for t in radii[:2]] + [pair(a, radii[2])]
+    # the masses of u and of e are taken over the same set
+    assert omegas[::2] == omegas[1::2] == want
 
 
 def test_parseval_equals_pairwise_certificate(acceptance_ws):

@@ -38,9 +38,10 @@ _MARGIN_CELLS = 2
 # interior probe points of reachable_span_estimate
 _COARSE_M = 24
 # bound on forms x modes per sine_moments call of _batched_smooth_wave,
-# so its work arrays stay near 2.5 MB whatever the snapshot count: the
-# largest, the power moments of _poly_moments, holds degree + 1 cells per
-# form and mode (9 for a smoothness-6 bump's second derivative)
+# whatever the control and snapshot counts: the largest work array, the
+# power moments of _poly_moments, holds degree + 1 cells per piece and mode
+# (11 for a smoothness-6 bump's second derivative, of degree 10), and a
+# call's transient measured 5.2 MB on a 300-mode, 48-snapshot simulate
 _MOMENT_CELLS = 1 << 15
 # leapfrog CFL number dt/h of fdtd_oracle and every caller: at cfl = 1 the
 # leapfrog transports q = 0 waves exactly (the magic time step), and with
@@ -114,10 +115,11 @@ def _batched_smooth_wave(controls: Sequence[KernelControl], times,
     shape (..., m): the modes and the kernel basis are projected before
     the sum, so no field is built.
 
-    The sine moments are taken a chunk of times at a time (at most
-    _MOMENT_CELLS moment cells per call); a(t) and b(t) of every control
-    come from one analytic.values pass; the modal sum is one matrix
-    product over all rows."""
+    The sine moments are taken a chunk of (control, time) rows at a time
+    (at most _MOMENT_CELLS moment cells per call); a(t) and b(t) of every
+    control come from one analytic.values pass; the modal sum is one
+    matrix product over all rows, from which the kernel term is
+    subtracted in place."""
     times = [float(t) for t in times]
     if any(t < 0.0 for t in times):
         raise ConfigurationError("time must be nonnegative")
@@ -125,16 +127,14 @@ def _batched_smooth_wave(controls: Sequence[KernelControl], times,
     kb = controls[0].kb
     mu = np.sqrt(es.lam)
     c0, cl = _kernel_modal_coefficients(es, kb)
-    nc, nt = len(controls), len(times)
-    coeff = np.empty((nc, nt, es.count))
-    step = max(1, _MOMENT_CELLS // (2 * nc * es.count))
-    for s in range(0, nt, step):
-        ts = times[s:s + step]
-        forms = ([kc.a for kc in controls for _ in ts]
-                 + [kc.b for kc in controls for _ in ts])
-        m = sine_moments(forms, mu, ts * (2 * nc), 2)
-        half = nc * len(ts)
-        coeff[:, s:s + step] = ((m[:half] * c0 + m[half:] * cl) / mu).reshape(nc, len(ts), -1)
+    rows = [(kc, t) for kc in controls for t in times]
+    coeff = np.empty((len(rows), es.count))
+    step = max(1, _MOMENT_CELLS // (2 * es.count))
+    for s in range(0, len(rows), step):
+        chunk = rows[s:s + step]
+        forms = [kc.a for kc, _ in chunk] + [kc.b for kc, _ in chunk]
+        m = sine_moments(forms, mu, [t for _, t in chunk] * 2, 2)
+        coeff[s:s + step] = (m[:len(chunk)] * c0 + m[len(chunk):] * cl) / mu
     at = values([kc.a for kc in controls] + [kc.b for kc in controls], times)
     at = at.reshape(2, -1).T.copy()
     phi, kernel = es.phi, np.stack([kb.phi0, kb.phil])
@@ -144,7 +144,9 @@ def _batched_smooth_wave(controls: Sequence[KernelControl], times,
         # they skip add nothing to the sums
         cols = np.flatnonzero(probe.any(axis=0))
         phi, kernel = (b[:, cols] @ probe[:, cols].T for b in (phi, kernel))
-    return coeff.reshape(-1, es.count) @ phi - at @ kernel
+    u = coeff @ phi
+    u -= at @ kernel
+    return u
 
 
 def smooth_waves(h: KernelControl, times: Sequence[float], es: EigenSystem) -> np.ndarray:

@@ -17,8 +17,8 @@ __all__ = ["set_mass", "distance_profile"]
 
 
 def set_mass(u: GridFunction, intervals) -> float:
-    """L2 mass of u over the disjoint intervals (a, b) of `intervals`, by
-    interval-resolved quadrature.
+    """Sum of the L2 masses of u over the intervals (a, b) of `intervals`
+    (an overlap counts once per interval), by interval-resolved quadrature.
 
     Each interval is clipped to [0, l], resampled with cubic interpolation
     and integrated by Simpson, so endpoint cells are not smeared to node

@@ -10,7 +10,6 @@ with zero imaginary part.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Union
@@ -595,58 +594,16 @@ def write_tables(table, tables) -> None:
             fh.close()
 
 
-def _json_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError("Out of range float values are not JSON compliant")
-    return float.__repr__(x)
-
-
-# the text of a scalar leaf by its exact type, as json.dumps writes it (a
-# str through json's own ASCII escaper)
-_JSON_STR = json.encoder.encode_basestring_ascii
-_JSON_LEAF = {float: _json_float, bool: {True: "true", False: "false"}.__getitem__,
-              int: int.__repr__, type(None): lambda _: "null", str: _JSON_STR}
-
-
-def _json_lines(obj, pad: str) -> str:
-    """`obj` as json.dumps(indent=2, sort_keys=True) writes it at indent
-    `pad`.  Scalar leaves (float, bool, int, None, str), dicts with string
-    keys and non-empty lists are written here, a list of one leaf type
-    one item a line: with an indent, json.dumps runs its pure-Python
-    encoder item by item.  Everything else goes to json.dumps."""
-    leaf = _JSON_LEAF.get(type(obj))
-    if leaf is not None:
-        return leaf(obj)
-    inner = pad + "  "
-    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
-        items = (_JSON_STR(k) + ": " + _json_lines(obj[k], inner) for k in sorted(obj))
-    elif isinstance(obj, (list, tuple)) and obj:
-        kinds = set(map(type, obj))
-        if kinds == {float}:
-            if not all(map(math.isfinite, obj)):
-                raise ValueError("Out of range float values are not JSON compliant")
-            items = map(float.__repr__, obj)
-        elif len(kinds) == 1 and kinds <= _JSON_LEAF.keys():
-            items = map(_JSON_LEAF[kinds.pop()], obj)
-        else:
-            items = (_json_lines(v, inner) for v in obj)
-    else:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-        return text.replace("\n", "\n" + pad)
-    opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
-    return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + closing
-
-
 def json_text(payload) -> str:
-    """Canonical text of a JSON artefact: indent 2, sorted keys, newline,
-    byte for byte json.dumps(payload, indent=2, sort_keys=True) + "\n".
+    """Canonical text of a JSON artefact: json.dumps with indent 2 and
+    sorted keys, plus a newline.
 
     NaN and infinities have no JSON spelling (Python would write the
     non-standard tokens NaN and Infinity), so they raise a NumericalError
     and nothing is written.
     """
     try:
-        return _json_lines(payload, "") + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericalError(f"non-finite value in a JSON artefact: {exc}") from None
 

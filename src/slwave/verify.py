@@ -340,13 +340,17 @@ def check_potential_recovery(ws: Workspace) -> CheckResult:
                    {"observer_error": err_o}, also=err_o <= 1e-3)
 
 
+def _check_atom(x: float, l: float) -> None:
+    if not (0.0 <= x <= 0.5 * l * (1.0 + 1e-12)):
+        raise ConfigurationError(f"boundary form is defined for x in [0, l/2], got {x}")
+
+
 def boundary_form(u: GridFunction, v: GridFunction, x: float, gd: GaugeData) -> complex:
     """Pointwise boundary form
     <u, v>_x = (u(x) conj(v(x)) + u(l-x) conj(v(l-x))) / rho(x),
     with cubic interpolation off the nodes."""
     l = gd.grid.l
-    if not (0.0 <= x <= 0.5 * l * (1.0 + 1e-12)):
-        raise ConfigurationError(f"boundary form is defined for x in [0, l/2], got {x}")
+    _check_atom(x, l)
     ux = interp_cubic(u, x)
     uxr = interp_cubic(u, l - x)
     vx = interp_cubic(v, x)
@@ -369,21 +373,18 @@ class FormLimitReport:
 def form_limit_check(u: GridFunction, x: float, gd: GaugeData) -> FormLimitReport:
     """Ratio ||P_{omega_x(t)} u||^2 / ||P_{omega_x(t)} e||^2 for t = 0.08 l,
     0.04 l and 0.02 l, Richardson-extrapolated in t^2 and compared with the
-    boundary form value at x.  omega_x(t) is the t-neighbourhood of the
-    point pair {a, l - a}, a = min(x, l - x): two intervals, or one where
-    they meet."""
+    boundary form value at x in [0, l/2].  omega_x(t) is the radius-t
+    intervals about x and l - x, their masses summed even where they
+    overlap, which keeps each mass's expansion in t^2."""
     l = gd.grid.l
+    _check_atom(x, l)
     radii = (0.08 * l, 0.04 * l, 0.02 * l)
-    a = min(x, l - x)
-    if radii[0] >= a:
+    if radii[0] >= x:
         raise ConfigurationError("largest radius must stay inside (0, l)")
     e_gf = gd.e.as_grid_function(gd.grid)
     ratios = []
     for t in radii:
-        if a + t < l - a - t:
-            omega = ((a - t, a + t), (l - a - t, l - a + t))
-        else:
-            omega = ((a - t, l - a + t),)
+        omega = ((x - t, x + t), (l - x - t, l - x + t))
         ratios.append(set_mass(u, omega) / set_mass(e_gf, omega))
     t1, t2 = radii[-2], radii[-1]
     r1, r2 = ratios[-2], ratios[-1]

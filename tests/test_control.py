@@ -431,6 +431,33 @@ def test_span_draws_match_scalar_draws_bit_for_bit():
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (seed, t)
 
 
+def test_span_moments_stay_within_the_cell_bound(acceptance_ws, monkeypatch):
+    """The 96-control reachable span of the verify suite takes its sine
+    moments in calls of at most _MOMENT_CELLS forms x modes, and its
+    probe rows equal those of one unchunked call bit for bit."""
+    ws = acceptance_ws
+    es, kb, g, t = ws.eigensystem("zero"), ws.kernel("zero"), ws.grid, 0.6 * ws.grid.l
+    cells = []
+
+    def recorded(forms, mu, *args):
+        cells.append(len(forms) * len(mu))
+        return sine_moments(forms, mu, *args)
+
+    sine_moments = control.sine_moments
+    monkeypatch.setattr(control, "sine_moments", recorded)
+    verify.check_reachable_span(ws)
+    assert len(cells) > 1 and max(cells) <= control._MOMENT_CELLS
+    controls = control._span_controls(t, kb, 96, ws.seed)
+    xq = g.l * np.arange(1, control._COARSE_M + 1) / (control._COARSE_M + 1.0)
+    probe = control._probe_matrix(g, xq)
+    chunked = _batched_smooth_wave(controls, (t,), es, probe=probe)
+    monkeypatch.setattr(control, "_MOMENT_CELLS", 1 << 40)
+    cells.clear()
+    whole = _batched_smooth_wave(controls, (t,), es, probe=probe)
+    assert len(cells) == 1
+    assert np.array_equal(chunked.view(np.int64), whole.view(np.int64))
+
+
 @pytest.mark.parametrize("samples", [32, 96])
 def test_probe_space_span_matches_full_fields(es_zero, kb_zero, samples):
     """Synthesising at the probe points gives the singular values of the

@@ -683,8 +683,8 @@ JSON_PAYLOADS = [
 
 @pytest.mark.parametrize("payload", JSON_PAYLOADS)
 def test_json_text_is_json_dumps(payload):
-    """The list fast path gives the bytes of json.dumps(indent=2,
-    sort_keys=True) plus a newline, at every nesting depth."""
+    """json_text gives the bytes of json.dumps(indent=2, sort_keys=True)
+    plus a newline, at every nesting depth."""
     assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -707,8 +707,8 @@ LEAF_PAYLOADS = [
 
 @pytest.mark.parametrize("payload", LEAF_PAYLOADS)
 def test_json_text_scalar_leaves_are_json_dumps(payload):
-    """Scalar leaves written directly, in dicts, mixed lists and
-    one-type lists, give the bytes of json.dumps at every depth."""
+    """Scalar leaves alone, in dicts, mixed lists and one-type lists give
+    the bytes of json.dumps at every depth."""
     assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

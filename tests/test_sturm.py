@@ -6,6 +6,13 @@ finite-difference tridiagonal eigensolve whose absolute accuracy is
 limited to ~1e-8 by the eps*||T|| noise floor of the matrix route.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_ivp
@@ -509,6 +516,62 @@ def test_counted_route_matches_per_batch_loop(monkeypatch):
     assert sum(history) - count > count + 1
     for f in ("lam", "phi", "dphi0", "dphil"):
         assert same_bits(getattr(es, f), getattr(ref, f))
+
+
+NORMALISATION_CASES = ([("2 + cos(3)", K) for K in (1, 15, 16, 17, 25, 63, 64, 65, 300, 301)]
+                       + [("0", 300), ("2000*cos(7) + 1500*sin(2)", 60)])
+
+
+def normalisation_digests(whole_array=False):
+    """sha256 of (phi, phi'(0), phi'(l)) of each NORMALISATION_CASES
+    eigensystem at n = 2000, as solved or, with `whole_array`, normalised
+    over the whole history array at once from the blocked scan at the
+    refined eigenvalues."""
+    digests = []
+    for expr, count in NORMALISATION_CASES:
+        es = dirichlet_eigensystem(potential(build_grid(1.0, 2000), expr), count)
+        parts = (es.phi, es.dphi0, es.dphil)
+        if whole_array:
+            g = es.grid
+            U, v = sturm._tm_history(sturm._transfer(es.q.values, es.q.mid, g.h), es.lam)
+            phi = U.T
+            nrm = np.sqrt((phi * phi) @ _simpson_weights(g.n, g.h))
+            phi /= nrm[:, None]
+            parts = (phi, 1.0 / nrm, v / nrm)
+        digests.append(hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest())
+    return digests
+
+
+def test_blockwise_normalisation_matches_whole_array():
+    """Normalising the eigenfunctions in place, a block of rows at a time,
+    gives the bits of the whole-array product: the block height is a
+    multiple of the four rows OpenBLAS's dgemv takes at a time, and a lone
+    last row joins its block.  The whole-array product is taken in a fresh
+    process with one BLAS thread: past about 4e5 cells OpenBLAS splits a
+    dgemv between threads at row counts that need not be multiples of
+    four, so there its bits depend on the thread count, while the blocks
+    stay below that size and the solve's do not."""
+    src = str(Path(sturm.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import test_sturm; "
+            "print(*test_sturm.normalisation_digests(whole_array=True))")
+    run = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == normalisation_digests()
+
+
+def test_eigensystem_peak_memory_is_its_eigenfunctions():
+    """Past the eigenfunctions themselves the solver's traced peak is a
+    bounded working set, not a second eigenfunction-sized array."""
+    q = potential(build_grid(1.0, 4000), "2 + cos(3)")
+    tracemalloc.start()
+    try:
+        es = dirichlet_eigensystem(q, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * es.phi.nbytes
 
 
 def m_major_polymul2(R, L):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slwave import mat2, verify
-from slwave.errors import NumericalError
+from slwave.errors import ConfigurationError, NumericalError
 from slwave.geometry import distance_profile
 from slwave.grid import GridFunction, inner, sample
 from slwave.model import hat_value, model_inner
@@ -82,8 +82,8 @@ def test_eikonal_fault_fails_the_check(acceptance_ws, monkeypatch):
 
 
 def test_form_limit_neighbourhoods(gauge_zero, monkeypatch):
-    """omega_x(t) is the two intervals of radius t about {a, l - a},
-    a = min(x, l - x), and one interval once they meet."""
+    """omega_x(t) is the two intervals of radius t about x and l - x, kept
+    apart where they meet."""
     omegas = []
 
     def recorded(u, intervals):
@@ -103,10 +103,33 @@ def test_form_limit_neighbourhoods(gauge_zero, monkeypatch):
     verify.form_limit_check(u, 0.25 * l, gauge_zero)
     a = 0.47 * l
     verify.form_limit_check(u, a, gauge_zero)
-    want = [pair(0.25 * l, t) for t in radii]
-    want += [((a - t, l - a + t),) for t in radii[:2]] + [pair(a, radii[2])]
+    want = [pair(0.25 * l, t) for t in radii] + [pair(a, t) for t in radii]
     # the masses of u and of e are taken over the same set
     assert omegas[::2] == omegas[1::2] == want
+
+
+def test_form_limit_near_the_midpoint(coarse_ws):
+    """At x = 0.47 l the radius-t intervals about x and l - x overlap for
+    t = 0.08 l and 0.04 l; their masses summed apart keep the Richardson
+    limit inside the check's 1e-4 tolerance (a merged interval read
+    5.2e-4 at grid 400)."""
+    g = coarse_ws.grid
+    rep = verify.form_limit_check(sample(g, np.ones_like(g.x)), 0.47 * g.l,
+                                  coarse_ws.gauge("zero"))
+    assert rep.deviation <= 1e-4 and rep.monotone
+
+
+@pytest.mark.parametrize("frac", [0.55, 0.9, -0.1])
+def test_form_limit_refuses_x_past_the_midpoint_first(coarse_ws, monkeypatch, frac):
+    """x outside [0, l/2] is refused before any mass is taken."""
+    def refuse(*_):
+        raise AssertionError("set_mass called")
+
+    monkeypatch.setattr(verify, "set_mass", refuse)
+    g = coarse_ws.grid
+    with pytest.raises(ConfigurationError, match=r"\[0, l/2\]"):
+        verify.form_limit_check(sample(g, np.ones_like(g.x)), frac * g.l,
+                                coarse_ws.gauge("zero"))
 
 
 def test_parseval_equals_pairwise_certificate(acceptance_ws):

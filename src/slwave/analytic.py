@@ -318,7 +318,12 @@ def _poly_moments(pieces: Sequence[_PolyPiece], mu: np.ndarray, t: np.ndarray) -
     y = (s - mid)/half (Taylor coefficients at the centre, which keeps a
     symmetric bump's coefficients small), so with phi = mu (t - mid) its
     moment is half * Im(exp(i phi) sum_j e_j (-i)^j H_j(mu half)).
+    The sums are formed once per distinct piece (a piece clipped at the
+    same support repeats over times); only phi is taken per row.
     """
+    distinct = {}
+    row = [distinct.setdefault(p, len(distinct)) for p in pieces]
+    pieces = list(distinct)
     deg = max(len(p.coeffs) for p in pieces) - 1
     C = np.array([tuple(p.coeffs) + (0.0,) * (deg + 1 - len(p.coeffs)) for p in pieces])
     weight, lo, hi, origin, width = (np.array(col) for col in list(zip(*pieces))[:5])
@@ -333,8 +338,8 @@ def _poly_moments(pieces: Sequence[_PolyPiece], mu: np.ndarray, t: np.ndarray) -
     H = _power_moments(half[:, None] * mu[None, :], deg)
     even = np.einsum("pj,jpn->pn", E[:, 0::2], H[0::2])
     odd = np.einsum("pj,jpn->pn", E[:, 1::2], H[1::2])
-    phi = mu[None, :] * (t - mid)[:, None]
-    return np.sin(phi) * even - np.cos(phi) * odd
+    phi = mu[None, :] * (t - mid[row])[:, None]
+    return np.sin(phi) * even[row] - np.cos(phi) * odd[row]
 
 
 def _trig_moments(terms: Sequence[_TrigTerm], mu: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -87,6 +87,7 @@ class RunConfig:
     t_perturbation: float = 0.0
     out_dir: Path = Path(".")
     fmt: str = "csv"
+    config_keys: tuple = ()     # the (section, key) pairs the config file set
     q_form: ClosedForm = field(init=False, repr=False)
     f0_form: ClosedForm = field(init=False, repr=False)
     fl_form: ClosedForm = field(init=False, repr=False)
@@ -174,7 +175,7 @@ def load_config(path: Optional[str], out_dir: str = ".", fmt: str = "csv",
     for section in list(items) + ([cp.default_section] if cp.defaults() else []):
         if section not in known:
             raise ConfigurationError(f"unknown config section [{section}]")
-    fields = {}
+    fields, keys = {}, []
     for section, pairs in items.items():
         for key, raw in pairs:
             if (section, key) not in _KEYS:
@@ -189,10 +190,11 @@ def load_config(path: Optional[str], out_dir: str = ".", fmt: str = "csv",
                 raise ConfigurationError(
                     f"bad value for [{section}] {key}: {raw!r}") from None
             fields[name] = value
+            keys.append((section, key))
     if seed is not None:
         fields["seed"] = int(seed)
     return RunConfig(**fields, t_perturbation=float(t_perturbation),
-                     out_dir=Path(out_dir), fmt=fmt)
+                     out_dir=Path(out_dir), fmt=fmt, config_keys=tuple(keys))
 
 
 def _write(cfg: RunConfig, names: list, write) -> list:
@@ -414,11 +416,18 @@ def run_recover(cfg: RunConfig) -> list:
 def run_verify(cfg: RunConfig) -> list:
     """Full check suite; report written even when checks fail.
 
-    The check tolerances are calibrated at a fixed workspace size, so the
-    [numerics] grid/mode settings are ignored here; only the seed and the
-    fault-injection knob flow through.  The suite is imported here, so
-    the other commands never load it.
+    The checks run on a pinned workspace (three potentials at n = 2000,
+    300 modes) against tolerances calibrated there, so of the config
+    keys verify reads only [numerics] seed: a config that sets any other
+    key is refused before any work.  The seed and the fault-injection
+    knob flow through.  The suite is imported here, so the other
+    commands never load it.
     """
+    ignored = [f"[{section}] {key}" for section, key in cfg.config_keys
+               if (section, key) != ("numerics", "seed")]
+    if ignored:
+        raise ConfigurationError("verify checks its pinned workspace and reads only "
+                                 f"[numerics] seed from a config; it would ignore {', '.join(ignored)}")
     from .verify import Workspace, run_all
 
     ws = Workspace(seed=cfg.seed, t_perturbation=cfg.t_perturbation)

@@ -3,9 +3,12 @@
 Each check_* function measures one falsifiable statement about the built
 objects (spectrum accuracy, d'Alembert agreement, algebraic gauge
 identities, Parseval, intertwining, recovery, ...) and returns a
-CheckResult.  run_all executes the standard twelve in a fixed order and
-wraps them in a VerificationReport; checks share a Workspace so the
-expensive artifacts (eigensystems, gauges, coefficients) are built once.
+CheckResult.  run_all executes the standard twelve and wraps them in a
+VerificationReport, in CHECK_NAMES order.  The checks share a Workspace,
+so the expensive artifacts (eigensystems, gauges, coefficients) are built
+once; run_all runs them grouped by the pipeline they read (_READS) and
+releases each artifact it built after its last reader, so it holds one
+potential's eigensystem at a time.
 
 Helpers that only the checks call live here, not in the model layers:
 the pointwise boundary form and its small-radius limit
@@ -482,18 +485,68 @@ _CHECKS = [
 
 CHECK_NAMES = tuple(name for name, _, _, _ in _CHECKS)
 
+# the Workspace artifact each builder reads: a check that reads (kind, key)
+# reads the chain below it too, since its first request builds that chain
+_INPUT = {"potential": "q_form", "eigensystem": "potential", "kernel": "potential",
+          "gauge": "kernel", "coefficients": "gauge"}
+
+
+def _reads(*artifacts) -> frozenset:
+    """The (kind, key) artifacts with the chains their builders read."""
+    out = set()
+    for kind, key in artifacts:
+        while kind is not None:
+            out.add((kind, key))
+            kind = _INPUT.get(kind)
+    return frozenset(out)
+
+
+# check name -> the Workspace artifacts it reads, in the order run_all runs
+# the checks: those that read none, then the q = 0 pipeline, the gauges of
+# all three potentials, and the cosine pipeline, so that one eigensystem
+# is held at a time
+_READS = {
+    "dirichlet_spectrum": _reads(),
+    "eikonal_metric": _reads(),
+    "dalembert_wave": _reads(("eigensystem", "zero"), ("kernel", "zero")),
+    "reachable_span": _reads(("eigensystem", "zero"), ("kernel", "zero")),
+    "gauge_identities": _reads(*(("gauge", key) for key in Workspace._Q_EXPR)),
+    "form_limit": _reads(("gauge", "zero")),
+    "fdtd_cross_check": _reads(("eigensystem", "cosine"), ("kernel", "cosine")),
+    "finite_speed": _reads(("eigensystem", "cosine"), ("kernel", "cosine")),
+    "parseval": _reads(("eigensystem", "cosine"), ("gauge", "cosine")),
+    "intertwining": _reads(("coefficients", "cosine")),
+    "potential_recovery": _reads(("coefficients", "cosine")),
+    "graph_consistency": _reads(("eigensystem", "cosine"), ("coefficients", "cosine")),
+}
+
+
+def _run_check(ws: Workspace, entry: tuple) -> CheckResult:
+    """The result of one _CHECKS entry; an exception is a failed row."""
+    name, tol, sense, fn = entry
+    try:
+        return fn(ws)
+    except SlwaveError as exc:
+        return CheckResult(name, _FAILED_SENTINEL, ws.grid.h if tol is None else tol,
+                           sense, False, f"{type(exc).__name__}: {exc}")
+
 
 def run_all(ws: Workspace) -> VerificationReport:
-    """Execute the twelve standard checks; exceptions become failed rows."""
-    results = []
-    for name, tol, sense, fn in _CHECKS:
-        try:
-            results.append(fn(ws))
-        except SlwaveError as exc:
-            results.append(CheckResult(name, _FAILED_SENTINEL,
-                                       ws.grid.h if tol is None else tol,
-                                       sense, False,
-                                       f"{type(exc).__name__}: {exc}"))
+    """Execute the twelve standard checks; exceptions become failed rows.
+
+    The checks run in _READS order, grouped by the pipeline they read, and
+    are reported in CHECK_NAMES order.  Each artifact run_all builds is
+    dropped from the Workspace after the last check that reads it; what
+    the Workspace held before the call is kept."""
+    entries = {entry[0]: entry for entry in _CHECKS}
+    kept = set(ws._built)
+    order = list(_READS)
+    results = {}
+    for i, name in enumerate(order):
+        results[name] = _run_check(ws, entries[name])
+        later = frozenset().union(*(_READS[n] for n in order[i + 1:]))
+        for artifact in set(ws._built) - kept - later:
+            del ws._built[artifact]
     env = {"grid_n": ws.grid_n, "modes": ws.modes, "seed": ws.seed,
            "t_perturbation": ws.t_perturbation,
            "runtime": {"python": platform.python_version(),
@@ -501,4 +554,4 @@ def run_all(ws: Workspace) -> VerificationReport:
                        "platform": platform.platform(),
                        "longdouble_eps": float(np.finfo(np.longdouble).eps),
                        "longdouble_nmant": int(np.finfo(np.longdouble).nmant)}}
-    return VerificationReport(tuple(results), env)
+    return VerificationReport(tuple(results[name] for name in CHECK_NAMES), env)

@@ -8,6 +8,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 from scipy.integrate import quad as scipy_quad
 
+from slwave import analytic
 from slwave.analytic import (ClosedForm, Const, PiecewisePoly, Poly, Trig,
                              _bump_base, bump, parse_expression, ramp,
                              sine_moments, values)
@@ -313,6 +314,30 @@ def test_sine_moments_one_time_per_form_bit_for_bit(k):
     want = np.concatenate([sine_moments(forms, mu, t, k) for t in times])
     assert np.array_equal(got, want)
     assert np.any(got != 0.0)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_sine_moments_of_repeated_pieces(k, monkeypatch):
+    """Rows that repeat a (form, time), or a time past the form's support
+    (which clips to the same pieces), equal the row-by-row calls bit for
+    bit, and the power moments are taken once per distinct piece."""
+    a = bump(0.1, 0.12, 1.0, 6) - 0.5 * bump(0.2, 0.1, 0.7, 6)
+    b = parse_expression("bump(0.3, 0.2, -0.8, 6) + poly(0, 0.1, 0.2)")
+    rows = [(a, 0.05), (a, 0.5), (b, 0.3), (a, 0.9), (b, 0.3), (b, 0.7), (a, 0.5)]
+    mu = np.sqrt((np.pi * np.arange(1, 301)) ** 2 + 2.0)
+    seen = []
+
+    def recorded(x, deg):
+        seen.append(x.shape[0])
+        return power_moments(x, deg)
+
+    power_moments = analytic._power_moments
+    monkeypatch.setattr(analytic, "_power_moments", recorded)
+    got = sine_moments([f for f, _ in rows], mu, [t for _, t in rows], k)
+    want = np.stack([sine_moments([f], mu, t, k)[0] for f, t in rows])
+    assert np.array_equal(got, want)
+    pieces = {p for f, t in rows for p in analytic._moment_terms(f, t, k)}
+    assert seen[0] == len(pieces) < sum(len(analytic._moment_terms(f, t, k)) for f, t in rows)
 
 
 def test_sine_moments_time_vector_checks():

@@ -959,6 +959,43 @@ def test_verify_fault_injection(tmp_path, capsys):
     assert "potential_recovery" not in failed
 
 
+def test_verify_refuses_the_config_keys_it_ignores(tmp_path, capsys):
+    """verify checks its pinned workspace, so a config naming a problem,
+    grid or modes exits 2 before any work and names every ignored key."""
+    path = ini(tmp_path / "q.ini", """
+        [problem]
+        potential = 2000*cos(7) + 1500*sin(2)
+
+        [numerics]
+        grid_n = 400
+        modes = 20
+        seed = 3
+    """)
+    assert load_config(path).config_keys == (("problem", "potential"), ("numerics", "grid_n"),
+                                             ("numerics", "modes"), ("numerics", "seed"))
+    out = tmp_path / "v"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith("ignore [problem] potential, [numerics] grid_n, [numerics] modes")
+    assert not out.exists()
+
+
+def test_verify_reads_the_seed_of_a_config(tmp_path, capsys, monkeypatch):
+    """A config that sets only [numerics] seed runs, at that seed."""
+    seeds = []
+
+    def run_all(ws):
+        seeds.append(ws.seed)
+        return VerificationReport((_cr("probe"),), {})
+
+    monkeypatch.setattr(verify, "run_all", run_all)
+    assert load_config(None).config_keys == ()
+    path = ini(tmp_path / "s.ini", "[numerics]\nseed = 5\n")
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "v")]) == 0
+    assert "PASS probe" in capsys.readouterr().out
+    assert seeds == [5]
+
+
 def _cr(name):
     return CheckResult(name, 1e-9, 1e-6, "<=", True, "probe", {"n": 4.0})
 

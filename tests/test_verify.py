@@ -1,6 +1,9 @@
 """Verification checks against the per-pair certificates they batch."""
 
+import json
+import tracemalloc
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -179,3 +182,101 @@ def test_smooth_from_samples_orders(q_zero):
     sm = verify.smooth_from_samples(u)
     assert np.max(np.abs(sm.d1 - 3 * np.cos(3 * g.x))) <= 1e-9
     assert np.max(np.abs(sm.d2 + 9 * np.sin(3 * g.x))) <= 1e-7
+
+
+class RecordingWorkspace(verify.Workspace):
+    """A Workspace that logs every artifact request with the check that
+    made it (nested builds included), every build, and after each request
+    the potentials whose eigensystems are held."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.check = None
+        self.requests, self.builds, self.eigensystems = [], [], []
+
+    def _memo(self, kind, key, build):
+        self.requests.append((self.check, (kind, key)))
+
+        def logged():
+            self.builds.append((kind, key))
+            return build()
+
+        value = super()._memo(kind, key, logged)
+        self.eigensystems.append({k for kind, k in self._built if kind == "eigensystem"})
+        return value
+
+
+@pytest.fixture(scope="module")
+def fresh_run():
+    """run_all on a fresh pinned RecordingWorkspace at seed 0, each check
+    tagging the requests it makes, under tracemalloc."""
+    def tagged(name, fn):
+        def run(ws):
+            ws.check = name
+            try:
+                return fn(ws)
+            finally:
+                ws.check = None
+        return run
+
+    ws = RecordingWorkspace(grid_n=2000, modes=300, seed=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_CHECKS", [(name, tol, sense, tagged(name, fn))
+                                       for name, tol, sense, fn in verify._CHECKS])
+        tracemalloc.start()
+        try:
+            report = verify.run_all(ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return SimpleNamespace(ws=ws, report=report, peak=peak)
+
+
+def in_check_order(ws):
+    """The twelve checks run one by one in CHECK_NAMES order."""
+    return json.dumps([verify._run_check(ws, entry).to_dict() for entry in verify._CHECKS])
+
+
+def test_run_all_reports_the_checks_in_order_at_seed_0(fresh_run, acceptance_ws):
+    assert json.dumps(fresh_run.report.to_dict()["checks"]) == in_check_order(acceptance_ws)
+
+
+@pytest.mark.parametrize("seed, eps", [(7, 0.0), (0, 1e-10)])
+def test_run_all_reports_the_checks_in_order(seed, eps):
+    """Grouped by pipeline and releasing what it built, run_all reports
+    what the checks give one by one in CHECK_NAMES order, bit for bit."""
+    got = verify.run_all(verify.Workspace(seed=seed, t_perturbation=eps)).to_dict()
+    assert json.dumps(got["checks"]) == in_check_order(
+        verify.Workspace(seed=seed, t_perturbation=eps))
+
+
+def test_run_all_builds_once_and_holds_one_eigensystem(fresh_run):
+    """No artifact is built twice, the q = 0 and cosine eigensystems are
+    never held together, and a fresh Workspace ends empty."""
+    builds = fresh_run.ws.builds
+    assert len(builds) == len(set(builds)) == 15
+    assert not any({"zero", "cosine"} <= held for held in fresh_run.ws.eigensystems)
+    assert not fresh_run.ws._built
+
+
+def test_checks_read_only_what_they_declare(fresh_run):
+    """Every artifact a check requests, nested builds included, is in its
+    declared reads, so no check can ask for one run_all has released."""
+    assert set(verify._READS) == set(verify.CHECK_NAMES)
+    for check, artifact in fresh_run.ws.requests:
+        assert artifact in verify._READS[check], (check, artifact)
+
+
+def test_run_all_keeps_what_the_workspace_held(acceptance_ws):
+    acceptance_ws.eigensystem("zero")
+    acceptance_ws.gauge("one")
+    held = set(acceptance_ws._built)
+    verify.run_all(acceptance_ws)
+    assert held <= set(acceptance_ws._built)
+
+
+def test_run_all_peak_memory(fresh_run):
+    """Holding one pipeline at a time keeps the traced peak of a fresh
+    run_all near one eigensystem build (about 9 MB; 15 MB when every
+    artifact was held to the end)."""
+    assert fresh_run.peak <= 11e6

@@ -32,7 +32,6 @@ def set_mass(u: GridFunction, intervals) -> float:
         if b <= a:
             continue
         m = max(32, 2 * int(np.ceil((b - a) / g.h)))
-        m += m % 2
         xs = np.linspace(a, b, m + 1)
         vals = interp_cubic(u, xs)
         dens = np.abs(vals) ** 2

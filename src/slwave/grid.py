@@ -104,21 +104,14 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
 
 
 def simpson_sum(values: np.ndarray, h) -> complex:
-    """Composite Simpson over equispaced samples.
-
-    An odd subinterval count is handled with a 3/8-rule block on the last
-    three cells, keeping fourth order.  Needs at least 5 samples.
-    """
+    """Composite Simpson over equispaced samples.  Needs an odd number of
+    samples, at least 5 (an even number of subintervals, at least 4)."""
     values = np.asarray(values)
     m = values.shape[0] - 1
-    if m < 4:
-        raise ConfigurationError(f"simpson_sum needs >= 5 samples, got {m + 1}")
-    even = m - 3 * (m % 2)      # Simpson cells; an odd count leaves 3 for the tail
-    total = (h / 3.0) * np.sum(_simpson_pattern(even, values.real.dtype) * values[: even + 1])
-    if m % 2:
-        total = total + (3.0 * h / 8.0) * (values[m - 3] + 3.0 * values[m - 2]
-                                           + 3.0 * values[m - 1] + values[m])
-    return total
+    if m < 4 or m % 2:
+        raise ConfigurationError(
+            f"simpson_sum needs an odd sample count of at least 5, got {m + 1}")
+    return (h / 3.0) * np.sum(_simpson_pattern(m, values.real.dtype) * values)
 
 
 def quad(f: GridFunction) -> complex:

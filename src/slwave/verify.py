@@ -5,10 +5,10 @@ objects (spectrum accuracy, d'Alembert agreement, algebraic gauge
 identities, Parseval, intertwining, recovery, ...) and returns a
 CheckResult.  run_all executes the standard twelve and wraps them in a
 VerificationReport, in CHECK_NAMES order.  The checks share a Workspace,
-so the expensive artifacts (eigensystems, gauges, coefficients) are built
-once; run_all runs them grouped by the pipeline they read (_READS) and
-releases each artifact it built after its last reader, so it holds one
-potential's eigensystem at a time.
+a lazy cache of the expensive artifacts (eigensystems, kernels, gauges,
+coefficients) that holds one potential's pipeline at a time; run_all
+runs the checks in _RUN_ORDER, one potential after another, so each
+artifact is built once.
 
 Helpers that only the checks call live here, not in the model layers:
 the pointwise boundary form and its small-radius limit
@@ -29,7 +29,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import mat2
-from .analytic import Const, Poly, Trig, bump, parse_expression
+from .analytic import Const, Poly, Trig, bump
 from .control import (ControlSignal, _batched_smooth_wave, control_to_kernel,
                       fdtd_oracle, reachable_span_estimate, smooth_wave,
                       smooth_waves, support_report)
@@ -97,7 +97,7 @@ class VerificationReport:
 
 
 class Workspace:
-    """Shared lazily-built artifacts for the verification checks, on [0, 1]."""
+    """Lazily-built artifacts the checks share, on [0, 1], for one potential at a time."""
 
     _Q_EXPR = {"zero": "const(0)", "one": "const(1)", "cosine": "2 + cos(3)"}
 
@@ -111,16 +111,15 @@ class Workspace:
         self._built = {}
 
     def _memo(self, kind: str, key: str, build):
-        """The artifact (kind, key), built by build() on first use."""
+        """The artifact (kind, key) of potential `key`, built by build() on
+        first use, after the artifacts of every other potential are dropped."""
         if (kind, key) not in self._built:
+            self._built = {a: v for a, v in self._built.items() if a[1] == key}
             self._built[kind, key] = build()
         return self._built[kind, key]
 
-    def q_form(self, key: str):
-        return self._memo("q_form", key, lambda: parse_expression(self._Q_EXPR[key]))
-
     def potential(self, key: str):
-        return self._memo("potential", key, lambda: potential(self.grid, self.q_form(key)))
+        return self._memo("potential", key, lambda: potential(self.grid, self._Q_EXPR[key]))
 
     def eigensystem(self, key: str):
         return self._memo("eigensystem", key,
@@ -138,13 +137,18 @@ class Workspace:
                           lambda: assemble_coefficients(self.gauge(key)))
 
 
-def _result(name: str, measured: float, detail: str, extras: dict = None,
-            also: bool = True, tol: float = None) -> CheckResult:
-    """The CheckResult of check `name`, with the tolerance and sense of its
-    _CHECKS entry (`tol` where that is decided at run time); `also` is a
-    pass condition beside the tolerance."""
-    _, declared, sense, _ = next(c for c in _CHECKS if c[0] == name)
-    tol = declared if tol is None else tol
+def _declared(ws: Workspace, name: str) -> tuple:
+    """The tolerance and sense of check `name` in _CHECKS; a tolerance of
+    None there is the grid step h."""
+    _, tol, sense, _ = next(c for c in _CHECKS if c[0] == name)
+    return (ws.grid.h if tol is None else tol), sense
+
+
+def _result(ws: Workspace, name: str, measured: float, detail: str, extras: dict = None,
+            also: bool = True) -> CheckResult:
+    """The CheckResult of check `name`, with its declared tolerance and
+    sense; `also` is a pass condition beside the tolerance."""
+    tol, sense = _declared(ws, name)
     within = measured <= tol if sense == "<=" else measured >= tol
     return CheckResult(name, measured, tol, sense, bool(within and also), detail,
                        extras or {})
@@ -165,7 +169,7 @@ def check_dirichlet_spectrum(ws: Workspace) -> CheckResult:
     es = dirichlet_eigensystem(potential(g, 0.0), 10)
     k = np.arange(1, 11, dtype=float)
     measured = float(np.max(np.abs(es.lam / k ** 2 - 1.0)))
-    return _result("dirichlet_spectrum", measured,
+    return _result(ws, "dirichlet_spectrum", measured,
                    "max relative eigenvalue error vs k^2, q=0, l=pi")
 
 
@@ -179,7 +183,7 @@ def check_dalembert_wave(ws: Workspace) -> CheckResult:
     u = smooth_wave(control_to_kernel(c, kb), t, es)
     ref = f0.deriv(t - es.grid.x, 0)
     measured = float(np.max(np.abs(u.values - ref)))
-    return _result("dalembert_wave", measured,
+    return _result(ws, "dalembert_wave", measured,
                    "sup |spectral wave - f0(t-x)| at t=0.2l, N modes")
 
 
@@ -194,7 +198,7 @@ def check_fdtd_cross(ws: Workspace) -> CheckResult:
     oracle = fdtd_oracle(c, q, horizon=t)
     diff = u_spec.values - oracle.values
     measured = float(np.sqrt(quad(GridFunction(ws.grid, np.abs(diff) ** 2)).real))
-    return _result("fdtd_cross_check", measured,
+    return _result(ws, "fdtd_cross_check", measured,
                    "L2 distance between spectral and FDTD fields at t=l")
 
 
@@ -213,7 +217,7 @@ def check_finite_speed(ws: Workspace) -> CheckResult:
         rep = support_report(GridFunction(ws.grid, snap), t)
         extras[f"ratio_t{frac:g}"] = rep.ratio
         worst = max(worst, rep.ratio)
-    return _result("finite_speed", worst,
+    return _result(ws, "finite_speed", worst,
                    "relative L2 mass outside [0,t+2h) u (l-t-2h, l]", extras)
 
 
@@ -224,7 +228,7 @@ def check_reachable_span(ws: Workspace) -> CheckResult:
     kb = ws.kernel("zero")
     sv = reachable_span_estimate(0.6 * ws.grid.l, es, kb, samples=96, seed=ws.seed)
     ratio = float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
-    return _result("reachable_span", ratio,
+    return _result(ws, "reachable_span", ratio,
                    "sigma_min/sigma_max of 96 random-control snapshots at 24 probes")
 
 
@@ -246,7 +250,7 @@ def check_gauge_identities(ws: Workspace) -> CheckResult:
         extras[f"gram_assembly_{key}"] = r1
         extras[f"gram_inverse_{key}"] = r2
         worst = max(worst, r1 / 1e-12, r2 / 1e-10)
-    return _result("gauge_identities", worst,
+    return _result(ws, "gauge_identities", worst,
                    "worst residual ratio: assembly vs 1e-12, inverse identity vs 1e-10",
                    extras)
 
@@ -265,7 +269,7 @@ def check_parseval(ws: Workspace) -> CheckResult:
     for i, j in combinations_with_replacement(range(len(battery)), 2):
         residual = abs(inner(battery[i], battery[j]) - model_inner(hats[i], hats[j], gd))
         measured = max(measured, float(residual))
-    return _result("parseval", measured,
+    return _result(ws, "parseval", measured,
                    "max |(u,v) - model_inner| over 15 pairs incl. the gauge element")
 
 
@@ -286,7 +290,7 @@ def check_intertwining(ws: Workspace) -> CheckResult:
         measured = max(measured, intertwine_residual(u, gd, mc))
     ker = apply_model(hat_value(gd.e1.as_smooth(g), gd), mc)
     kernel_res = float(np.max(np.abs(ker[mc.admissible])))
-    return _result("intertwining", measured,
+    return _result(ws, "intertwining", measured,
                    "sup residual over 5 analytic functions; kernel element vs 1e-8",
                    {"kernel_element": kernel_res}, also=kernel_res <= 1e-8)
 
@@ -317,15 +321,15 @@ def check_eikonal_metric(ws: Workspace) -> CheckResult:
     measured = float(np.max(off[pairs, pairs + 1]))
     axioms = bool(np.all(np.diag(D) == 0.0) and np.array_equal(D, D.T)
                   and np.all(D[:, None, :] <= D[:, :, None] + D[None, :, :]))
-    return _result("eikonal_metric", measured,
+    return _result(ws, "eikonal_metric", measured,
                    "grid-sup eikonal difference vs |x1-x2|; axioms exact on dyadic atoms",
-                   {"axioms_exact": 1.0 if axioms else 0.0}, also=axioms, tol=g.h)
+                   {"axioms_exact": 1.0 if axioms else 0.0}, also=axioms)
 
 
 def check_potential_recovery(ws: Workspace) -> CheckResult:
     """Eigenvalues of S reproduce {q(x), q(l-x)} on [3h, l/2-3h]."""
     mc = ws.coefficients("cosine")
-    qf = ws.q_form("cosine")
+    qf = ws.potential("cosine").fn
     g = ws.grid
     rr_a = recover_potential(mc)
     rr_o = recover_potential(mc, sampled_derivatives=True)
@@ -338,7 +342,7 @@ def check_potential_recovery(ws: Workspace) -> CheckResult:
 
     err_a = unordered_branch_error(_restrict(rr_a), qf, g.l)
     err_o = unordered_branch_error(_restrict(rr_o), qf, g.l)
-    return _result("potential_recovery", err_a,
+    return _result(ws, "potential_recovery", err_a,
                    "max unordered branch error; observer path vs 1e-3 in extras",
                    {"observer_error": err_o}, also=err_o <= 1e-3)
 
@@ -414,7 +418,7 @@ def check_form_limit(ws: Workspace) -> CheckResult:
         worst = max(worst, rep.deviation)
         if not rep.monotone:
             worst = max(worst, _FAILED_SENTINEL)
-    return _result("form_limit", worst,
+    return _result(ws, "form_limit", worst,
                    "Richardson limit of mass ratios vs boundary form, u=1", extras)
 
 
@@ -463,7 +467,7 @@ def check_graph_consistency(ws: Workspace) -> CheckResult:
         lhs = apply_model(h1, mc)
         diff = np.abs(lhs - h2.values)[mc.admissible]
         measured = max(measured, float(np.max(diff)))
-    return _result("graph_consistency", measured,
+    return _result(ws, "graph_consistency", measured,
                    "sup |apply_model(hat u^h) + hat u^{h''}| for two bump controls")
 
 
@@ -485,68 +489,31 @@ _CHECKS = [
 
 CHECK_NAMES = tuple(name for name, _, _, _ in _CHECKS)
 
-# the Workspace artifact each builder reads: a check that reads (kind, key)
-# reads the chain below it too, since its first request builds that chain
-_INPUT = {"potential": "q_form", "eigensystem": "potential", "kernel": "potential",
-          "gauge": "kernel", "coefficients": "gauge"}
-
-
-def _reads(*artifacts) -> frozenset:
-    """The (kind, key) artifacts with the chains their builders read."""
-    out = set()
-    for kind, key in artifacts:
-        while kind is not None:
-            out.add((kind, key))
-            kind = _INPUT.get(kind)
-    return frozenset(out)
-
-
-# check name -> the Workspace artifacts it reads, in the order run_all runs
-# the checks: those that read none, then the q = 0 pipeline, the gauges of
-# all three potentials, and the cosine pipeline, so that one eigensystem
-# is held at a time
-_READS = {
-    "dirichlet_spectrum": _reads(),
-    "eikonal_metric": _reads(),
-    "dalembert_wave": _reads(("eigensystem", "zero"), ("kernel", "zero")),
-    "reachable_span": _reads(("eigensystem", "zero"), ("kernel", "zero")),
-    "gauge_identities": _reads(*(("gauge", key) for key in Workspace._Q_EXPR)),
-    "form_limit": _reads(("gauge", "zero")),
-    "fdtd_cross_check": _reads(("eigensystem", "cosine"), ("kernel", "cosine")),
-    "finite_speed": _reads(("eigensystem", "cosine"), ("kernel", "cosine")),
-    "parseval": _reads(("eigensystem", "cosine"), ("gauge", "cosine")),
-    "intertwining": _reads(("coefficients", "cosine")),
-    "potential_recovery": _reads(("coefficients", "cosine")),
-    "graph_consistency": _reads(("eigensystem", "cosine"), ("coefficients", "cosine")),
-}
+# the order run_all runs the checks in: those that read no Workspace
+# artifact, then the q = 0, q = 1 and cosine pipelines in turn
+_RUN_ORDER = ("dirichlet_spectrum", "eikonal_metric", "dalembert_wave", "reachable_span",
+              "form_limit", "gauge_identities", "fdtd_cross_check", "finite_speed",
+              "parseval", "intertwining", "potential_recovery", "graph_consistency")
 
 
 def _run_check(ws: Workspace, entry: tuple) -> CheckResult:
     """The result of one _CHECKS entry; an exception is a failed row."""
-    name, tol, sense, fn = entry
+    name, _, _, fn = entry
     try:
         return fn(ws)
     except SlwaveError as exc:
-        return CheckResult(name, _FAILED_SENTINEL, ws.grid.h if tol is None else tol,
-                           sense, False, f"{type(exc).__name__}: {exc}")
+        return CheckResult(name, _FAILED_SENTINEL, *_declared(ws, name), False,
+                           f"{type(exc).__name__}: {exc}")
 
 
 def run_all(ws: Workspace) -> VerificationReport:
     """Execute the twelve standard checks; exceptions become failed rows.
 
-    The checks run in _READS order, grouped by the pipeline they read, and
-    are reported in CHECK_NAMES order.  Each artifact run_all builds is
-    dropped from the Workspace after the last check that reads it; what
-    the Workspace held before the call is kept."""
+    The checks run in _RUN_ORDER, so that the Workspace, which holds one
+    potential's pipeline at a time, builds each artifact once; they are
+    reported in CHECK_NAMES order."""
     entries = {entry[0]: entry for entry in _CHECKS}
-    kept = set(ws._built)
-    order = list(_READS)
-    results = {}
-    for i, name in enumerate(order):
-        results[name] = _run_check(ws, entries[name])
-        later = frozenset().union(*(_READS[n] for n in order[i + 1:]))
-        for artifact in set(ws._built) - kept - later:
-            del ws._built[artifact]
+    results = {name: _run_check(ws, entries[name]) for name in _RUN_ORDER}
     env = {"grid_n": ws.grid_n, "modes": ws.modes, "seed": ws.seed,
            "t_perturbation": ws.t_perturbation,
            "runtime": {"python": platform.python_version(),

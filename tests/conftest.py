@@ -3,7 +3,9 @@
 Two scales are used throughout.  The coarse scale (n=400, 60 modes) keeps
 unit tests fast; the full scale (n=2000, 300 modes) is what the acceptance
 tolerances are calibrated against and is shared with test_acceptance via
-the `acceptance_ws` fixture.
+the `acceptance_ws` fixture.  A Workspace holds one potential's artifacts
+at a time, so `acceptance_ws` rebuilds them when consecutive tests switch
+potentials.
 """
 
 import numpy as np

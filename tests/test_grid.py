@@ -46,8 +46,8 @@ def test_quad_sine():
     assert abs(val - 2.0 / np.pi) <= 1e-8
 
 
-def test_quad_three_eighths_tail():
-    # odd subinterval count exercises the 3/8 tail; quartic stays exact-ish
+def test_quad_exact_on_a_cubic():
+    # 102 cells, an even count that is not a multiple of 4
     g = build_grid(1.0, 102)
     sub = GridFunction(build_grid(1.0, 102), (g.x ** 3).astype(complex))
     assert abs(quad(sub) - 0.25) <= 1e-12
@@ -65,11 +65,15 @@ def test_simpson_sum_keeps_longdouble():
 
 @pytest.mark.parametrize("samples", [5, 6, 7, 8, 9])
 def test_simpson_sum_exact_on_cubics(samples):
-    """Simpson and its 3/8 tail integrate cubics exactly from 5 samples on,
-    6 included (two Simpson cells and one 3/8 block)."""
+    """Simpson integrates cubics exactly on 5, 7 and 9 samples; 6 and 8
+    samples, an odd count of cells, are refused."""
     x = np.linspace(0.0, 1.0, samples)
-    val = simpson_sum(2.0 * x ** 3 - x ** 2 + 0.5, 1.0 / (samples - 1))
-    assert abs(val - (0.5 - 1.0 / 3.0 + 0.5)) <= 1e-14
+    f = 2.0 * x ** 3 - x ** 2 + 0.5
+    if samples % 2 == 0:
+        with pytest.raises(ConfigurationError, match="odd sample count"):
+            simpson_sum(f, 1.0 / (samples - 1))
+        return
+    assert abs(simpson_sum(f, 1.0 / (samples - 1)) - (0.5 - 1.0 / 3.0 + 0.5)) <= 1e-14
 
 
 def test_diff_quadratic_first_order():

@@ -185,50 +185,47 @@ def test_smooth_from_samples_orders(q_zero):
 
 
 class RecordingWorkspace(verify.Workspace):
-    """A Workspace that logs every artifact request with the check that
-    made it (nested builds included), every build, and after each request
-    the potentials whose eigensystems are held."""
+    """A Workspace that logs every build and, after every request, the
+    potentials whose artifacts it holds."""
 
     def __init__(self, **kw):
         super().__init__(**kw)
-        self.check = None
-        self.requests, self.builds, self.eigensystems = [], [], []
+        self.builds, self.held = [], []
 
     def _memo(self, kind, key, build):
-        self.requests.append((self.check, (kind, key)))
-
         def logged():
             self.builds.append((kind, key))
             return build()
 
         value = super()._memo(kind, key, logged)
-        self.eigensystems.append({k for kind, k in self._built if kind == "eigensystem"})
+        self.held.append({k for _, k in self._built})
         return value
+
+
+def test_workspace_holds_one_potential():
+    """Building an artifact of another potential drops those of the held
+    one; a repeated request returns the held object without a rebuild."""
+    ws = RecordingWorkspace(grid_n=400, modes=60)
+    gd = ws.gauge("zero")
+    assert ws.gauge("zero") is gd
+    kb = ws.kernel("one")
+    assert set(ws._built) == {("potential", "one"), ("kernel", "one")}
+    assert ws.kernel("one") is kb
+    assert ws.builds == [("gauge", "zero"), ("kernel", "zero"), ("potential", "zero"),
+                         ("kernel", "one"), ("potential", "one")]
 
 
 @pytest.fixture(scope="module")
 def fresh_run():
-    """run_all on a fresh pinned RecordingWorkspace at seed 0, each check
-    tagging the requests it makes, under tracemalloc."""
-    def tagged(name, fn):
-        def run(ws):
-            ws.check = name
-            try:
-                return fn(ws)
-            finally:
-                ws.check = None
-        return run
-
+    """run_all on a fresh pinned RecordingWorkspace at seed 0, under
+    tracemalloc."""
     ws = RecordingWorkspace(grid_n=2000, modes=300, seed=0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_CHECKS", [(name, tol, sense, tagged(name, fn))
-                                       for name, tol, sense, fn in verify._CHECKS])
-        tracemalloc.start()
-        try:
-            report = verify.run_all(ws)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        report = verify.run_all(ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return SimpleNamespace(ws=ws, report=report, peak=peak)
 
 
@@ -243,36 +240,24 @@ def test_run_all_reports_the_checks_in_order_at_seed_0(fresh_run, acceptance_ws)
 
 @pytest.mark.parametrize("seed, eps", [(7, 0.0), (0, 1e-10)])
 def test_run_all_reports_the_checks_in_order(seed, eps):
-    """Grouped by pipeline and releasing what it built, run_all reports
-    what the checks give one by one in CHECK_NAMES order, bit for bit."""
+    """Run in _RUN_ORDER on a Workspace that holds one potential at a
+    time, run_all reports what the checks give one by one in CHECK_NAMES
+    order, bit for bit."""
     got = verify.run_all(verify.Workspace(seed=seed, t_perturbation=eps)).to_dict()
     assert json.dumps(got["checks"]) == in_check_order(
         verify.Workspace(seed=seed, t_perturbation=eps))
 
 
 def test_run_all_builds_once_and_holds_one_eigensystem(fresh_run):
-    """No artifact is built twice, the q = 0 and cosine eigensystems are
-    never held together, and a fresh Workspace ends empty."""
+    """Twelve artifacts are built, none twice; after every request the
+    Workspace holds the artifacts of one potential, and it ends holding
+    the cosine pipeline."""
     builds = fresh_run.ws.builds
-    assert len(builds) == len(set(builds)) == 15
-    assert not any({"zero", "cosine"} <= held for held in fresh_run.ws.eigensystems)
-    assert not fresh_run.ws._built
-
-
-def test_checks_read_only_what_they_declare(fresh_run):
-    """Every artifact a check requests, nested builds included, is in its
-    declared reads, so no check can ask for one run_all has released."""
-    assert set(verify._READS) == set(verify.CHECK_NAMES)
-    for check, artifact in fresh_run.ws.requests:
-        assert artifact in verify._READS[check], (check, artifact)
-
-
-def test_run_all_keeps_what_the_workspace_held(acceptance_ws):
-    acceptance_ws.eigensystem("zero")
-    acceptance_ws.gauge("one")
-    held = set(acceptance_ws._built)
-    verify.run_all(acceptance_ws)
-    assert held <= set(acceptance_ws._built)
+    assert len(builds) == len(set(builds)) == 12
+    assert all(len(held) == 1 for held in fresh_run.ws.held)
+    assert set(fresh_run.ws._built) == {
+        (kind, "cosine") for kind in ("potential", "eigensystem", "kernel", "gauge",
+                                      "coefficients")}
 
 
 def test_run_all_peak_memory(fresh_run):

@@ -3,8 +3,10 @@
 Each test runs one check against the shared full-size workspace, records a
 one-line PASS/FAIL verdict (printed in the terminal summary), and asserts
 the check outcome.  The first three carry wall-clock budgets; timing is
-measured around the check call itself, with the workspace artifacts shared
-across the module so later checks do not re-pay construction costs.
+measured around the check call itself.  The workspace is shared across the
+module but holds one potential's artifacts at a time, so a test that
+switches potential (05, 06, 11 and 12 here) pays for that potential's
+build again.
 """
 
 import time

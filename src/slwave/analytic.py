@@ -282,16 +282,14 @@ def _power_moments(x: np.ndarray, deg: int) -> np.ndarray:
     takes the stable direction.
     """
     sx, cx = np.sin(x), np.cos(x)
-
-    def beta(j, s, c):
-        sign = -1.0 if (j // 2) % 2 else 1.0
-        return 2.0 * sign * (s if j % 2 == 0 else -c)
-
     H = np.empty((deg + 1,) + x.shape)
     inv = 1.0 / np.maximum(x, 1.0)   # upward values are kept only where j <= x
     H[0] = np.where(x < 1e-8, 2.0, 2.0 * sx / np.maximum(x, 1e-8))
+    beta = (2.0 * sx, -2.0 * cx, -2.0 * sx, 2.0 * cx)     # beta_j by j mod 4, each pass
     for j in range(1, deg + 1):
-        H[j] = (j * H[j - 1] + beta(j, sx, cx)) * inv
+        h = np.multiply(H[j - 1], j, out=H[j])
+        h += beta[j % 4]
+        h *= inv
     low = x < deg
     if np.any(low):
         xl, sl, cl = x[low], sx[low], cx[low]
@@ -299,10 +297,13 @@ def _power_moments(x: np.ndarray, deg: int) -> np.ndarray:
         while damp > -40.0 and xmax > 0.0:
             top += 1
             damp += math.log(xmax / top)
+        beta = (2.0 * sl, -2.0 * cl, -2.0 * sl, 2.0 * cl)
         h = np.zeros(xl.shape)
         down = np.empty((deg + 1,) + xl.shape)
-        for j in range(top + 1, 0, -1):
-            h = (xl * h - beta(j, sl, cl)) / j      # H_{j-1}
+        for j in range(top + 1, 0, -1):         # h = H_{j-1}
+            np.multiply(xl, h, out=h)
+            h -= beta[j % 4]
+            h /= j
             if j <= deg + 1:
                 down[j - 1] = h
         js = np.arange(deg + 1)[:, None]

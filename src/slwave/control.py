@@ -229,27 +229,29 @@ def fdtd_oracle(c: ControlSignal, q: Potential, horizon: float,
     # three rotating buffers, each with its stencil views made once,
     # (z, z[1:-1], z[2:], z[:-2]); the interior update is evaluated as
     # ((z[2:] + z[:-2]) side [+ centre z]) - z_prev with
-    # side = r2 / (1 + dt^2 q / 2) and centre = 2 (1 - r2) / (1 + dt^2 q / 2)
+    # side = r2 / (1 + dt^2 q / 2) and centre = 2 (1 - r2) / (1 + dt^2 q / 2);
+    # the boundary samples are read as Python floats, the ufuncs bound once
     prev, cur, nxt = ((b, b[1:-1], b[2:], b[:-2])
                       for b in (np.zeros(g.size), np.zeros(g.size), np.empty(g.size)))
-    cur[0][0] = f0v[1]
-    cur[0][-1] = flv[1]
+    f0s, fls = f0v.tolist(), flv.tolist()
+    cur[0][[0, -1]] = f0s[1], fls[1]
     side = 1.0 / (1.0 + 0.5 * dt * dt * q.values[1:-1])
     centre = work = None
     if r2 != 1.0:
         centre = (2.0 * (1.0 - r2)) * side
         side *= r2
         work = np.empty(g.size - 2)
+    add, subtract, multiply = np.add, np.subtract, np.multiply
     for m in range(2, steps + 1):
         z_next, out = nxt[0], nxt[1]
-        np.add(cur[2], cur[3], out=out)
-        out *= side
+        add(cur[2], cur[3], out=out)
+        multiply(out, side, out=out)
         if centre is not None:
-            np.multiply(centre, cur[1], out=work)
-            out += work
-        out -= prev[1]
-        z_next[0] = f0v[m]
-        z_next[-1] = flv[m]
+            multiply(centre, cur[1], out=work)
+            add(out, work, out=out)
+        subtract(out, prev[1], out=out)
+        z_next[0] = f0s[m]
+        z_next[-1] = fls[m]
         prev, cur, nxt = cur, nxt, prev
         if m % 100 == 0 and np.max(np.abs(cur[0])) > scale:
             raise NumericalError(

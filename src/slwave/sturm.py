@@ -13,12 +13,16 @@ stores the coefficients of every step and the exact degree-16
 products of every eight consecutive steps, both independent of lam (the
 lam-independent precomputation of MATSLISE, Ledoux, Van Daele and Vanden
 Berghe 2005), so the matrices at a batch of lam are one matmul against the
-powers of lam.  End values come from a log-depth pairwise product of the
-n/8 eight-step matrices, node histories from a two-level blocked scan
-(blocks of about sqrt(n) steps, a multiple of 8): one sequential pass over
-the blocks gives the block starts of every lam of a call, then single
-steps fill in the blocks, storing u alone and keeping the slope as one
-rolling slab.  Eigenvalues come from shooting: separators with exactly k
+powers of lam.  Each stacked 2x2 product after that is one np.einsum
+contraction on the (2, 2, ...) views of the entry-major arrays, which
+numpy's own loops evaluate as a0 b0 + a1 b1, without BLAS; a numpy whose
+einsum fuses the multiply-add (NEON vfmaq, say) fails the loop references
+in the tests instead of silently changing the bytes.  End values come from
+a log-depth pairwise product of the n/8 eight-step matrices, node
+histories from a two-level blocked scan (blocks of about sqrt(n) steps, a
+multiple of 8): a contraction per block gives the block starts of every
+lam of a call, then one per single step fills in the blocks, storing u
+alone.  Eigenvalues come from shooting: separators with exactly k
 oscillations bracket the roots of u_lam(l), and a safeguarded secant on
 the Prufer phase of (u, u')(l) refines them.  The separators are
 certified by the signs of u_lam(l) and the counts at the two outer ones;
@@ -250,14 +254,11 @@ def _evaluate(C, powers):
 
 
 def _mul2(R, L):
-    """Stacked 2x2 products R L on entry arrays of shape (4, ...)."""
-    P = np.empty(R.shape)
-    t = np.empty(R.shape[1:])
-    for i, (r, l) in enumerate(((0, 0), (0, 1), (2, 0), (2, 1))):
-        np.multiply(R[r], L[l], out=P[i])
-        np.multiply(R[r + 1], L[l + 2], out=t)
-        P[i] += t
-    return P
+    """Stacked 2x2 products R L on entry arrays of shape (4, ...): one
+    contraction on their (2, 2, ...) views."""
+    P = np.einsum("ijn...,jkn...->ikn...", R.reshape((2, 2) + R.shape[1:]),
+                  L.reshape((2, 2) + L.shape[1:]))
+    return P.reshape(R.shape)
 
 
 def _pairwise_product(E):
@@ -307,14 +308,12 @@ def _block_matrices(tm, lam):
 def _block_starts(T):
     """States (u, u'), (2, B, K), of u(0) = 0, u'(0) = 1 at the first node
     of each block, from the block matrices T (4, B-1, K): one sequential
-    pass over the blocks."""
+    pass over the blocks, one contraction per block."""
     S = np.empty((2, T.shape[1] + 1, T.shape[2]))
-    u, v = S
-    u[0] = 0.0
-    v[0] = 1.0
-    for k in range(T.shape[1]):
-        u[k + 1] = T[0, k] * u[k] + T[1, k] * v[k]
-        v[k + 1] = T[2, k] * u[k] + T[3, k] * v[k]
+    S[0, 0], S[1, 0] = 0.0, 1.0
+    T = T.reshape((2, 2) + T.shape[1:])
+    for k in range(T.shape[2]):
+        np.einsum("ijn,jn->in", T[:, :, k], S[:, k], out=S[:, k + 1])
     return S
 
 
@@ -322,27 +321,24 @@ def _block_steps(tm, lam, S):
     """Step-major history U (b, B, K) from the block starts S (2, B, K),
     U[i, k] being node k b + i, and the end slopes u'(l), (K,).
 
-    b - 1 single steps advance all blocks at once on contiguous (B, K)
-    slabs.  Only U is stored; the slope is one rolling slab, read at the
-    step that reaches node n.
+    b - 1 single steps advance all blocks at once, each one contraction
+    into a rolling pair of (u, u') states (2, 2, B, K); u is stored on
+    contiguous (B, K) slabs, the slope read at the step that reaches node n.
     """
     b, B, K = tm.b, tm.B, lam.shape[0]
     r = tm.n - (B - 1) * b             # node n is node r of the last block
     U = np.empty((b, B, K))
+    X = np.empty((2, 2, B, K))
+    X[0] = S
     U[0] = S[0]
-    v = S[1].copy()
-    vl = v[-1].copy()
-    t = np.empty((B, K))
+    vl = S[1, -1].copy()
     powers = _powers(lam, 3)
     for i, C1 in enumerate(tm.C1s):
-        E = _evaluate(C1, powers)
-        np.multiply(E[0], U[i], out=U[i + 1])
-        U[i + 1] += np.multiply(E[1], v, out=t)
-        np.multiply(E[3], v, out=t)
-        np.multiply(E[2], U[i], out=v)
-        v += t
+        x = X[(i + 1) % 2]
+        np.einsum("ijbk,jbk->ibk", _evaluate(C1, powers).reshape(2, 2, B, K), X[i % 2], out=x)
+        U[i + 1] = x[0]
         if i + 1 == r:
-            vl = v[-1].copy()
+            vl = x[1, -1].copy()
     _check_end_state(U[r, -1], vl)
     return U, vl
 

@@ -340,6 +340,61 @@ def test_sine_moments_of_repeated_pieces(k, monkeypatch):
     assert seen[0] == len(pieces) < sum(len(analytic._moment_terms(f, t, k)) for f, t in rows)
 
 
+def power_moments_per_step(x, deg):
+    """_power_moments with beta_j formed anew at every j, as
+    2 sign (sin x or -cos x), and a fresh array per recursion step."""
+    sx, cx = np.sin(x), np.cos(x)
+
+    def beta(j, s, c):
+        sign = -1.0 if (j // 2) % 2 else 1.0
+        return 2.0 * sign * (s if j % 2 == 0 else -c)
+
+    H = np.empty((deg + 1,) + x.shape)
+    inv = 1.0 / np.maximum(x, 1.0)
+    H[0] = np.where(x < 1e-8, 2.0, 2.0 * sx / np.maximum(x, 1e-8))
+    for j in range(1, deg + 1):
+        H[j] = (j * H[j - 1] + beta(j, sx, cx)) * inv
+    low = x < deg
+    if np.any(low):
+        xl, sl, cl = x[low], sx[low], cx[low]
+        top, damp, xmax = deg, 0.0, float(np.max(xl))
+        while damp > -40.0 and xmax > 0.0:
+            top += 1
+            damp += math.log(xmax / top)
+        h = np.zeros(xl.shape)
+        down = np.empty((deg + 1,) + xl.shape)
+        for j in range(top + 1, 0, -1):
+            h = (xl * h - beta(j, sl, cl)) / j
+            if j <= deg + 1:
+                down[j - 1] = h
+        js = np.arange(deg + 1)[:, None]
+        H[:, low] = np.where(js > xl, down, H[:, low])
+    return H
+
+
+def test_power_moments_match_per_step_betas(monkeypatch):
+    """The four beta_j arrays, built once per pass and indexed by j mod 4,
+    give the per-step form bit for bit (2 x and -x are exact) on the power
+    moments of a verify run, which take both the upward and the Miller
+    pass."""
+    from slwave.verify import Workspace, run_all
+    calls = []
+
+    def recorded(x, deg):
+        calls.append((x, deg))
+        return power_moments(x, deg)
+
+    power_moments = analytic._power_moments
+    monkeypatch.setattr(analytic, "_power_moments", recorded)
+    run_all(Workspace())
+    assert len(calls) == 7
+    assert all(np.any(x < deg) and np.any(x >= deg) for x, deg in calls)
+    for x, deg in calls:
+        got, want = power_moments(x, deg), power_moments_per_step(x, deg)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_sine_moments_time_vector_checks():
     """A negative time anywhere is a configuration error; a time vector
     that does not match the forms is a contract error."""

@@ -442,21 +442,106 @@ def test_certificate_refuses_wrong_counts_and_signs():
     assert not sturm._separators_certified(np.array([0, 3]), zero)
 
 
+def mul2_reference(R, L):
+    """_mul2 as the entry-by-entry loop that the contraction replaced:
+    P[i] = R[r] L[l] + R[r+1] L[l+2] on entry arrays (4, ...).  The
+    contraction accumulates into a zeroed output, so it differs only where
+    both products are -0 (it gives +0); no case here has one."""
+    P = np.empty(R.shape)
+    t = np.empty(R.shape[1:])
+    for i, (r, l) in enumerate(((0, 0), (0, 1), (2, 0), (2, 1))):
+        np.multiply(R[r], L[l], out=P[i])
+        np.multiply(R[r + 1], L[l + 2], out=t)
+        P[i] += t
+    return P
+
+
+def pairwise_reference(E):
+    """_pairwise_product on mul2_reference."""
+    while E.shape[1] > 1:
+        m = E.shape[1]
+        P = mul2_reference(E[:, 1::2], E[:, 0:m - 1:2])
+        if m % 2:
+            P[:, -1] = mul2_reference(E[:, -1], P[:, -1])
+        E = P
+    return E[:, 0]
+
+
+def end_values_reference(tm, lam):
+    """_tm_end_values on mul2_reference and pairwise_reference."""
+    u = np.empty(lam.shape[0])
+    v = np.empty(lam.shape[0])
+    for cols in sturm._batches(tm.n, lam.shape[0]):
+        E = sturm._evaluate(tm.C8h, sturm._powers(lam[cols], 17))
+        for _ in range(3):
+            half = E.shape[1] // 2
+            E = mul2_reference(E[:, half:], E[:, :half])
+        P = pairwise_reference(E)
+        u[cols], v[cols] = P[1], P[3]
+    return u, v
+
+
+def block_matrices_reference(tm, lam):
+    """Block matrices (4, B-1, K), each the pairwise_reference product of
+    its b/8 eight-step matrices."""
+    b, B = tm.b, tm.B
+    C8 = tm.C8[:, :(B - 1) * b // 8]
+    T = sturm._evaluate(C8, sturm._powers(lam, 17)).reshape(4, B - 1, b // 8, lam.shape[0])
+    return pairwise_reference(T.swapaxes(1, 2))
+
+
+def block_starts_reference(T):
+    """_block_starts as the entry-by-entry loop over the blocks."""
+    S = np.empty((2, T.shape[1] + 1, T.shape[2]))
+    u, v = S
+    u[0] = 0.0
+    v[0] = 1.0
+    for k in range(T.shape[1]):
+        u[k + 1] = T[0, k] * u[k] + T[1, k] * v[k]
+        v[k + 1] = T[2, k] * u[k] + T[3, k] * v[k]
+    return S
+
+
+def block_steps_reference(tm, lam, S):
+    """_block_steps as the entry-by-entry loop on one rolling slope slab."""
+    b, B, K = tm.b, tm.B, lam.shape[0]
+    r = tm.n - (B - 1) * b
+    U = np.empty((b, B, K))
+    U[0] = S[0]
+    v = S[1].copy()
+    vl = v[-1].copy()
+    t = np.empty((B, K))
+    powers = sturm._powers(lam, 3)
+    for i, C1 in enumerate(tm.C1s):
+        E = sturm._evaluate(C1, powers)
+        np.multiply(E[0], U[i], out=U[i + 1])
+        U[i + 1] += np.multiply(E[1], v, out=t)
+        np.multiply(E[3], v, out=t)
+        np.multiply(E[2], U[i], out=v)
+        v += t
+        if i + 1 == r:
+            vl = v[-1].copy()
+    return U, vl
+
+
+def loop_scan_reference(tm, lam):
+    """_tm_scan on the loop references: one block-start pass over every
+    lam, then the single steps batch by batch."""
+    batches = sturm._batches(tm.n, lam.shape[0])
+    S = block_starts_reference(np.concatenate(
+        [block_matrices_reference(tm, lam[cols]) for cols in batches], axis=2))
+    for cols in batches:
+        yield (cols, *block_steps_reference(tm, lam[cols], S[:, :, cols]))
+
+
 def history_batch_reference(tm, lam):
     """The blocked scan of one batch as the loop that _tm_scan replaced:
     the block starts by a sequential pass per batch, and a stored
     step-major slope history V beside U, each (b, B, K)."""
     b, B, K = tm.b, tm.B, lam.shape[0]
-    C8 = tm.C8[:, :(B - 1) * b // 8]
-    T = sturm._evaluate(C8, sturm._powers(lam, 17)).reshape(4, B - 1, b // 8, K)
-    T = sturm._pairwise_product(T.swapaxes(1, 2))
     U = np.empty((b, B, K))
     V = np.empty((b, B, K))
-    U[0, 0] = 0.0
-    V[0, 0] = 1.0
-    for k in range(B - 1):
-        U[0, k + 1] = T[0, k] * U[0, k] + T[1, k] * V[0, k]
-        V[0, k + 1] = T[2, k] * U[0, k] + T[3, k] * V[0, k]
+    U[0], V[0] = block_starts_reference(block_matrices_reference(tm, lam))
     t = np.empty((B, K))
     powers = sturm._powers(lam, 3)
     for i, C1 in enumerate(tm.C1s):
@@ -494,6 +579,29 @@ def test_scan_matches_per_batch_loop(expr, n, K):
     tm = sturm._transfer(q.values, q.mid, g.h)
     lam = np.linspace(-5.0, ((n // 6 + 1) * np.pi) ** 2 + q.values.max(), K)
     got, want = list(sturm._tm_scan(tm, lam)), list(scan_reference(tm, lam))
+    assert len(got) == len(want) >= 1 + (n == 2000 and K > 65)
+    for (cols, U, v), (cols0, U0, v0) in zip(got, want):
+        assert cols == cols0 and same_bits(U, U0) and same_bits(v, v0)
+
+
+@pytest.mark.parametrize("expr", ["2 + cos(3)", "2000*cos(7) + 1500*sin(2)"])
+@pytest.mark.parametrize("n", [8, 402, 2000])
+@pytest.mark.parametrize("K", [1, 2, 65, 66, 300])
+def test_contractions_match_loop_references(expr, n, K):
+    """The einsum contractions give the entry-by-entry loops bit for bit:
+    the pairwise product of the eight-step matrices, the end values and
+    the blocked scan.  A contraction with a fused multiply-add fails here,
+    and so does one handed to BLAS (a stacked np.matmul does, with the
+    FMA kernels of an x86-64 OpenBLAS)."""
+    g = build_grid(1.0, n)
+    q = potential(g, parse_expression(expr))
+    tm = sturm._transfer(q.values, q.mid, g.h)
+    lam = np.linspace(-5.0, ((n // 6 + 1) * np.pi) ** 2 + q.values.max(), K)
+    E = sturm._evaluate(tm.C8, sturm._powers(lam, 17))
+    assert same_bits(sturm._pairwise_product(E), pairwise_reference(E))
+    for got, want in zip(sturm._tm_end_values(tm, lam), end_values_reference(tm, lam)):
+        assert same_bits(got, want)
+    got, want = list(sturm._tm_scan(tm, lam)), list(loop_scan_reference(tm, lam))
     assert len(got) == len(want) >= 1 + (n == 2000 and K > 65)
     for (cols, U, v), (cols0, U0, v0) in zip(got, want):
         assert cols == cols0 and same_bits(U, U0) and same_bits(v, v0)

@@ -168,12 +168,14 @@ def _cubic_stencil(xq: np.ndarray, x: np.ndarray, h: float) -> tuple:
     grid is l itself, which n (l/n) can miss by an ulp.
     """
     j = np.clip((xq / h).astype(int) - 1, 0, x.shape[0] - 4)
+    nodes = [x[j + mth] for mth in range(4)]
+    gaps = [xq - node for node in nodes]
     w = np.empty((4,) + xq.shape)
     for k in range(4):
         lk = np.ones_like(xq)
         for mth in range(4):
             if mth != k:
-                lk = lk * (xq - x[j + mth]) / (x[j + k] - x[j + mth])
+                lk = lk * gaps[mth] / (nodes[k] - nodes[mth])
         w[k] = lk
     return j, w
 
@@ -486,7 +488,9 @@ class RowLayout:
         rows, with the shared text and every separator in place."""
         ends, self._step = _slot_ends(widths)
         starts = ends - [w or _CELL for w in widths]
-        self._buf = np.zeros((n if self.shared else min(n, self._step), ends[-1]), np.uint8)
+        # a bytearray behind it: a piece that is all of it needs no tobytes copy
+        self._raw = bytearray((n if self.shared else min(n, self._step)) * int(ends[-1]))
+        self._buf = np.frombuffer(self._raw, np.uint8).reshape(-1, ends[-1])
         self._starts = starts
         for j in self.shared:
             self._buf[:, starts[j]:ends[j]] = cols[j]
@@ -557,7 +561,8 @@ class RowLayout:
             for q, j in enumerate(floats):
                 _slot(rows, self._starts[j])[...] = cells[q][off:off + m]
             off += m
-            yield key, rows.tobytes().translate(None, b"\0")
+            whole = self._raw if len(rows) == len(self._buf) else rows.tobytes()
+            yield key, whole.translate(None, b"\0")
 
 
 def write_tables(table, tables) -> None:

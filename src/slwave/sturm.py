@@ -495,6 +495,9 @@ def _phase(sigma, w, u, v):
     return np.arctan2(sigma * w * u, sigma * v)
 
 
+# a potential too large for the mesh overflows the step coefficients and the
+# bounds; _check_end_state refuses the nan and inf, so numpy need not warn
+@np.errstate(over="ignore", invalid="ignore")
 def dirichlet_eigensystem(q: Potential, count: int, rel_tol: float = 1e-10) -> EigenSystem:
     """First `count` Dirichlet eigenpairs by shooting on RK4 transfer matrices.
 

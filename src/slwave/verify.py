@@ -35,9 +35,9 @@ from .control import (ControlSignal, _batched_smooth_wave, control_to_kernel,
                       smooth_waves, support_report)
 from .errors import (ConfigurationError, NumericalError, SlwaveError,
                      VerificationFailure)
-from .geometry import distance_profile, set_mass
+from .geometry import distance_profile
 from .grid import (GridFunction, _cubic_apply, _cubic_stencil, build_grid, diff_samples,
-                   inner, interp_cubic, quad, sample)
+                   inner, interp_cubic, quad, sample, simpson_sum)
 from .model import (DET_FLOOR, GaugeData, SmoothFunction, default_gauge, hat_value,
                     model_inner, smooth_from_closed_form)
 from .operator import (apply_model, assemble_coefficients, intertwine_residual,
@@ -358,13 +358,35 @@ def boundary_form(u: GridFunction, v: GridFunction, x: float, gd: GaugeData) -> 
     with cubic interpolation off the nodes."""
     l = gd.grid.l
     _check_atom(x, l)
-    ux = interp_cubic(u, x)
-    uxr = interp_cubic(u, l - x)
-    vx = interp_cubic(v, x)
-    vxr = interp_cubic(v, l - x)
+    ux = interp_cubic(u, [x, l - x])
+    vx = ux if v is u else interp_cubic(v, [x, l - x])
     stencil = _cubic_stencil(np.array([x]), gd.grid.x[: gd.half + 1], gd.grid.h)
     rho = float(_cubic_apply(gd.rho, *stencil)[0])
-    return complex((ux * np.conj(vx) + uxr * np.conj(vxr)) / rho)
+    return complex((ux[0] * np.conj(vx[0]) + ux[1] * np.conj(vx[1])) / rho)
+
+
+def union_masses(fs, unions) -> list:
+    """L2 masses of the grid functions fs (one grid) over each union of
+    intervals (a, b), one list per function; an overlap counts once per
+    interval.  Each interval is clipped to [0, l], resampled by cubic
+    interpolation (one stencil for every interval) and integrated by
+    Simpson, so endpoint cells are not smeared to node resolution."""
+    g = fs[0].grid
+    xs, parts, off = [np.empty(0)], [], 0
+    for union in unions:
+        parts.append([])
+        for a, b in union:
+            a, b = max(0.0, a), min(g.l, b)
+            if b <= a:
+                continue
+            m = max(32, 2 * int(np.ceil((b - a) / g.h)))
+            xs.append(np.linspace(a, b, m + 1))
+            parts[-1].append((off, off + m + 1, (b - a) / m))
+            off += m + 1
+    stencil = _cubic_stencil(np.concatenate(xs), g.x, g.h)
+    dens = [np.abs(_cubic_apply(f.values, *stencil)) ** 2 for f in fs]
+    return [[sum((float(simpson_sum(d[i:j], dx).real) for i, j, dx in part), 0.0)
+             for part in parts] for d in dens]
 
 
 @dataclass(eq=False)
@@ -389,10 +411,8 @@ def form_limit_check(u: GridFunction, x: float, gd: GaugeData) -> FormLimitRepor
     if radii[0] >= x:
         raise ConfigurationError("largest radius must stay inside (0, l)")
     e_gf = gd.e.as_grid_function(gd.grid)
-    ratios = []
-    for t in radii:
-        omega = ((x - t, x + t), (l - x - t, l - x + t))
-        ratios.append(set_mass(u, omega) / set_mass(e_gf, omega))
+    unions = [((x - t, x + t), (l - x - t, l - x + t)) for t in radii]
+    ratios = [a / b for a, b in zip(*union_masses((u, e_gf), unions))]
     t1, t2 = radii[-2], radii[-1]
     r1, r2 = ratios[-2], ratios[-1]
     extrapolated = r2 + (r2 - r1) * t2 ** 2 / (t1 ** 2 - t2 ** 2)

@@ -276,6 +276,30 @@ def test_exit_3_inadmissible_potential(tmp_path):
     assert main(["eigs", "--config", path, "--out", str(tmp_path)]) == 3
 
 
+def test_eigs_overflowing_potential_exits_3_with_one_line(tmp_path):
+    """A potential that overflows the shooting solver exits 3, and stderr
+    is the one `numerical failure:` line, with no numpy warning before it."""
+    path = ini(tmp_path / "big.ini", """
+        [problem]
+        potential = 1e200*cos(3)
+
+        [numerics]
+        grid_n = 400
+        modes = 5
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c",
+                          "import sys, slwave.cli; sys.exit(slwave.cli.main(sys.argv[1:]))",
+                          "eigs", "--config", path, "--out", str(tmp_path / "e")],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 3
+    assert run.stderr == ("numerical failure: Cauchy integration blew up; "
+                          "refine the grid or check q and lam\n")
+    assert not (tmp_path / "e").exists()
+
+
 def test_exit_2_unstable_cfl(tmp_path):
     path = ini(tmp_path / "cfl.ini", """
         [numerics]

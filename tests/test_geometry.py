@@ -1,4 +1,4 @@
-"""Interval masses and the eikonal metric of atoms.
+"""The eikonal metric of atoms.
 
 An atom is a float x in [0, l/2], standing for the point pair {x, l - x}.
 Dyadic positions make distances exact in floats, so the metric axioms
@@ -6,27 +6,11 @@ can be asserted with zero tolerance.
 """
 
 import numpy as np
-import pytest
 
-from slwave.geometry import distance_profile, set_mass
-from slwave.grid import GridFunction, build_grid
+from slwave.geometry import distance_profile
+from slwave.grid import build_grid
 
 L = 1.0
-
-
-def test_set_mass_interval_resolved():
-    g = build_grid(L, 400)
-    u = GridFunction(g, np.ones(g.size, dtype=complex))
-    assert set_mass(u, ((0.25, 0.375), (0.625, 0.75))) == pytest.approx(0.25, abs=1e-10)
-
-
-def test_set_mass_clips_to_the_interval():
-    """Parts of an interval outside [0, l] carry no mass, and an interval
-    that is empty after clipping is skipped."""
-    g = build_grid(L, 400)
-    u = GridFunction(g, np.ones(g.size, dtype=complex))
-    assert set_mass(u, ((-0.5, 0.125), (1.5, 2.0))) == pytest.approx(0.125, abs=1e-10)
-    assert set_mass(u, ()) == 0.0
 
 
 def test_distance_profile_and_eikonal():

@@ -151,6 +151,39 @@ def test_interp_cubic_reproduces_cubics():
         assert err <= 1e-13, route.__name__
 
 
+def cubic_stencil_reference(xq, x, h):
+    """The stencil loop that gathers a node column x[j + m] for every factor
+    and takes every difference where it is used: 16 gathers per call."""
+    j = np.clip((xq / h).astype(int) - 1, 0, x.shape[0] - 4)
+    w = np.empty((4,) + xq.shape)
+    for k in range(4):
+        lk = np.ones_like(xq)
+        for mth in range(4):
+            if mth != k:
+                lk = lk * (xq - x[j + mth]) / (x[j + k] - x[j + mth])
+        w[k] = lk
+    return j, w
+
+
+@pytest.mark.parametrize("l, n, half", [(1.0, 8, False), (1.0, 400, False),
+                                        (np.pi, 2000, False), (1.0, 2000, True)])
+def test_cubic_stencil_matches_loop_reference(l, n, half):
+    """The stencil equals the loop reference bit for bit on random queries,
+    the clipped first and last cells (and the last node) among them, on
+    the full grid and on the half grid boundary_form reads rho on."""
+    g = build_grid(l, n)
+    x = g.x[: n // 2 + 1] if half else g.x
+    end = x[-1]
+    rng = np.random.default_rng(n)
+    xq = np.concatenate([rng.uniform(0.0, end, 400), rng.uniform(0.0, 2.0 * g.h, 40),
+                         end - rng.uniform(0.0, 2.0 * g.h, 40), x[::3], [0.0, end]])
+    j, w = grid_module._cubic_stencil(xq, x, g.h)
+    j_ref, w_ref = cubic_stencil_reference(xq, x, g.h)
+    assert np.array_equal(j, j_ref)
+    assert j.min() == 0 and j.max() == x.shape[0] - 4
+    assert w.tobytes() == w_ref.tobytes()
+
+
 def test_csv_round_trip(tmp_path):
     """%.17g cells read back to the same floats, bit for bit."""
     g = build_grid(1.0, 24)

@@ -767,6 +767,18 @@ def test_grid_too_coarse_for_modes():
         dirichlet_eigensystem(potential(g, Const(0.0)), 80)
 
 
+def test_overflowing_potential_raises_its_numerical_error():
+    """q = 1e200 cos(3x) overflows the step coefficients and the comparison
+    bounds: the solve refuses with its NumericalError and no numpy warning
+    on the way (the suite turns warnings into errors), and leaves numpy's
+    error state as it found it."""
+    before = np.geterr()
+    q = potential(build_grid(1.0, 400), "1e200*cos(3)")
+    with pytest.raises(NumericalError, match="blew up"):
+        dirichlet_eigensystem(q, 5)
+    assert np.geterr() == before
+
+
 def test_propagator_parabola_fourier(es_zero, q_zero):
     """x(1-x) against its analytic sine series: the Simpson inner products
     with the q = 0 eigenfunctions, which every modal synthesis starts from,

@@ -8,10 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from slwave import grid as grid_module
 from slwave import mat2, verify
 from slwave.errors import ConfigurationError, NumericalError
 from slwave.geometry import distance_profile
-from slwave.grid import GridFunction, inner, sample
+from slwave.grid import GridFunction, build_grid, inner, interp_cubic, sample, simpson_sum
 from slwave.model import hat_value, model_inner
 
 
@@ -84,17 +85,102 @@ def test_eikonal_fault_fails_the_check(acceptance_ws, monkeypatch):
     assert len(calls) == 20
 
 
+def set_mass(u, intervals):
+    """The per-interval mass that union_masses replaced: one cubic stencil
+    and one Simpson sum per interval, summed in interval order."""
+    g = u.grid
+    total = 0.0
+    for a, b in intervals:
+        a = max(0.0, a)
+        b = min(g.l, b)
+        if b <= a:
+            continue
+        m = max(32, 2 * int(np.ceil((b - a) / g.h)))
+        xs = np.linspace(a, b, m + 1)
+        dens = np.abs(interp_cubic(u, xs)) ** 2
+        total += float(simpson_sum(dens, (b - a) / m).real)
+    return total
+
+
+def atom_unions(x, l):
+    return [((x - t, x + t), (l - x - t, l - x + t)) for t in (0.08 * l, 0.04 * l, 0.02 * l)]
+
+
+UNIONS = {
+    "acceptance atoms": atom_unions(0.1, 1.0) + atom_unions(0.25, 1.0),
+    "overlapping, x = 0.47 l": atom_unions(0.47, 1.0),
+    "three or four intervals": [((0.1, 0.3), (0.35, 0.6), (0.62, 0.97)),
+                                ((0.05, 0.2), (0.5, 0.55), (0.3, 0.71), (0.9, 0.93))],
+    "clipped": [((-0.5, 0.125), (1.5, 2.0)), ((0.9, 1.3), (-0.2, 0.01))],
+    "empty": [(), ((0.3, 0.3),), ((0.6, 0.2), (1.0, 1.5))],
+    "boundary-touching": [((0.0, 0.08), (0.92, 1.0)), atom_unions(0.08, 1.0)[0],
+                          ((0.0, 1.0),)],
+}
+
+
+@pytest.mark.parametrize("n", [400, 2000])
+def test_union_masses_match_per_interval_set_mass(n, gauge_zero, coarse_ws):
+    """Every mass equals the per-interval reference bit for bit, for u = 1,
+    a complex u and the gauge element e, one call per kind of union set
+    and one call over all of them."""
+    gd = gauge_zero if n == 2000 else coarse_ws.gauge("zero")
+    g = gd.grid
+    fs = (sample(g, np.ones_like(g.x)), sample(g, lambda x: np.exp(2j * x) + x ** 3),
+          gd.e.as_grid_function(g))
+    every = [union for unions in UNIONS.values() for union in unions]
+    for unions in (*UNIONS.values(), every):
+        got = verify.union_masses(fs, unions)
+        want = [[set_mass(f, union) for union in unions] for f in fs]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_union_masses_interval_resolved():
+    g = build_grid(1.0, 400)
+    u = GridFunction(g, np.ones(g.size, dtype=complex))
+    [[mass]] = verify.union_masses((u,), [((0.25, 0.375), (0.625, 0.75))])
+    assert mass == pytest.approx(0.25, abs=1e-10)
+
+
+def test_union_masses_clip_to_the_interval():
+    """Parts of an interval outside [0, l] carry no mass, and an interval
+    that is empty after clipping is skipped."""
+    g = build_grid(1.0, 400)
+    u = GridFunction(g, np.ones(g.size, dtype=complex))
+    [[clipped, empty]] = verify.union_masses((u,), [((-0.5, 0.125), (1.5, 2.0)), ()])
+    assert clipped == pytest.approx(0.125, abs=1e-10)
+    assert empty == 0.0
+    assert verify.union_masses((u,), []) == [[]]
+
+
+def test_check_form_limit_builds_six_stencils(coarse_ws, monkeypatch):
+    """The masses of one atom come from one cubic stencil, and a boundary
+    form from two (u at x and l - x, rho at x): six for the check's two
+    atoms, where a stencil per interval and per point made 34."""
+    coarse_ws.gauge("zero")
+    built = []
+    stencil = grid_module._cubic_stencil
+
+    def counted(*args):
+        built.append(args[0].shape)
+        return stencil(*args)
+
+    monkeypatch.setattr(grid_module, "_cubic_stencil", counted)
+    monkeypatch.setattr(verify, "_cubic_stencil", counted)
+    assert verify.check_form_limit(coarse_ws).passed
+    assert len(built) <= 6
+
+
 def test_form_limit_neighbourhoods(gauge_zero, monkeypatch):
     """omega_x(t) is the two intervals of radius t about x and l - x, kept
     apart where they meet."""
     omegas = []
 
-    def recorded(u, intervals):
-        omegas.append(intervals)
-        return set_mass(u, intervals)
+    def recorded(fs, unions):
+        omegas.append(unions)
+        return union_masses(fs, unions)
 
-    set_mass = verify.set_mass
-    monkeypatch.setattr(verify, "set_mass", recorded)
+    union_masses = verify.union_masses
+    monkeypatch.setattr(verify, "union_masses", recorded)
     g = gauge_zero.grid
     u = sample(g, np.ones_like(g.x))
     l = g.l
@@ -106,9 +192,9 @@ def test_form_limit_neighbourhoods(gauge_zero, monkeypatch):
     verify.form_limit_check(u, 0.25 * l, gauge_zero)
     a = 0.47 * l
     verify.form_limit_check(u, a, gauge_zero)
-    want = [pair(0.25 * l, t) for t in radii] + [pair(a, t) for t in radii]
-    # the masses of u and of e are taken over the same set
-    assert omegas[::2] == omegas[1::2] == want
+    want = [[pair(0.25 * l, t) for t in radii], [pair(a, t) for t in radii]]
+    # the masses of u and of e are taken over the same sets, in one call
+    assert omegas == want
 
 
 def test_form_limit_near_the_midpoint(coarse_ws):
@@ -126,9 +212,9 @@ def test_form_limit_near_the_midpoint(coarse_ws):
 def test_form_limit_refuses_x_past_the_midpoint_first(coarse_ws, monkeypatch, frac):
     """x outside [0, l/2] is refused before any mass is taken."""
     def refuse(*_):
-        raise AssertionError("set_mass called")
+        raise AssertionError("union_masses called")
 
-    monkeypatch.setattr(verify, "set_mass", refuse)
+    monkeypatch.setattr(verify, "union_masses", refuse)
     g = coarse_ws.grid
     with pytest.raises(ConfigurationError, match=r"\[0, l/2\]"):
         verify.form_limit_check(sample(g, np.ones_like(g.x)), frac * g.l,

@@ -385,8 +385,13 @@ def union_masses(fs, unions) -> list:
             off += m + 1
     stencil = _cubic_stencil(np.concatenate(xs), g.x, g.h)
     dens = [np.abs(_cubic_apply(f.values, *stencil)) ** 2 for f in fs]
-    return [[sum((float(simpson_sum(d[i:j], dx).real) for i, j, dx in part), 0.0)
-             for part in parts] for d in dens]
+    masses = [[0.0] * len(parts) for _ in fs]
+    for d, row in zip(dens, masses):
+        for k, part in enumerate(parts):
+            # left to right, one rounding a term: sum() compensates from Python 3.12
+            for i, j, dx in part:
+                row[k] += float(simpson_sum(d[i:j], dx).real)
+    return masses
 
 
 @dataclass(eq=False)

@@ -15,12 +15,7 @@ once) because near the midpoint cond(G) grows like 1/det(T)^2 and double
 precision would eat the 1e-10 identity tolerances.  default_gauge is the
 only producer of extended-precision fields, and it refuses to run where
 np.longdouble is plain double; every later layer takes its dtypes from the
-gauge.  The one exception is hat_value's cross-check of its two routes,
-which runs in double: it only decides whether they agree to 1e-12 of the
-hat's scale, a thousand times above double roundoff, no artefact reads its
-value, and extended-precision complex arithmetic costs several times
-complex128's (on 1001 values, x86-64 with numpy 2.4: an abs 45 us against
-3 us, a product 12 us against 2 us).
+gauge.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ import numpy as np
 from . import mat2
 from .analytic import ClosedForm
 from .errors import (AdmissibilityError, ConfigurationError, ContractError,
-                     InternalError, NumericalError)
+                     NumericalError)
 from .grid import Grid, GridFunction, simpson_sum
 from .sturm import KernelBasis, Potential
 
@@ -131,15 +126,6 @@ class GaugeData:
             raise AdmissibilityError("Gram matrix singular outside the guard band")
         with np.errstate(divide="ignore", invalid="ignore"):
             return mat2.inv2(self.G, det=detG)
-
-    @functools.cached_property
-    def form_rows(self) -> np.ndarray:
-        """The boundary-form route of hat_value's cross-check as a matrix
-        field in double: row k holds (conj e_k(x), conj e_k(l-x)) / rho(x),
-        so applied to (u(x), u(l-x)) it gives (<u,e1>_x, <u,e2>_x)."""
-        rows = np.stack([np.stack(_pair(np.conj(e.u), self.half), axis=1)
-                         for e in (self.e1, self.e2)], axis=1)
-        return (rows / self.rho[:, None, None]).astype(complex)
 
 
 def _pair(values: np.ndarray, m: int) -> tuple:
@@ -248,14 +234,8 @@ def _trace_pair(values: np.ndarray, m: int, sign: float = 1.0) -> np.ndarray:
 def hat_value(u: Union[GridFunction, SmoothFunction], gd: GaugeData) -> HatField:
     """Hat of u: u^(x) = T(x) (u(x), u(l-x)).
 
-    The result is cross-checked against the boundary-form route
-    (<u,e1>_x, <u,e2>_x); disagreement beyond 1e-12 relative raises an
-    internal error.  The hat stays in extended precision, but the check
-    runs in double (GaugeData.form_rows): its 1e-12 threshold sits far
-    above double roundoff, so it trips at the same corruptions as in
-    extended precision (on grid 400, a T scaled by 1 + 2.5e-12 and up,
-    not by 1 + 2e-12).  SmoothFunction input also fills the hat
-    derivatives via the product rule with the analytic T', T''.
+    SmoothFunction input also fills the hat derivatives via the product
+    rule with the analytic T', T''.
     """
     if not isinstance(u, (GridFunction, SmoothFunction)):
         raise ContractError(f"cannot hat a {type(u).__name__}")
@@ -269,19 +249,7 @@ def hat_value(u: Union[GridFunction, SmoothFunction], gd: GaugeData) -> HatField
         d1 = mat2.apply2(gd.dT, w) + mat2.apply2(gd.T, dw)
         d2 = (mat2.apply2(gd.d2T, w) + 2.0 * mat2.apply2(gd.dT, dw)
               + mat2.apply2(gd.T, d2w))
-    hat_d = hat.astype(complex)
-    res = _hat_form_residual(w.astype(complex), hat_d, gd)
-    scale = float(np.max(np.abs(hat_d))) + 1.0
-    if res > 1e-12 * scale:
-        raise InternalError(
-            f"hat routes disagree by {res:.3e}; gauge data is inconsistent")
     return HatField(hat, w, d1, d2)
-
-
-def _hat_form_residual(w: np.ndarray, hat: np.ndarray, gd: GaugeData) -> float:
-    """Largest distance of the hat from (<u,e1>_x, <u,e2>_x) in double,
-    w = (u(x), u(l-x))."""
-    return float(np.max(np.abs(hat - mat2.apply2(gd.form_rows, w))))
 
 
 def model_inner(uh: HatField, vh: HatField, gd: GaugeData) -> complex:

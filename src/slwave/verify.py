@@ -15,8 +15,12 @@ the pointwise boundary form and its small-radius limit
 (form_limit_check), and graph points sampled from waves (graph_sample).
 
 The t_perturbation knob scales the gauge matrix fields by (1 + eps) after
-assembly.  It exists for fault injection: a corrupted T must make the
-identity, Parseval and intertwining checks fail loudly, never silently.
+assembly.  It exists for fault injection, and the checks catch it by
+measurement: gauge_identities reads about 1e12 eps against its 1, and
+parseval reads 2 eps, so from eps = 1e-6 on it fails as well.
+intertwining and graph_consistency do not move: a constant factor on T
+leaves P^ and Q^ unchanged, which is the gauge freedom of the model, not
+a blind spot.
 """
 
 from __future__ import annotations

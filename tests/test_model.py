@@ -6,12 +6,12 @@ import pytest
 
 from slwave import mat2
 from slwave.analytic import Const
-from slwave.errors import AdmissibilityError, ConfigurationError, InternalError
+from slwave.errors import AdmissibilityError, ConfigurationError
 from slwave.grid import GridFunction, build_grid, inner
-from slwave.model import (DET_FLOOR, GUARD_CELLS, _hat_form_residual, _pair, _trace_pair,
-                          default_gauge, hat_value, model_inner)
+from slwave.model import (DET_FLOOR, GUARD_CELLS, _pair, _trace_pair, default_gauge,
+                          hat_value, model_inner)
 from slwave.sturm import kernel_basis, potential
-from slwave.verify import _perturb_gauge, boundary_form, form_limit_check
+from slwave.verify import boundary_form, form_limit_check
 
 RHO0_Q1 = 2.0 * np.sinh(1.0) ** 2     # = 2.762195691083631
 
@@ -87,19 +87,6 @@ def test_hat_equivalence_class(gauge_zero):
     # sin(4 pi x) vanishes at x=0.25 and 0.75: same equivalence class there
     j = gauge_zero.half // 2
     assert np.max(np.abs(uh.values[j] - vh.values[j])) <= 1e-14
-
-
-def test_hat_dual_route_consistency(gauge_zero, q_zero):
-    """The matrix route T (u(x), u(l-x)) against the boundary-form route
-    (<u, e1>_x, <u, e2>_x) on the half grid."""
-    gd = gauge_zero
-    u = GridFunction(gd.grid, np.exp(1j * gd.grid.x))
-    m = gd.half
-    ul, ur = u.values[: m + 1], u.values[::-1][: m + 1]
-    form = [(ul * np.conj(e.u[: m + 1]) + ur * np.conj(e.u[::-1][: m + 1])) / gd.rho
-            for e in (gd.e1, gd.e2)]
-    hat = hat_value(u, gd).values
-    assert float(np.max(np.abs(hat - np.stack(form, axis=1)))) <= 1e-13
 
 
 def test_boundary_form_against_hat_gram(gauge_zero):
@@ -196,56 +183,29 @@ def test_degenerate_midpoint_rank_one(gauge_zero):
     assert not gd.admissible[-1]
 
 
-def test_hat_detects_inconsistent_gauge(gauge_zero):
-    """Fault injection at the library level: scaling T must trip the
-    dual-route cross-check inside hat_value."""
-    import dataclasses
-    gd = dataclasses.replace(gauge_zero, T=gauge_zero.T * (1 + 1e-6))
-    u = sine(gd.grid)
-    with pytest.raises(InternalError):
-        hat_value(u, gd)
-
-
 def route_battery(grid, gd):
     return [sine(grid), gd.e.as_grid_function(grid),
             GridFunction(grid, np.exp(1j * grid.x) + grid.x ** 2)]
 
 
 def extended_route_residual(u, gd):
-    """The boundary-form route residual of hat_value and its scale,
-    evaluated in extended precision throughout."""
+    """Largest distance of hat_value's hat from the boundary-form route
+    (<u,e1>_x, <u,e2>_x), evaluated in extended precision throughout."""
     m = gd.half
     w = _trace_pair(np.asarray(u.values, dtype=np.clongdouble), m)
-    hat = mat2.apply2(gd.T, w)
+    hat = hat_value(u, gd).values
     alt = [(w[:, 0] * np.conj(el) + w[:, 1] * np.conj(er)) / gd.rho
            for el, er in (_pair(gd.e1.u, m), _pair(gd.e2.u, m))]
-    res = max(np.max(np.abs(hat[:, k] - alt[k])) for k in range(2))
-    return float(res), float(np.max(np.abs(hat))) + 1.0, w, hat
+    return float(max(np.max(np.abs(hat[:, k] - alt[k])) for k in range(2)))
 
 
 @pytest.mark.parametrize("key", ["zero", "one", "cosine"])
-@pytest.mark.parametrize("eps", [0.0, 1e-11])
-def test_double_route_residual_tracks_extended(coarse_ws, key, eps):
-    """hat_value's cross-check in double reads the extended-precision
-    residual to within 1e-15 of the hat's scale, intact or corrupted."""
-    gd = _perturb_gauge(coarse_ws.gauge(key), eps)
+def test_hat_dual_route_consistency(coarse_ws, key):
+    """The matrix route T (u(x), u(l-x)) of hat_value against the
+    boundary-form route (<u, e1>_x, <u, e2>_x) on the half grid: the rows
+    of T are the boundary-form functionals divided by rho, so the two
+    agree to extended-precision roundoff for every function of the
+    battery."""
+    gd = coarse_ws.gauge(key)
     for u in route_battery(coarse_ws.grid, gd):
-        want, scale, w, hat = extended_route_residual(u, gd)
-        got = _hat_form_residual(w.astype(complex), hat.astype(complex), gd)
-        assert abs(got - want) <= 1e-15 * scale
-        assert (want > 1e-12 * scale) == (eps > 0.0)
-
-
-@pytest.mark.parametrize("key", ["zero", "one", "cosine"])
-@pytest.mark.parametrize("eps, trips", [(0.0, False), (1e-13, False),
-                                        (1e-11, True), (1e-10, True)])
-def test_hat_guard_resolution(coarse_ws, key, eps, trips):
-    """A T scaled by 1 + eps passes the double-precision guard up to 1e-13
-    and trips it from 1e-11, for every function of the battery."""
-    gd = _perturb_gauge(coarse_ws.gauge(key), eps)
-    for u in route_battery(coarse_ws.grid, gd):
-        if trips:
-            with pytest.raises(InternalError, match="hat routes disagree"):
-                hat_value(u, gd)
-        else:
-            hat_value(u, gd)
+        assert extended_route_residual(u, gd) <= 1e-13

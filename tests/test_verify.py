@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from slwave import grid as grid_module
-from slwave import mat2, verify
+from slwave import errors, mat2, verify
 from slwave.errors import ConfigurationError, NumericalError
 from slwave.geometry import distance_profile
 from slwave.grid import GridFunction, build_grid, inner, interp_cubic, sample, simpson_sum
@@ -332,6 +332,31 @@ def test_run_all_reports_the_checks_in_order(seed, eps):
     got = verify.run_all(verify.Workspace(seed=seed, t_perturbation=eps)).to_dict()
     assert json.dumps(got["checks"]) == in_check_order(
         verify.Workspace(seed=seed, t_perturbation=eps))
+
+
+@pytest.mark.parametrize("eps, fails", [
+    (1e-10, {"gauge_identities"}),
+    (1e-8, {"gauge_identities"}),
+    (1e-6, {"gauge_identities", "parseval"}),
+])
+def test_t_fault_fails_checks_by_measurement(eps, fails):
+    """A T scaled by 1 + eps fails exactly the tabled checks, each by a
+    finite measured value past its tolerance, never by an exception:
+    gauge_identities reads 1.055e12 eps and parseval 2 eps.  P^ and Q^
+    are invariant under the scaling, so intertwining, graph consistency
+    and recovery pass, and the spectrum never reads T."""
+    checks = {c.name: c for c in verify.run_all(verify.Workspace(t_perturbation=eps)).checks}
+    assert {name for name, c in checks.items() if not c.passed} == fails
+    for name in fails:
+        c = checks[name]
+        assert np.isfinite(c.measured) and c.measured < verify._FAILED_SENTINEL
+        assert not any(c.detail.startswith(f"{exc}:") for exc in errors.__dict__
+                       if exc.endswith(("Error", "Failure")))
+    assert checks["gauge_identities"].measured == pytest.approx(1.055e12 * eps, rel=0.05)
+    assert checks["parseval"].measured == pytest.approx(2.0 * eps, rel=0.05)
+    for name in ("intertwining", "graph_consistency", "potential_recovery",
+                 "dirichlet_spectrum"):
+        assert checks[name].passed
 
 
 def test_run_all_builds_once_and_holds_one_eigensystem(fresh_run):
